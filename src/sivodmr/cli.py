@@ -28,7 +28,14 @@ from .inversion import (
     axial_invert,
     invert_field,
 )
-from .io import CsvFormatError, read_spectrum_csv, read_sweep_csv, write_spectrum_csv, write_sweep_csv
+from .io import (
+    CsvFormatError,
+    read_spectrum_csv,
+    read_sweep_csv,
+    write_spectrum_csv,
+    write_sweep_csv,
+    write_text,
+)
 from .sensitivity import (
     laser_sweep_sensitivity,
     mw_sweep_sensitivity,
@@ -59,16 +66,8 @@ def _non_negative(text: str) -> float:
     return value
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _emit_json(payload: dict, out: str | None) -> None:
-    _write_text(out, json.dumps(payload, indent=2) + "\n")
+    write_text(out, json.dumps(payload, indent=2) + "\n")
 
 
 def _grid_points(text: str) -> int:
@@ -107,7 +106,7 @@ def cmd_simulate(args, cfg) -> int:
             ylabel="relative PL dip",
             title=f"B0 = {args.b0_gauss:g} G, theta = {args.theta_deg:g} deg",
         )
-        _write_text(args.svg, svg)
+        write_text(args.svg, svg)
     return 0
 
 
@@ -196,7 +195,7 @@ def cmd_invert(args, cfg) -> int:
 
 def _sweep_svg(args, x, series, xlabel, ylabel) -> None:
     if args.svg:
-        _write_text(args.svg, line_plot_svg(x, series, xlabel=xlabel, ylabel=ylabel))
+        write_text(args.svg, line_plot_svg(x, series, xlabel=xlabel, ylabel=ylabel))
 
 
 def cmd_sweep(args, cfg) -> int:

@@ -1,7 +1,8 @@
 """Nonlinear least-squares fitting of ODMR spectra and saturation curves.
 
 One damped Gauss-Newton core drives both model families (multi-Lorentzian
-spectra and photon-rate saturation), with analytic Jacobians, Marquardt
+spectra and photon-rate saturation) and the field refinement of
+inversion.py, with analytic Jacobians, Marquardt
 diagonal damping and monotone step acceptance.  Parameter uncertainties
 come from the linearized covariance sigma^2 * inv(J^T J) with
 sigma^2 = residual_rms^2; residuals are assumed i.i.d. Gaussian, which is
@@ -69,7 +70,7 @@ class FitResult:
         return float(self.sigmas[self.names.index(name)])
 
 
-def _damped_gauss_newton(fun, p0, scales, validate=None, max_iter=MAX_ITERATIONS):
+def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS):
     """Minimize sum(r^2) for r, J = fun(p) starting from p0.
 
     Marquardt damping on the normal equations, (JtJ + lam*diag(JtJ)) d = -Jt r;
@@ -78,6 +79,8 @@ def _damped_gauss_newton(fun, p0, scales, validate=None, max_iter=MAX_ITERATIONS
     every |step_i| <= STEP_RTOL * scales_i, or the relative SSR change drops
     below SSR_RTOL.  scales are fixed, data-derived magnitudes so that the
     iteration is exactly equivariant under axis shifts and rescalings.
+    project maps a trial point to the feasible point that replaces it, or
+    to None to reject it, which grows lam as a rise in SSR does.
     """
     p = np.array(p0, dtype=float)
     scales = np.asarray(scales, dtype=float)
@@ -99,9 +102,11 @@ def _damped_gauss_newton(fun, p0, scales, validate=None, max_iter=MAX_ITERATIONS
                 lam *= 10.0
                 continue
             p_try = p + delta
-            if validate is not None and not validate(p_try):
-                lam *= 10.0
-                continue
+            if project is not None:
+                p_try = project(p_try)
+                if p_try is None:
+                    lam *= 10.0
+                    continue
             r_try, jac_try = fun(p_try)
             ssr_try = float(r_try @ r_try)
             if ssr_try <= ssr:
@@ -110,7 +115,7 @@ def _damped_gauss_newton(fun, p0, scales, validate=None, max_iter=MAX_ITERATIONS
             lam *= 10.0
         if not accepted:
             break
-        step_small = bool(np.all(np.abs(delta) <= STEP_RTOL * scales))
+        step_small = bool(np.all(np.abs(p_try - p) <= STEP_RTOL * scales))
         ssr_flat = abs(ssr - ssr_try) <= SSR_RTOL * max(ssr, 1e-300)
         p, r, jac, ssr = p_try, r_try, jac_try, ssr_try
         lam = max(lam / 10.0, 1e-12)
@@ -221,8 +226,6 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
         p0 = np.array(init, dtype=float)
         if p0.shape != (1 + 3 * n_peaks,):
             raise ValueError(f"init must have {1 + 3 * n_peaks} entries: {names}")
-        if np.any(p0[1::3][:n_peaks] <= 0):
-            pass  # centers may sit anywhere, including zero
         if np.any(p0[2::3][:n_peaks] <= 0):
             raise ValueError("initial widths must be positive")
 
@@ -235,11 +238,11 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
         model, jac = _lorentzian_model(freq, p, n_peaks)
         return model - signal, jac
 
-    def validate(p):
-        return bool(np.all(p[width_slots] > 0))
+    def project(p):
+        return p if np.all(p[width_slots] > 0) else None
 
     p, r, jac, ssr, iterations, converged, grad_norm = _damped_gauss_newton(
-        fun, p0, scales, validate
+        fun, p0, scales, project
     )
     residual_rms = math.sqrt(ssr / freq.size)
     sigmas = _covariance_sigmas(jac, residual_rms, names)
@@ -281,11 +284,11 @@ def fit_saturation(powers_mw, counts_cps) -> FitResult:
         model, jac = _saturation_model(powers, p)
         return model - counts, jac
 
-    def validate(p):
-        return p[0] > 0 and p[1] > 0
+    def project(p):
+        return p if p[0] > 0 and p[1] > 0 else None
 
     p, r, jac, ssr, iterations, converged, grad_norm = _damped_gauss_newton(
-        fun, p0, scales, validate
+        fun, p0, scales, project
     )
     if p[1] < 1e-6 * float(np.min(powers)):
         raise IllConditionedFitError(*names, "saturation power collapsed to zero")

@@ -21,13 +21,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fitting import _damped_gauss_newton
 from .spin_model import PhysicalConstants, transition_table
 
 DEFAULT_B_MAX_T = 0.02          # 200 G search cap
 GRID_N_B = 201                  # coarse-grid nodes in B0
 GRID_N_THETA = 91               # coarse-grid nodes in theta
-DB_STEP_T = 1e-7                # central-difference step in B0
-DTHETA_STEP_RAD = 1e-4          # central-difference step in theta
 COND_THRESHOLD = 1e4            # condition above this marks a degenerate inversion
 NO_SOLUTION_RMS_HZ = 1e6        # best residual above this means "unreachable"
 NUMERIC_FLOOR_HZ = 1.0          # residuals below this are numerically "exact"
@@ -38,6 +37,7 @@ _PROBE_GAP_HZ = 5e6             # probe the mirror basin when the lines are this
 _COND_CAP = 1e12
 _DEDUPE_B_T = 2e-8              # refinement floor: closer solutions are one basin
 _DEDUPE_THETA_RAD = 2e-5
+_ZERO_FIELD_T = 1e-7            # below this B0 the Kramers pairs count as degenerate
 
 
 class NoSolutionError(RuntimeError):
@@ -118,65 +118,39 @@ def _local_minima(surface: np.ndarray) -> np.ndarray:
     return np.argwhere(is_min)
 
 
-def _pair_at(b0_t: np.ndarray, theta: np.ndarray, consts: PhysicalConstants):
-    return transition_table(np.maximum(b0_t, 0.0), theta, consts)
-
-
 def _rms(nu1, nu2, t1, t2) -> np.ndarray:
     return np.sqrt(((nu1 - t1) ** 2 + (nu2 - t2) ** 2) / 2.0)
 
 
 def _refine(b0, theta, t1, t2, consts, b_max_t, max_iter=40):
-    """Damped Gauss-Newton on the 2x2 system with central-difference Jacobian."""
-    p = np.array([min(max(b0, 0.0), b_max_t), min(max(theta, 0.0), math.pi / 2)])
-    lam = 1e-3
-    nu1, nu2 = _pair_at(np.array([p[0]]), np.array([p[1]]), consts)
-    r = np.array([nu1[0] - t1, nu2[0] - t2])
-    ssr = float(r @ r)
-    jac = np.zeros((2, 2))
-    for _ in range(max_iter):
-        b_lo = max(p[0] - DB_STEP_T, 0.0)
-        b_hi = p[0] + DB_STEP_T
-        th_lo = p[1] - DTHETA_STEP_RAD  # model is even in theta: negatives fold back
-        th_hi = p[1] + DTHETA_STEP_RAD
-        bs = np.array([b_hi, b_lo, p[0], p[0]])
-        ths = np.array([p[1], p[1], th_hi, th_lo])
-        n1, n2 = _pair_at(bs, np.abs(ths), consts)
-        jac[0, 0] = (n1[0] - n1[1]) / (b_hi - b_lo)
-        jac[1, 0] = (n2[0] - n2[1]) / (b_hi - b_lo)
-        jac[0, 1] = (n1[2] - n1[3]) / (2.0 * DTHETA_STEP_RAD)
-        jac[1, 1] = (n2[2] - n2[3]) / (2.0 * DTHETA_STEP_RAD)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = max(float(np.max(diag)), 1.0)
-        accepted = False
-        while lam <= 1e10:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_try = np.array(
-                [
-                    min(max(p[0] + delta[0], 0.0), b_max_t),
-                    min(max(p[1] + delta[1], 0.0), math.pi / 2),
-                ]
-            )
-            n1t, n2t = _pair_at(p_try[:1], p_try[1:], consts)
-            r_try = np.array([n1t[0] - t1, n2t[0] - t2])
-            ssr_try = float(r_try @ r_try)
-            if ssr_try <= ssr:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-        moved = np.abs(p_try - p)
-        p, r, ssr = p_try, r_try, ssr_try
-        lam = max(lam / 10.0, 1e-12)
-        if math.sqrt(ssr / 2.0) < 1e-3 or (moved[0] < 1e-13 and moved[1] < 1e-10):
-            break
+    """Damped Gauss-Newton on the 2x2 system with the Hellmann-Feynman Jacobian.
+
+    Trial points are clipped into [0, b_max_t] x [0, pi/2]; steps are judged
+    small against the instrument resolution.  Below _ZERO_FIELD_T, where the
+    degenerate Kramers pairs leave Hellmann-Feynman undefined, the B0 column
+    is a forward difference and the theta column is zero.
+    """
+    hi = np.array([b_max_t, math.pi / 2])
+
+    def project(p):
+        return np.clip(p, 0.0, hi)
+
+    def fun(p):
+        if p[0] >= _ZERO_FIELD_T:
+            nu1, nu2, jac = transition_table(p[:1], p[1:], consts, jacobian=True)
+            return np.array([nu1[0] - t1, nu2[0] - t2]), jac[0]
+        b0 = p[0] + np.array([0.0, _ZERO_FIELD_T])
+        nu1, nu2 = transition_table(b0, np.full(2, p[1]), consts)
+        jac = np.array([[nu1[1] - nu1[0], 0.0], [nu2[1] - nu2[0], 0.0]]) / _ZERO_FIELD_T
+        return np.array([nu1[0] - t1, nu2[0] - t2]), jac
+
+    p, _, jac, ssr, _, _, _ = _damped_gauss_newton(
+        fun,
+        project(np.array([b0, theta], dtype=float)),
+        np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]),
+        project,
+        max_iter,
+    )
     return p, math.sqrt(ssr / 2.0), jac
 
 
@@ -197,7 +171,7 @@ def _gap_minimizing_theta(b0_t: float, theta0: float, consts) -> float:
     center, half, n = theta0, 0.12, 97
     for _ in range(2):
         th = np.clip(np.linspace(center - half, center + half, n), 0.0, math.pi / 2)
-        nu1, nu2 = _pair_at(np.full_like(th, b0_t), th, consts)
+        nu1, nu2 = transition_table(np.full_like(th, b0_t), th, consts)
         center = float(th[int(np.argmin(nu2 - nu1))])
         half, n = 1.5 * (2.0 * half / (n - 1)), 61
     return center

@@ -21,13 +21,33 @@ class CsvFormatError(ValueError):
     """Input file does not match the expected CSV format."""
 
 
-def _dump(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def write_text(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout when path is None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _read_tagged(path: str, magic: str) -> tuple[list[str], dict, int]:
+    """Lines of a file, its `# key=value` metadata and the row after them.
+
+    Raises CsvFormatError unless the first line is the magic line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != magic:
+        raise CsvFormatError(f"{path}:1: expected magic line {magic!r}")
+    meta: dict = {}
+    row = 1
+    while row < len(lines) and lines[row].startswith("#"):
+        body = lines[row][1:].strip()
+        if "=" in body:
+            key, _, val = body.partition("=")
+            meta[key.strip()] = val.strip()
+        row += 1
+    return lines, meta, row
 
 
 def write_spectrum_csv(path: str, spec: OdmrSpectrum, meta: dict | None = None) -> None:
@@ -37,22 +57,11 @@ def write_spectrum_csv(path: str, spec: OdmrSpectrum, meta: dict | None = None) 
     lines.append(SPECTRUM_HEADER)
     for f_hz, s in zip(spec.freq_hz, spec.signal):
         lines.append(f"{float(f_hz)!r},{float(s)!r}")
-    _dump(path, lines)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_spectrum_csv(path: str) -> tuple[OdmrSpectrum, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != SPECTRUM_MAGIC:
-        raise CsvFormatError(f"{path}:1: expected magic line {SPECTRUM_MAGIC!r}")
-    meta: dict = {}
-    row = 1
-    while row < len(lines) and lines[row].startswith("#"):
-        body = lines[row][1:].strip()
-        if "=" in body:
-            key, _, val = body.partition("=")
-            meta[key.strip()] = val.strip()
-        row += 1
+    lines, meta, row = _read_tagged(path, SPECTRUM_MAGIC)
     if row >= len(lines) or lines[row].strip() != SPECTRUM_HEADER:
         raise CsvFormatError(f"{path}:{row + 1}: expected header {SPECTRUM_HEADER!r}")
     freqs, signals = [], []
@@ -83,23 +92,12 @@ def write_sweep_csv(path: str, header: list[str], columns: list, meta: dict | No
     lines.append(",".join(header))
     for row in zip(*arrays):
         lines.append(",".join(repr(float(v)) for v in row))
-    _dump(path, lines)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_sweep_csv(path: str) -> tuple[list[str], np.ndarray, dict]:
     """Returns (header names, columns as a (ncol, nrow) array, metadata)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != SWEEP_MAGIC:
-        raise CsvFormatError(f"{path}:1: expected magic line {SWEEP_MAGIC!r}")
-    meta: dict = {}
-    row = 1
-    while row < len(lines) and lines[row].startswith("#"):
-        body = lines[row][1:].strip()
-        if "=" in body:
-            key, _, val = body.partition("=")
-            meta[key.strip()] = val.strip()
-        row += 1
+    lines, meta, row = _read_tagged(path, SWEEP_MAGIC)
     if row >= len(lines):
         raise CsvFormatError(f"{path}: missing header row")
     header = [h.strip() for h in lines[row].split(",")]

@@ -1,9 +1,9 @@
 """Spin-3/2 model of the silicon-vacancy (V2) ground state in 4H-SiC.
 
 Builds the electron-spin Hamiltonian for a static field of magnitude B0
-tilted by theta from the defect c-axis, diagonalizes it with a cyclic
-Jacobi scheme, and extracts the two microwave transitions that carry
-optical contrast in an ODMR experiment.
+tilted by theta from the defect c-axis, diagonalizes it with LAPACK eigh,
+and extracts the two microwave transitions that carry optical contrast in
+an ODMR experiment.
 
 Internal units are strict SI: energies and frequencies in Hz (the
 Hamiltonian is written as H/h), magnetic fields in tesla, angles in
@@ -182,98 +182,28 @@ def _hamiltonian_batch(
     return consts.d_hz * _SZ2_TERM + zeeman * (cos_t * _SZ + sin_t * _SX)
 
 
-_JACOBI_TOL = 1e-12   # sweep until max off-diagonal <= tol * max|H|
-_JACOBI_MAX_SWEEPS = 60
+def _eigh_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigh of a batch of Hermitian matrices, with phased eigenvectors.
 
-
-def _jacobi_eigh_batch(
-    h: np.ndarray, with_vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Diagonalize a batch of 4x4 Hermitian matrices by cyclic Jacobi rotations.
-
-    Deterministic: fixed pivot order (0,1),(0,2),(0,3),(1,2),(1,3),(2,3), no
-    randomized pivoting.  Returns ascending eigenvalues (stable sort) and, if
-    requested, eigenvector columns with the first-nonzero-component phase
-    convention (that component is made real and positive).
+    Returns ascending eigenvalues and eigenvector columns, each column
+    multiplied by the phase that makes its first component above 1e-12 of
+    the column's largest real and positive.
     """
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    v = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4)).copy() if with_vectors else None
-    scale = np.max(np.abs(a), axis=(1, 2))
-    scale = np.where(scale > 0, scale, 1.0)
-    idx = np.arange(n)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.max(np.abs(a - a * np.eye(4)[None, :, :]), axis=(1, 2))
-        if np.all(off <= _JACOBI_TOL * scale):
-            break
-        for p, q in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-            apq = a[:, p, q]
-            r = np.abs(apq)
-            rotate = r > 0.0
-            if not np.any(rotate):
-                continue
-            r_safe = np.where(rotate, r, 1.0)
-            phase = np.where(rotate, apq / r_safe, 1.0)  # e^{i phi}
-            app = a[:, p, p].real
-            aqq = a[:, q, q].real
-            tau = (aqq - app) / (2.0 * r_safe)
-            sign = np.where(tau >= 0.0, 1.0, -1.0)
-            with np.errstate(over="ignore"):  # huge tau -> t underflows to 0, as it should
-                t = sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(rotate, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            s_em = s * phase.conj()   # s * e^{-i phi}
-            s_ep = s * phase          # s * e^{+i phi}
-
-            colp = a[:, :, p].copy()
-            colq = a[:, :, q].copy()
-            a[:, :, p] = c[:, None] * colp - s_em[:, None] * colq
-            a[:, :, q] = s[:, None] * colp + (c * phase.conj())[:, None] * colq
-            rowp = a[:, p, :].copy()
-            rowq = a[:, q, :].copy()
-            a[:, p, :] = c[:, None] * rowp - s_ep[:, None] * rowq
-            a[:, q, :] = s[:, None] * rowp + (c * phase)[:, None] * rowq
-            # the rotation zeroes (p,q) by construction; pin it and keep the
-            # diagonal exactly real so roundoff cannot accumulate
-            a[:, p, q] = 0.0
-            a[:, q, p] = 0.0
-            a[:, p, p] = a[:, p, p].real
-            a[:, q, q] = a[:, q, q].real
-            if with_vectors:
-                vp = v[:, :, p].copy()
-                vq = v[:, :, q].copy()
-                v[:, :, p] = c[:, None] * vp - s_em[:, None] * vq
-                v[:, :, q] = s[:, None] * vp + (c * phase.conj())[:, None] * vq
-    else:
-        raise RuntimeError("Jacobi sweep limit exceeded; matrix did not converge")
-
-    energies = np.real(a[:, (0, 1, 2, 3), (0, 1, 2, 3)])
-    order = np.argsort(energies, axis=1, kind="stable")
-    energies = np.take_along_axis(energies, order, axis=1)
-    if not with_vectors:
-        return energies, None
-    v = v[idx[:, None, None], np.arange(4)[None, :, None], order[:, None, :]]
-    # phase convention: first component above threshold made real positive
+    energies, v = np.linalg.eigh(h)
     mags = np.abs(v)
-    thresh = 1e-12 * np.max(mags, axis=1, keepdims=True)
-    first = np.argmax(mags > thresh, axis=1)  # (n, 4) row index per column
-    lead = v[idx[:, None], first, np.arange(4)[None, :]]
-    lead_mag = np.abs(lead)
-    lead_mag = np.where(lead_mag > 0, lead_mag, 1.0)
-    v = v * (lead.conj() / lead_mag)[:, None, :]
-    return energies, v
+    first = np.argmax(mags > 1e-12 * mags.max(axis=-2, keepdims=True), axis=-2)
+    lead = np.take_along_axis(v, first[..., None, :], axis=-2)
+    return energies, v * (lead.conj() / np.abs(lead))
 
 
 def diagonalize(h: SpinMatrix | np.ndarray) -> EigenSystem:
-    """Eigen-decomposition of a 4x4 Hermitian matrix via cyclic Jacobi rotations.
+    """Eigen-decomposition of a 4x4 Hermitian matrix by LAPACK eigh.
 
     Raises ValueError for non-Hermitian input (with the worst entry named).
     """
     if not isinstance(h, SpinMatrix):
         h = SpinMatrix(np.asarray(h))
-    energies, vectors = _jacobi_eigh_batch(h.entries[None, :, :])
+    energies, vectors = _eigh_batch(h.entries[None, :, :])
     return EigenSystem(energies[0], vectors[0])
 
 
@@ -289,9 +219,9 @@ def _drive_matrix(drive_axis) -> np.ndarray:
 
 
 def _select_transitions_batch(
-    energies: np.ndarray, vectors: np.ndarray, sn: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pick the two ODMR-active lines from a batch of eigensystems.
+    energies: np.ndarray, vectors: np.ndarray
+) -> np.ndarray:
+    """Eigenstate pairs of the two ODMR-active lines of a batch of eigensystems.
 
     Optical pumping equalizes the populations of the two eigenstates with
     the largest m = +/-1/2 character, so the gap between those two pumped
@@ -301,12 +231,9 @@ def _select_transitions_batch(
     the pumped pair interleaves the bright pair this yields the two outer
     adjacent gaps (E2-E1, E4-E3); when the pumped states are the two lowest
     levels (weak axial field, below the gamma*B0 = 2D level crossing) it
-    yields (E3-E1, E4-E2).  Frequencies come out sorted, nu1 <= nu2, each
-    with its squared drive matrix element.  The drive axis influences the
-    reported strengths only, never the frequencies.
+    yields (E3-E1, E4-E2).  Returns an (n, 2, 2) index array holding the
+    (lower, upper) eigenstate of line nu1, then of line nu2, nu1 <= nu2.
     """
-    n = energies.shape[0]
-    idx = np.arange(n)
     # m = +/-1/2 amplitude rows are 1 and 2 in the basis order
     char = np.abs(vectors[:, 1, :]) ** 2 + np.abs(vectors[:, 2, :]) ** 2
     order = np.argsort(-char, axis=1, kind="stable")
@@ -315,20 +242,17 @@ def _select_transitions_batch(
     # pumped states do not interleave
     edge = (pumped[:, 0] == 0) & (pumped[:, 1] == 1)
     edge |= (pumped[:, 0] == 2) & (pumped[:, 1] == 3)
-
-    m_elems = np.einsum("nja,jk,nkb->nab", vectors.conj(), sn, vectors)
-    str_all = np.abs(m_elems) ** 2
     # interleaved: lines (0,1) and (2,3); edge: lines (0,2) and (1,3)
-    f_lo = np.where(edge, energies[:, 2] - energies[:, 0], energies[:, 1] - energies[:, 0])
-    f_hi = np.where(edge, energies[:, 3] - energies[:, 1], energies[:, 3] - energies[:, 2])
-    s_lo = np.where(edge, str_all[idx, 0, 2], str_all[idx, 0, 1])
-    s_hi = np.where(edge, str_all[idx, 1, 3], str_all[idx, 2, 3])
-    swap = f_lo > f_hi
-    nu1 = np.where(swap, f_hi, f_lo)
-    nu2 = np.where(swap, f_lo, f_hi)
-    s1 = np.where(swap, s_hi, s_lo)
-    s2 = np.where(swap, s_lo, s_hi)
-    return nu1, nu2, s1, s2
+    lines = np.where(edge[:, None, None], [[0, 2], [1, 3]], [[0, 1], [2, 3]])
+    freq = _line_gaps(energies, lines)
+    swap = freq[:, 0] > freq[:, 1]
+    return np.where(swap[:, None, None], lines[:, ::-1], lines)
+
+
+def _line_gaps(levels: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """Per-line difference upper - lower of a per-state quantity, (n, 4) -> (n, 2)."""
+    upper = np.take_along_axis(levels, lines[:, :, 1], axis=1)
+    return upper - np.take_along_axis(levels, lines[:, :, 0], axis=1)
 
 
 def transition_frequencies(
@@ -341,13 +265,16 @@ def transition_frequencies(
     (m = +/-1/2 like) states never appears: optical pumping leaves it
     without population difference, hence without ODMR contrast.  Above the
     axial level crossing the result is the two outer adjacent gaps of the
-    ascending spectrum, E2-E1 and E4-E3.
+    ascending spectrum, E2-E1 and E4-E3.  Each line carries its squared
+    drive matrix element; the drive axis influences the strengths only,
+    never the frequencies.
     """
     sn = _drive_matrix(drive_axis)
-    nu1, nu2, s1, s2 = _select_transitions_batch(
-        eig.energies_hz[None, :], eig.vectors[None, :, :], sn
-    )
-    return TransitionPair(float(nu1[0]), float(nu2[0]), float(s1[0]), float(s2[0]))
+    lines = _select_transitions_batch(eig.energies_hz[None, :], eig.vectors[None, :, :])
+    nu1, nu2 = _line_gaps(eig.energies_hz[None, :], lines)[0]
+    drive = eig.vectors.conj().T @ sn @ eig.vectors
+    s1, s2 = np.abs(drive[lines[0, :, 0], lines[0, :, 1]]) ** 2
+    return TransitionPair(float(nu1), float(nu2), float(s1), float(s2))
 
 
 def transition_pair(
@@ -361,22 +288,46 @@ def transition_table(
     b0_t: np.ndarray,
     theta_rad: np.ndarray,
     consts: PhysicalConstants,
-    drive_axis=(1.0, 0.0, 0.0),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (nu1_hz, nu2_hz) over matched arrays of field and angle."""
+    *,
+    jacobian: bool = False,
+):
+    """Vectorized (nu1_hz, nu2_hz) over matched arrays of field and angle.
+
+    With jacobian=True a third array of shape (n, 2, 2) holds
+    d(nu1, nu2)/d(B0, theta) in Hz/T and Hz/rad, by Hellmann-Feynman:
+    dE_k/dp = <k|dH/dp|k>, with dH/dB0 = gamma (cos(theta) Sz + sin(theta) Sx)
+    and dH/dtheta = gamma B0 (cos(theta) Sx - sin(theta) Sz).  At B0 = 0 the
+    Kramers pairs are degenerate and the lines have only one-sided
+    derivatives, which Hellmann-Feynman does not give, so jacobian=True
+    requires B0 > 0.  At theta = pi/2 the +/-3/2 pair splits only at third
+    order in B0 and stays degenerate to rounding below about 1e-8 T, where
+    the theta column (at most 1.5 gamma B0) is unreliable.
+    """
     b0 = np.asarray(b0_t, dtype=float).ravel()
     th = np.asarray(theta_rad, dtype=float).ravel()
     if b0.shape != th.shape:
         raise ValueError("b0_t and theta_rad must have matching shapes")
-    if b0.size == 0:
-        return np.empty(0), np.empty(0)
     if np.any(b0 < 0) or not np.all(np.isfinite(b0)) or not np.all(np.isfinite(th)):
         raise ValueError("fields must be non-negative and angles finite")
-    sn = _drive_matrix(drive_axis)
-    h = _hamiltonian_batch(b0, th, consts)
-    energies, vectors = _jacobi_eigh_batch(h)
-    nu1, nu2, _, _ = _select_transitions_batch(energies, vectors, sn)
-    return nu1, nu2
+    if jacobian and np.any(b0 == 0):
+        raise ValueError("the Jacobian needs B0 > 0 (Kramers degeneracy at zero field)")
+    energies, vectors = _eigh_batch(_hamiltonian_batch(b0, th, consts))
+    lines = _select_transitions_batch(energies, vectors)
+    nu = _line_gaps(energies, lines)
+    if not jacobian:
+        return nu[:, 0], nu[:, 1]
+    cos_t = np.cos(th)[:, None, None]
+    sin_t = np.sin(th)[:, None, None]
+    dh_db0 = consts.gyro_hz_per_t * (cos_t * _SZ + sin_t * _SX)
+    dh_dtheta = b0[:, None, None] * consts.gyro_hz_per_t * (cos_t * _SX - sin_t * _SZ)
+    jac = np.stack(
+        [
+            _line_gaps(np.einsum("nja,njk,nka->na", vectors.conj(), dh, vectors).real, lines)
+            for dh in (dh_db0, dh_dtheta)
+        ],
+        axis=-1,
+    )
+    return nu[:, 0], nu[:, 1], jac
 
 
 def closed_form_axial(b0_t: float, consts: PhysicalConstants) -> TransitionPair:

@@ -43,6 +43,19 @@ def test_zero_field_pair_degenerate(consts):
     assert res.condition > COND_THRESHOLD or res.b0_t < RESOLUTION_B_T
 
 
+@pytest.mark.parametrize("theta_deg", [0.0, 30.0, 60.0])
+@pytest.mark.parametrize("b0_gauss", [0.2, 0.3, 0.5, 0.8])
+def test_sub_gauss_fields_reproduce_the_pair(consts, b0_gauss, theta_deg):
+    # below one grid step in B0 every seed starts at B0 = 0, where the
+    # Kramers pairs are degenerate and refinement must still find its way out
+    nu1, nu2 = _forward(b0_gauss, theta_deg, consts)
+    res = invert_field(nu1, nu2, consts)
+    assert res.residual_hz < 1.0
+    if theta_deg <= 30.0:  # at 60 deg a rival field near 50 deg fits as well
+        assert res.b0_t / GAUSS == pytest.approx(b0_gauss, abs=1e-5)
+        assert math.degrees(res.theta_rad) == pytest.approx(theta_deg, abs=1e-3)
+
+
 def test_rounded_axial_pair_recovers_sixty_gauss(consts):
     res = invert_field(98.148e6, 238.148e6, consts)
     assert res.b0_t / GAUSS == pytest.approx(60.0, abs=1e-3)

@@ -1,6 +1,6 @@
 """Spin-model tests.
 
-The Jacobi eigensolver is validated against an independent oracle:
+The LAPACK eigh path is validated against an independent oracle:
 eigenvalues as roots of the characteristic polynomial, with coefficients
 from Newton's identities on matrix-power traces and roots from numpy's
 companion-matrix solver.  Frozen numeric anchors below were computed from
@@ -50,7 +50,7 @@ def charpoly_eigenvalues(h: np.ndarray) -> np.ndarray:
 
     Coefficients of the monic quartic come from Newton's identities on the
     power-sum traces p_k = tr(H^k); roots from numpy's companion matrix.
-    Completely independent of the Jacobi rotation code under test.
+    Completely independent of the LAPACK eigh path under test.
     """
     h = np.asarray(h, dtype=complex)
     h2 = h @ h
@@ -370,9 +370,75 @@ def test_transition_table_input_validation(consts):
         transition_table(np.array([-1e-3]), np.array([0.0]), consts)
     empty = transition_table(np.array([]), np.array([]), consts)
     assert empty[0].size == 0 and empty[1].size == 0
+    with pytest.raises(TypeError):  # jacobian is keyword-only
+        transition_table(np.array([1e-3]), np.array([0.0]), consts, True)
 
 
 def test_transition_frequencies_requires_unit_axis_shape(consts):
     eig = diagonalize(build_hamiltonian(FieldVector(60 * GAUSS, 0.2), consts))
     with pytest.raises(ValueError):
         transition_frequencies(eig, drive_axis=(1.0, 0.0))
+
+
+def _random_grid_batch():
+    rng = np.random.default_rng(0)
+    n = 201 * 91  # the inversion grid's size
+    return rng.uniform(0.0, 200 * GAUSS, n), rng.uniform(0.0, math.pi / 2, n)
+
+
+@pytest.mark.parametrize(
+    "b0, theta, picks",
+    [
+        pytest.param(
+            np.array([4.088578567704611e-3, 1.4276368037952103e-2]),
+            np.array([3.589796066839179e-5, 1.4218994241711864]),
+            [0, 1],
+            id="weakly-coupled-field-with-tilted-field",
+        ),
+        pytest.param(*_random_grid_batch(), range(0, 201 * 91, 1663), id="grid-size-batch"),
+    ],
+)
+def test_batch_lines_do_not_depend_on_batch_mates(consts, b0, theta, picks):
+    nu1, nu2 = transition_table(b0, theta, consts)
+    for k in picks:
+        solo = transition_pair(FieldVector(b0[k], theta[k]), consts)
+        assert nu1[k] == pytest.approx(solo.nu1_hz, abs=1e-6)
+        assert nu2[k] == pytest.approx(solo.nu2_hz, abs=1e-6)
+
+
+def test_transition_table_jacobian_matches_central_differences(consts):
+    rng = np.random.default_rng(4242)
+    crossing = 2 * consts.d_hz / consts.gyro_hz_per_t  # gamma*B0 = 2D
+    b0 = np.concatenate(([60 * GAUSS, 60 * GAUSS, 1.02 * crossing],
+                         rng.uniform(1 * GAUSS, 200 * GAUSS, 20)))
+    theta = np.concatenate(([0.0, math.pi / 2, 0.3], rng.uniform(0.0, math.pi / 2, 20)))
+    nu1, nu2, jac = transition_table(b0, theta, consts, jacobian=True)
+    plain1, plain2 = transition_table(b0, theta, consts)
+    assert np.array_equal(nu1, plain1) and np.array_equal(nu2, plain2)
+    db, dth = 1e-9, 1e-6
+    fd_b = (np.array(transition_table(b0 + db, theta, consts))
+            - np.array(transition_table(b0 - db, theta, consts))) / (2 * db)
+    fd_t = (np.array(transition_table(b0, theta + dth, consts))
+            - np.array(transition_table(b0, theta - dth, consts))) / (2 * dth)
+    # errors relative to the natural scales gamma (Hz/T) and gamma*B0 (Hz/rad)
+    gamma = consts.gyro_hz_per_t
+    assert np.all(np.abs(jac[:, :, 0] - fd_b.T) <= 1e-7 * gamma)
+    assert np.all(np.abs(jac[:, :, 1] - fd_t.T) <= 1e-7 * gamma * b0[:, None])
+
+
+def test_transition_table_jacobian_near_zero_field(consts):
+    # 2 nT: the Kramers pairs split by only ~50 Hz, yet the slopes are exact;
+    # at B0 = 0 they are one-sided and the Jacobian is refused
+    theta = np.array([0.0, 0.5, 1.0, 1.5])
+    b0 = np.full_like(theta, 2e-9)
+    _, _, jac = transition_table(b0, theta, consts, jacobian=True)
+    db, dth = 1e-9, 1e-3
+    fd_b = (np.array(transition_table(b0 + db, theta, consts))
+            - np.array(transition_table(b0 - db, theta, consts))) / (2 * db)
+    fd_t = (np.array(transition_table(b0, theta + dth, consts))
+            - np.array(transition_table(b0, theta - dth, consts))) / (2 * dth)
+    gamma = consts.gyro_hz_per_t
+    assert np.all(np.abs(jac[:, :, 0] - fd_b.T) <= 1e-6 * gamma)
+    assert np.all(np.abs(jac[:, :, 1] - fd_t.T) <= 1e-3 * gamma * b0[:, None])
+    with pytest.raises(ValueError):
+        transition_table(np.array([0.0]), np.array([0.3]), consts, jacobian=True)
