@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .spectrum import OdmrSpectrum
 
@@ -167,6 +166,95 @@ def _lorentzian_model(freq: np.ndarray, params: np.ndarray, n_peaks: int):
     return model, jac
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the strict local maxima of x, flat tops included.
+
+    A maximum is a run of equal values entered by a strict rise and left by
+    a strict fall; its index is the run's midpoint (left + right) // 2.
+    The ends of x are never maxima.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.append(starts[1:], x.size) - 1
+    level = x[starts]
+    inner = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    return (starts[inner] + ends[inner]) // 2
+
+
+def _sparse_table(values: np.ndarray, op) -> np.ndarray:
+    """Row j, entry i holds op over values[i : i + 2**j], cut at the end."""
+    rows = [values]
+    width = 1
+    while 2 * width <= values.size:
+        prev = rows[-1]
+        rows.append(np.concatenate((op(prev[:-width], prev[width:]), prev[-width:])))
+        width *= 2
+    return np.array(rows)
+
+
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Topographic prominences of the ascending maxima peaks of x.
+
+    A peak's prominence is its height minus the higher of the two minima
+    of x between it and the nearest strictly higher point on each side (or
+    the end of x).  That point lies next to the nearest strictly higher
+    maximum, so the result is exact whenever peaks holds every maximum of
+    x at least as high as its lowest entry.  The nearest higher entry on
+    each side comes from a descent over a range-maximum table of the
+    heights, the minima from a range-minimum table of the valleys between
+    consecutive peaks.
+    """
+    heights = x[peaks]
+    k = peaks.size
+    tallest = _sparse_table(heights, np.maximum)
+    left = np.arange(k)      # heights[left:i] are all <= heights[i]
+    right = left + 1         # so are heights[i + 1:right]
+    for j in range(tallest.shape[0] - 1, -1, -1):
+        w = 1 << j
+        row = tallest[j]
+        ok = (left >= w) & (row[np.maximum(left - w, 0)] <= heights)
+        left = np.where(ok, left - w, left)
+        ok = (right + w <= k) & (row[np.minimum(right, k - 1)] <= heights)
+        right = np.where(ok, right + w, right)
+    # valleys[i] = min(x[peaks[i - 1]:peaks[i]]), with x's ends as outer bounds
+    valleys = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
+    lowest = _sparse_table(valleys, np.minimum)
+
+    def range_min(lo, hi):
+        level = np.frexp(hi - lo + 1)[1] - 1
+        return np.minimum(lowest[level, lo], lowest[level, hi + 1 - (1 << level)])
+
+    i = np.arange(k)
+    return heights - np.maximum(range_min(left, i), range_min(i + 1, right))
+
+
+def _prominent_maxima(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and prominences of the n most prominent local maxima of x.
+
+    Ordered by descending prominence, ties toward the later index (a
+    stable ascending sort of all prominences, reversed).  Prominences are
+    found for the K highest maxima only, a set closed under "nearest
+    strictly higher maximum".  No maximum left out can beat the n-th best
+    once that exceeds the next height minus min(x); until then K grows, up
+    to all maxima.
+    """
+    peaks = _local_maxima(x)
+    heights = x[peaks]
+    total = peaks.size
+    k = min(total, 16 * n)
+    while True:
+        if k < total:
+            part = np.argpartition(heights, total - k - 1)
+            kept = np.sort(part[total - k :])
+            bound = heights[part[total - k - 1]] - x.min()
+        else:
+            kept = np.arange(total)
+        prom = _prominences(x, peaks[kept])
+        order = np.argsort(prom, kind="stable")[::-1][:n]
+        if k == total or prom[order[-1]] > bound:
+            return peaks[kept[order]], prom[order]
+        k = min(total, 8 * k)
+
+
 def _seed_lorentzian(freq: np.ndarray, signal: np.ndarray, n_peaks: int) -> np.ndarray:
     """Initial guess: smooth, then take the largest-prominence maxima.
 
@@ -180,11 +268,9 @@ def _seed_lorentzian(freq: np.ndarray, signal: np.ndarray, n_peaks: int) -> np.n
     baseline = float(np.median(signal))
     span = freq[-1] - freq[0]
     bracketed = np.concatenate(([baseline], smoothed, [baseline]))
-    idx, props = find_peaks(bracketed, prominence=0.0)
-    idx = np.clip(idx - 1, 0, freq.size - 1)
-    order = np.argsort(props["prominences"])[::-1]
-    centers = [float(freq[idx[k]]) for k in order[:n_peaks]]
-    amps = [max(float(smoothed[idx[k]] - baseline), 1e-12) for k in order[:n_peaks]]
+    idx = _prominent_maxima(bracketed, n_peaks)[0] - 1
+    centers = [float(freq[i]) for i in idx]
+    amps = [max(float(smoothed[i] - baseline), 1e-12) for i in idx]
     fallback_amp = max(float(np.max(smoothed) - baseline), 1e-12)
     k = 1
     while len(centers) < n_peaks:

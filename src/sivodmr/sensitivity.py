@@ -1,12 +1,13 @@
 """Shot-noise magnetic sensitivity budgeting for CW ODMR.
 
-eta = 0.77 * (1/gyro) * fwhm / (contrast * sqrt(rate)): the 0.77 prefactor
-is the slope factor of a Lorentzian line read out at the point of maximum
-slope, taken as-is rather than re-derived.  Sweeps against laser power use
-the photo-emission saturation curve (contrast and width held fixed), and
-sweeps against microwave power use the two-level saturation response,
-whose figure of merit (1+s)^{3/2}/s is minimized at s = 2, i.e. 3 dB
-above the saturation power.
+eta = 0.77 * (1/gyro) * fwhm / (contrast * sqrt(rate)).  The prefactor is
+the maximum-slope factor of a Lorentzian line, 4/(3 sqrt 3) = 0.770: the
+line's steepest slope is 3 sqrt(3)/4 * contrast/fwhm (Dreau et al., PRB 84,
+195204, 2011).  SLOPE_PREFACTOR keeps the rounded 0.77.  Sweeps against
+laser power use the photo-emission saturation curve (contrast and width
+held fixed), and sweeps against microwave power use the two-level
+saturation response, whose figure of merit (1+s)^{3/2}/s is minimized at
+s = 2, i.e. 3 dB above the saturation power.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .spectrum import MwResponseParams, SaturationParams, mw_response, photon_rate
 from .spin_model import PhysicalConstants
 
-SLOPE_PREFACTOR = 0.77          # Lorentzian max-slope readout factor
+SLOPE_PREFACTOR = 0.77          # 4/(3 sqrt 3), Lorentzian max-slope readout factor
 _SELF_CONSISTENCY_RTOL = 1e-12
 
 
@@ -28,15 +29,15 @@ def estimate_sensitivity(
     fwhm_hz: float,
     rate_cps: float,
     consts: PhysicalConstants = PhysicalConstants(),
-) -> float:
-    """Shot-noise-limited DC sensitivity in T/sqrt(Hz)."""
-    if not (contrast > 0 and fwhm_hz > 0 and rate_cps > 0):
+):
+    """Shot-noise-limited DC sensitivity in T/sqrt(Hz), elementwise on arrays."""
+    if not np.all((contrast > 0) & (fwhm_hz > 0) & (rate_cps > 0)):
         raise ValueError("contrast, fwhm_hz and rate_cps must all be positive")
     return (
         SLOPE_PREFACTOR
         / consts.gyro_hz_per_t
         * fwhm_hz
-        / (contrast * math.sqrt(rate_cps))
+        / (contrast * np.sqrt(rate_cps))
     )
 
 
@@ -95,11 +96,8 @@ def laser_sweep_sensitivity(
     powers = np.asarray(powers_mw, dtype=float).ravel()
     if powers.size == 0 or np.any(powers <= 0):
         raise ValueError("laser powers must be positive")
-    rates = np.array([photon_rate(p, sat) for p in powers])
-    etas = np.array(
-        [estimate_sensitivity(contrast, fwhm_hz, r, consts) for r in rates]
-    )
-    return LaserSweep(powers, rates, etas)
+    rates = photon_rate(powers, sat)
+    return LaserSweep(powers, rates, estimate_sensitivity(contrast, fwhm_hz, rates, consts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +123,8 @@ def mw_sweep_sensitivity(
     dbm = np.asarray(mw_dbm_list, dtype=float).ravel()
     if dbm.size == 0:
         raise ValueError("mw power list must not be empty")
-    contrasts = np.empty_like(dbm)
-    fwhms = np.empty_like(dbm)
-    for i, p in enumerate(dbm):
-        contrasts[i], fwhms[i] = mw_response(p, mw)
-    etas = np.array(
-        [
-            estimate_sensitivity(c, w, rate_cps, consts)
-            for c, w in zip(contrasts, fwhms)
-        ]
-    )
+    contrasts, fwhms = mw_response(dbm, mw)
+    etas = estimate_sensitivity(contrasts, fwhms, rate_cps, consts)
     return MwSweep(dbm, contrasts, fwhms, etas, float(dbm[int(np.argmin(etas))]))
 
 

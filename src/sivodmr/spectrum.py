@@ -154,24 +154,25 @@ def lorentzian_value(peak: LorentzianPeak, f_hz):
     return float(out) if out.ndim == 0 else out
 
 
-def photon_rate(laser_mw: float, sat: SaturationParams = SaturationParams()) -> float:
-    """Detected photon rate I(P) = I_s / (1 + P0/P) in counts per second."""
-    if not (laser_mw > 0 and math.isfinite(laser_mw)):
+def photon_rate(laser_mw, sat: SaturationParams = SaturationParams()):
+    """Detected photon rate I(P) = I_s / (1 + P0/P) in counts per second.
+
+    Elementwise on an array of powers; every power must be positive and finite.
+    """
+    if not np.all((laser_mw > 0) & np.isfinite(laser_mw)):
         raise ValueError(f"laser power must be positive, got {laser_mw}")
     return sat.i_s_cps / (1.0 + sat.p0_mw / laser_mw)
 
 
-def mw_response(
-    mw_dbm: float, params: MwResponseParams = MwResponseParams()
-) -> tuple[float, float]:
-    """(contrast, fwhm_hz) at the given microwave power.
+def mw_response(mw_dbm, params: MwResponseParams = MwResponseParams()):
+    """(contrast, fwhm_hz) at the given microwave power, elementwise on arrays.
 
     Two-level saturation: contrast saturates as s/(1+s) while the line
     power-broadens as sqrt(1+s); both grow monotonically with drive.
     """
     s = 10.0 ** ((mw_dbm - params.p_sat_dbm) / 10.0)
     contrast = params.c_max * s / (1.0 + s)
-    fwhm_hz = params.fwhm0_hz * math.sqrt(1.0 + s)
+    fwhm_hz = params.fwhm0_hz * np.sqrt(1.0 + s)
     return contrast, fwhm_hz
 
 

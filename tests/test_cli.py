@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sivodmr
 from sivodmr.cli import main
 from sivodmr.io import read_spectrum_csv, read_sweep_csv, write_sweep_csv
 
@@ -241,3 +245,17 @@ def test_help_available_everywhere(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_import_loads_numpy_only():
+    # a fresh interpreter: the package and its CLI must not pull in scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sivodmr.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, sivodmr, sivodmr.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -12,12 +12,14 @@ import math
 import numpy as np
 import pytest
 
+from sivodmr import fitting
 from sivodmr.fitting import (
     FitResult,
     IllConditionedFitError,
     ZfsSeries,
     _damped_gauss_newton,
     _lorentzian_model,
+    _prominent_maxima,
     _saturation_model,
     fit_lorentzian_multi,
     fit_saturation,
@@ -158,8 +160,8 @@ def test_explicit_init_is_honored():
 
 
 def test_merged_peaks_seeding_fallback():
-    # both lines at the same center: find_peaks sees one maximum, the second
-    # seed comes from the fallback and the fit still converges
+    # both lines at the same center: the seeder finds one prominent maximum,
+    # the second seed comes from the fallback and the fit still converges
     spec = make_spectrum(
         n=801, peaks=((70e6, 13e6, 1.8e-3), (70e6, 13e6, 1.8e-3))
     )
@@ -315,3 +317,90 @@ def test_seeding_finds_line_truncated_at_window_edge():
     assert res.converged
     assert abs(res.value("center1_hz") - 179.087e6) < 0.5e6
     assert abs(res.value("center2_hz") - 279.313e6) < 0.5e6
+
+
+def reference_prominent_maxima(x, n):
+    """The n most prominent maxima by scipy.signal.find_peaks, the reference.
+
+    A stable sort fixes the order of equal prominences (later index first),
+    which the default sort kind leaves open.
+    """
+    find_peaks = pytest.importorskip("scipy.signal").find_peaks
+    idx, props = find_peaks(x, prominence=0.0)
+    order = np.argsort(props["prominences"], kind="stable")[::-1][:n]
+    return idx[order], props["prominences"][order]
+
+
+def assert_same_maxima(x, n):
+    x = np.asarray(x, dtype=float)
+    want_idx, want_prom = reference_prominent_maxima(x, n)
+    got_idx, got_prom = _prominent_maxima(x, n)
+    np.testing.assert_array_equal(got_idx, want_idx)
+    assert got_prom.tobytes() == want_prom.tobytes()  # bit for bit
+    return got_idx
+
+
+@pytest.mark.parametrize("n_points", [401, 4601, 92001])
+@pytest.mark.parametrize("n", [1, 2])
+def test_prominent_maxima_match_reference_on_spectra(n_points, n):
+    for seed in (3, 11):
+        signal = make_spectrum(n=n_points, seed=seed).signal
+        smoothed = np.convolve(np.pad(signal, 2, mode="edge"), np.full(5, 0.2), mode="valid")
+        assert_same_maxima(signal, n)
+        assert_same_maxima(np.concatenate(([0.0], smoothed, [0.0])), n)
+
+
+@pytest.mark.parametrize(
+    "x, n, want",
+    [
+        ([0, 1, 3, 3, 3, 3, 1, 2, 0], 2, [3, 7]),      # even plateau: midpoint (2 + 5) // 2
+        ([0, 3, 3, 3, 1, 2, 0], 2, [2, 5]),            # odd plateau: its middle sample
+        ([0, 5, 4, 3, 2, 3.5, 0.5, 0], 2, [1, 5]),     # crest next to the bracket value
+        ([2, 2, 1, 0, 1, 2, 2], 2, []),                # plateaus touching the ends
+        ([0, 2, 0, 2, 0], 1, [3]),                     # equal prominences: later index
+        ([0, 3, 1, 3, 0.5, 2, 0], 3, [3, 1, 5]),       # an equal height is not higher
+        ([0, 1, 0], 2, [1]),                           # fewer maxima than n
+        ([0, 1, 0, 0.5, 0], 3, [1, 3]),
+        (np.zeros(12), 2, []),                         # flat
+        (np.arange(12.0), 2, []),                      # monotone
+        (np.arange(12.0)[::-1], 1, []),
+    ],
+)
+def test_prominent_maxima_hand_made(x, n, want):
+    assert assert_same_maxima(x, n).tolist() == want
+
+
+def test_prominent_maxima_grow_to_every_maximum(monkeypatch):
+    # A single deep notch in noise keeps the bound height - min(x) above every
+    # prominence, so the candidate set has to grow until it holds all maxima.
+    sizes = []
+    inner = fitting._prominences
+
+    def counting(x, peaks):
+        sizes.append(peaks.size)
+        return inner(x, peaks)
+
+    monkeypatch.setattr(fitting, "_prominences", counting)
+    x = np.random.default_rng(5).uniform(size=4000)
+    x[1234] = -100.0
+    for n in (1, 2):
+        sizes.clear()
+        assert_same_maxima(x, n)
+        assert len(sizes) > 2 and sizes[-1] == fitting._local_maxima(x).size
+    for seed in range(20):  # pure noise, wherever the search stops
+        x = np.random.default_rng(seed).normal(size=300 * (seed + 1))
+        assert_same_maxima(x, 1 + seed % 3)
+        # integer noise: plateaus and equal heights everywhere
+        assert_same_maxima(np.random.default_rng(seed).integers(0, 4, 500), 1 + seed % 3)
+
+
+def test_prominent_maxima_look_past_a_jittery_crest():
+    # 60 bumps on a tall crest outrank a lower, well separated line by height,
+    # yet all but the crest's top have tiny prominences: the search must grow
+    # past them to find the line.
+    crest = 1e-3 * (1.0 - np.linspace(-1.0, 1.0, 241) ** 2)
+    crest[1::4] += 2e-6
+    line = 0.9e-3 * (1.0 - np.linspace(-1.0, 1.0, 41) ** 2)
+    x = np.concatenate((np.zeros(5), crest, np.zeros(20), line, np.zeros(5)))
+    idx = assert_same_maxima(x, 2)
+    assert idx[1] == 5 + 241 + 20 + 20

@@ -19,7 +19,7 @@ from sivodmr.sensitivity import (
     project_saturation,
     sensitivity_budget,
 )
-from sivodmr.spectrum import MwResponseParams, SaturationParams, photon_rate
+from sivodmr.spectrum import MwResponseParams, SaturationParams, mw_response, photon_rate
 
 # frozen from eta = 0.77/gyro * fwhm/(C sqrt(R)) with gyro =
 # 2.802468116327e10 Hz/T, C = 1.8e-3, fwhm = 13 MHz, R = 935e6/(1+300/85)
@@ -121,8 +121,6 @@ def test_mw_sweep_single_interior_minimum(consts):
 
 
 def test_mw_sweep_columns_consistent(consts):
-    from sivodmr.spectrum import mw_response
-
     mw = MwResponseParams()
     sweep = mw_sweep_sensitivity([10.0, 16.0, 22.0], mw, 2.064e8, consts)
     for i, dbm in enumerate([10.0, 16.0, 22.0]):
@@ -133,6 +131,45 @@ def test_mw_sweep_columns_consistent(consts):
             estimate_sensitivity(c, w, 2.064e8, consts), rel=1e-12
         )
 
+
+
+def test_sweeps_match_per_point_values(consts):
+    # the array sweeps against the scalar functions called point by point
+    sat, mw = SaturationParams(), MwResponseParams()
+    powers = np.geomspace(0.05, 2000.0, 397)
+    laser = laser_sweep_sensitivity(powers, 1.8e-3, 13e6, sat, consts)
+    rates = [photon_rate(p, sat) for p in powers.tolist()]
+    np.testing.assert_allclose(laser.rate_cps, rates, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(
+        laser.eta_t_per_sqrt_hz,
+        [estimate_sensitivity(1.8e-3, 13e6, r, consts) for r in rates],
+        rtol=1e-15, atol=0,
+    )
+    dbm = np.arange(-20.0, 45.0, 0.05)
+    sweep = mw_sweep_sensitivity(dbm, mw, 2.064e8, consts)
+    lines = [mw_response(d, mw) for d in dbm.tolist()]
+    np.testing.assert_allclose(sweep.contrast, [c for c, _ in lines], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(sweep.fwhm_hz, [w for _, w in lines], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(
+        sweep.eta_t_per_sqrt_hz,
+        [estimate_sensitivity(c, w, 2.064e8, consts) for c, w in lines],
+        rtol=1e-15, atol=0,
+    )
+
+
+def test_sweeps_keep_scalar_validation(consts):
+    sat = SaturationParams()
+    for bad in ([1.0, math.nan], [1.0, math.inf]):
+        with pytest.raises(ValueError):
+            laser_sweep_sensitivity(bad, 1.8e-3, 13e6, sat, consts)
+    for contrast, fwhm in ((0.0, 13e6), (1.8e-3, -1.0), (math.nan, 13e6)):
+        with pytest.raises(ValueError):
+            laser_sweep_sensitivity([1.0, 2.0], contrast, fwhm, sat, consts)
+    for bad in ([10.0, -math.inf], [10.0, math.nan]):  # zero and undefined contrast
+        with pytest.raises(ValueError):
+            mw_sweep_sensitivity(bad, MwResponseParams(), 2.064e8, consts)
+    with pytest.raises(ValueError):
+        photon_rate(np.array([1.0, 0.0]), sat)
 
 def test_mw_endpoints_exceed_optimum(consts):
     mw = MwResponseParams()
