@@ -14,20 +14,9 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config
-from .fitting import (
-    FitResult,
-    IllConditionedFitError,
-    fit_lorentzian_multi,
-    fit_saturation,
-)
-from .inversion import (
-    AxialModelError,
-    NoSolutionError,
-    angle_sweep,
-    axial_invert,
-    invert_field,
-)
+from .config import load_config
+from .fitting import FitResult, fit_lorentzian_multi, fit_saturation
+from .inversion import angle_sweep, axial_invert, invert_field
 from .io import (
     CsvFormatError,
     read_spectrum_csv,
@@ -387,15 +376,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (
-        OSError,
-        ConfigError,
-        CsvFormatError,
-        NoSolutionError,
-        AxialModelError,
-        IllConditionedFitError,
-        ValueError,
-    ) as err:
+    except (OSError, ValueError, RuntimeError) as err:
+        # ValueError covers ConfigError, CsvFormatError and numpy's
+        # LinAlgError; RuntimeError covers NoSolutionError, AxialModelError,
+        # IllConditionedFitError and any other numerical failure
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -2,8 +2,10 @@
 
 One damped Gauss-Newton core drives both model families (multi-Lorentzian
 spectra and photon-rate saturation) and the field refinement of
-inversion.py, with analytic Jacobians, Marquardt
-diagonal damping and monotone step acceptance.  Parameter uncertainties
+inversion.py, with analytic Jacobians, Marquardt diagonal damping and
+monotone step acceptance.  The core runs a stack of independent problems
+in lock step (one model call per round for every live problem, each with
+its own damping and exit); a fit is a stack of one.  Parameter uncertainties
 come from the linearized covariance sigma^2 * inv(J^T J) with
 sigma^2 = residual_rms^2; residuals are assumed i.i.d. Gaussian, which is
 a documented simplification.
@@ -69,6 +71,11 @@ class FitResult:
         return float(self.sigmas[self.names.index(name)])
 
 
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """Row-wise v @ v of an (k, m) stack, each a BLAS dot as for one row alone."""
+    return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+
+
 def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS):
     """Minimize sum(r^2) for r, J = fun(p) starting from p0.
 
@@ -78,51 +85,117 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
     every |step_i| <= STEP_RTOL * scales_i, or the relative SSR change drops
     below SSR_RTOL.  scales are fixed, data-derived magnitudes so that the
     iteration is exactly equivariant under axis shifts and rescalings.
-    project maps a trial point to the feasible point that replaces it, or
+    project maps one trial point to the feasible point that replaces it, or
     to None to reject it, which grows lam as a rise in SSR does.
+
+    A 1-D p0 is one problem: fun maps a point to (r, J) and the return
+    values are p, r, J, ssr, iterations, converged, grad_norm.  A (k, n) p0
+    is a stack of k independent problems run in lock step: fun maps a
+    (k', n) stack of trial points to (k', m) residuals and (k', m, n)
+    Jacobians in one call, and every return value gains a leading axis of
+    k.  Each problem keeps its own lam, acceptance, iteration count and
+    exit, and the products are per-problem BLAS calls, so each follows
+    exactly the trajectory it follows alone.
     """
+    if np.ndim(p0) == 1:
+        one = fun
+        p, r, jac, ssr, iterations, converged, grad_norm = _damped_gauss_newton(
+            lambda q: tuple(a[None] for a in one(q[0])), [p0], scales, project, max_iter
+        )
+        return (
+            p[0], r[0], jac[0], float(ssr[0]), int(iterations[0]), bool(converged[0]),
+            float(grad_norm[0]),
+        )
+
     p = np.array(p0, dtype=float)
     scales = np.asarray(scales, dtype=float)
+    k, n = p.shape
     r, jac = fun(p)
-    ssr = float(r @ r)
-    lam = 1e-3
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = np.max(diag) if np.max(diag) > 0 else 1.0
-        accepted = False
-        while lam <= 1e12:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_try = p + delta
-            if project is not None:
-                p_try = project(p_try)
-                if p_try is None:
-                    lam *= 10.0
-                    continue
-            r_try, jac_try = fun(p_try)
-            ssr_try = float(r_try @ r_try)
-            if ssr_try <= ssr:
-                accepted = True
+    ssr = _sq_norms(r)
+    lam = np.full(k, 1e-3)
+    iterations = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    live = np.ones(k, dtype=bool)    # not yet exited
+    fresh = np.ones(k, dtype=bool)   # at an iteration start: normal equations due
+    jtj = np.empty((k, n, n))
+    jtr = np.empty((k, n))
+    damp = np.zeros((k, n, n))       # diag(JtJ), zero-safe
+    eye = np.arange(n)
+    p_try = np.empty_like(p)
+    while True:
+        live &= ~(fresh & (iterations >= max_iter))
+        start = np.flatnonzero(live & fresh)
+        if start.size:
+            iterations[start] += 1
+            sub_t = _rows(jac, start).transpose(0, 2, 1)
+            jtj[start] = np.matmul(sub_t, sub_t.transpose(0, 2, 1))
+            jtr[start] = np.matmul(sub_t, _rows(r, start)[:, :, None])[:, :, 0]
+            diag = jtj[start][:, eye, eye]
+            top = diag.max(axis=1, keepdims=True)
+            damp[start[:, None], eye, eye] = np.where(diag <= 0, np.where(top > 0, top, 1.0), diag)
+            fresh[start] = False
+        # one feasible trial point per live problem, or its exit
+        search = live.copy()
+        while True:
+            live &= ~(search & (lam > 1e12))
+            search &= live
+            rows = np.flatnonzero(search)
+            if rows.size == 0:
                 break
-            lam *= 10.0
-        if not accepted:
+            delta = _solve_rows(jtj[rows] + lam[rows, None, None] * damp[rows], -jtr[rows])
+            for i, d in zip(rows, delta):
+                q = None if d is None else p[i] + d
+                if q is not None and project is not None:
+                    q = project(q)
+                if q is None:
+                    lam[i] *= 10.0
+                else:
+                    p_try[i] = q
+                    search[i] = False
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             break
-        step_small = bool(np.all(np.abs(p_try - p) <= STEP_RTOL * scales))
-        ssr_flat = abs(ssr - ssr_try) <= SSR_RTOL * max(ssr, 1e-300)
-        p, r, jac, ssr = p_try, r_try, jac_try, ssr_try
-        lam = max(lam / 10.0, 1e-12)
-        if step_small or ssr_flat:
-            converged = True
-            break
-    grad_norm = float(np.linalg.norm(2.0 * (jac.T @ r)))
-    return p, r, jac, ssr, iterations, converged, grad_norm
+        r_try, jac_try = fun(p_try[rows])
+        ssr_try = _sq_norms(r_try)
+        ok = ssr_try <= ssr[rows]
+        lam[rows[~ok]] *= 10.0
+        acc = rows[ok]
+        if acc.size == 0:
+            continue
+        step_small = np.all(np.abs(p_try[acc] - p[acc]) <= STEP_RTOL * scales, axis=1)
+        ssr_flat = np.abs(ssr[acc] - ssr_try[ok]) <= SSR_RTOL * np.maximum(ssr[acc], 1e-300)
+        p[acc] = p_try[acc]
+        if acc.size == k:
+            r, jac = r_try, jac_try
+        else:
+            r[acc] = r_try[ok]
+            jac[acc] = jac_try[ok]
+        ssr[acc] = ssr_try[ok]
+        lam[acc] = np.maximum(lam[acc] / 10.0, 1e-12)
+        fresh[acc] = True
+        done = acc[step_small | ssr_flat]
+        converged[done] = True
+        live[done] = False
+    grad = 2.0 * np.matmul(jac.transpose(0, 2, 1), r[:, :, None])[:, :, 0]
+    return p, r, jac, ssr, iterations, converged, np.sqrt(_sq_norms(grad))
+
+
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return a if idx.size == a.shape[0] else a[idx]
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> list:
+    """Per-row solutions of a stack of linear systems, None where singular."""
+    try:
+        return list(np.linalg.solve(a, b[:, :, None])[:, :, 0])
+    except np.linalg.LinAlgError:
+        out = []
+        for ai, bi in zip(a, b):
+            try:
+                out.append(np.linalg.solve(ai, bi))
+            except np.linalg.LinAlgError:
+                out.append(None)
+        return out
 
 
 def _covariance_sigmas(jac: np.ndarray, residual_rms: float, names) -> np.ndarray:

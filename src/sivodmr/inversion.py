@@ -10,6 +10,11 @@ smaller B0 then smaller theta), and reports honest diagnostics: a local
 Jacobian condition estimate, a secant condition over rival basins, and a
 degenerate flag with the reason that raised it.
 
+The candidates of one inversion are refined as one lock-step stack of the
+shared Gauss-Newton core, and the mirror probes as a second, so each trial
+costs one transition_table call (real, unphased eigenvectors) for the whole
+stack; each candidate still follows the path it would follow alone.
+
 All quantities SI: Hz, tesla, radians.
 """
 
@@ -122,13 +127,17 @@ def _rms(nu1, nu2, t1, t2) -> np.ndarray:
     return np.sqrt(((nu1 - t1) ** 2 + (nu2 - t2) ** 2) / 2.0)
 
 
-def _refine(b0, theta, t1, t2, consts, b_max_t, max_iter=40):
-    """Damped Gauss-Newton on the 2x2 system with the Hellmann-Feynman Jacobian.
+def _refine(starts, t1, t2, consts, b_max_t, max_iter=40):
+    """Damped Gauss-Newton on the 2x2 systems of a (k, 2) stack of starts.
 
-    Trial points are clipped into [0, b_max_t] x [0, pi/2]; steps are judged
-    small against the instrument resolution.  Below _ZERO_FIELD_T, where the
-    degenerate Kramers pairs leave Hellmann-Feynman undefined, the B0 column
-    is a forward difference and the theta column is zero.
+    The k refinements run in lock step, with one transition_table call per
+    trial for all of them; each follows the trajectory it follows alone.
+    The Jacobian is Hellmann-Feynman.  Trial points are clipped into
+    [0, b_max_t] x [0, pi/2]; steps are judged small against the instrument
+    resolution.  Below _ZERO_FIELD_T, where the degenerate Kramers pairs
+    leave Hellmann-Feynman undefined, the B0 column is a forward difference
+    and the theta column is zero; rounds holding such a row make a second
+    table call for them.  Returns (b0, theta, rms residual, Jacobian) per start.
     """
     hi = np.array([b_max_t, math.pi / 2])
 
@@ -136,43 +145,45 @@ def _refine(b0, theta, t1, t2, consts, b_max_t, max_iter=40):
         return np.clip(p, 0.0, hi)
 
     def fun(p):
-        if p[0] >= _ZERO_FIELD_T:
-            nu1, nu2, jac = transition_table(p[:1], p[1:], consts, jacobian=True)
-            return np.array([nu1[0] - t1, nu2[0] - t2]), jac[0]
-        b0 = p[0] + np.array([0.0, _ZERO_FIELD_T])
-        nu1, nu2 = transition_table(b0, np.full(2, p[1]), consts)
-        jac = np.array([[nu1[1] - nu1[0], 0.0], [nu2[1] - nu2[0], 0.0]]) / _ZERO_FIELD_T
-        return np.array([nu1[0] - t1, nu2[0] - t2]), jac
+        nu = np.empty((len(p), 2))
+        jac = np.zeros((len(p), 2, 2))
+        low = p[:, 0] < _ZERO_FIELD_T
+        high = ~low
+        if high.any():
+            nu1, nu2, jac[high] = transition_table(p[high, 0], p[high, 1], consts, jacobian=True)
+            nu[high] = np.column_stack([nu1, nu2])
+        if low.any():
+            b0, th = p[low, 0], p[low, 1]
+            nu1, nu2 = transition_table(
+                np.concatenate([b0, b0 + _ZERO_FIELD_T]), np.concatenate([th, th]), consts
+            )
+            m = b0.size
+            nu[low] = np.column_stack([nu1[:m], nu2[:m]])
+            jac[low, :, 0] = np.column_stack([nu1[m:] - nu1[:m], nu2[m:] - nu2[:m]]) / _ZERO_FIELD_T
+        return nu - [t1, t2], jac
 
     p, _, jac, ssr, _, _, _ = _damped_gauss_newton(
         fun,
-        project(np.array([b0, theta], dtype=float)),
+        project(np.asarray(starts, dtype=float)),
         np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]),
         project,
         max_iter,
     )
-    return p, math.sqrt(ssr / 2.0), jac
+    return list(zip(p[:, 0], p[:, 1], np.sqrt(ssr / 2.0), jac))
 
 
-def _scaled_condition(jac: np.ndarray, b_max_t: float) -> float:
-    scaled = jac @ np.diag([b_max_t, math.pi / 2])
-    svals = np.linalg.svd(scaled, compute_uv=False)
-    if svals[-1] <= 0 or not np.all(np.isfinite(svals)):
-        return _COND_CAP
-    return float(min(svals[0] / svals[-1], _COND_CAP))
+def _gap_minimizing_theta(b0_t: np.ndarray, theta0: np.ndarray, consts) -> np.ndarray:
+    """Angles minimizing |nu2 - nu1| at fixed field, searched near theta0.
 
-
-def _gap_minimizing_theta(b0_t: float, theta0: float, consts) -> float:
-    """Angle minimizing |nu2 - nu1| at fixed field, searched near theta0.
-
+    Matched arrays of seeds, one table call per stage for all of them.
     Two grid stages: the fold can separate rival basins by well under the
     coarse spacing, so the apex must be located to ~1e-4 rad.
     """
     center, half, n = theta0, 0.12, 97
     for _ in range(2):
-        th = np.clip(np.linspace(center - half, center + half, n), 0.0, math.pi / 2)
-        nu1, nu2 = transition_table(np.full_like(th, b0_t), th, consts)
-        center = float(th[int(np.argmin(nu2 - nu1))])
+        th = np.clip(np.linspace(center - half, center + half, n, axis=-1), 0.0, math.pi / 2)
+        nu1, nu2 = transition_table(np.repeat(b0_t, n), th.ravel(), consts)
+        center = th[np.arange(th.shape[0]), np.argmin((nu2 - nu1).reshape(th.shape), axis=1)]
         half, n = 1.5 * (2.0 * half / (n - 1)), 61
     return center
 
@@ -221,17 +232,14 @@ def invert_field(
         if len(candidates) >= _MAX_CANDIDATES:
             break
 
-    solutions = []
-    for i, j in candidates:
-        if surface[i, j] > max(10 * NO_SOLUTION_RMS_HZ, 20 * surface.min()):
-            continue
-        p, rms, jac = _refine(b_nodes[i], th_nodes[j], t1, t2, consts, b_max_t)
-        solutions.append((p[0], p[1], rms, jac))
-    if not solutions:
-        p, rms, jac = _refine(
-            b_nodes[GRID_N_B // 2], th_nodes[GRID_N_THETA // 2], t1, t2, consts, b_max_t
-        )
-        solutions.append((p[0], p[1], rms, jac))
+    starts = [
+        (b_nodes[i], th_nodes[j])
+        for i, j in candidates
+        if surface[i, j] <= max(10 * NO_SOLUTION_RMS_HZ, 20 * surface.min())
+    ]
+    if not starts:
+        starts = [(b_nodes[GRID_N_B // 2], th_nodes[GRID_N_THETA // 2])]
+    solutions = _refine(starts, t1, t2, consts, b_max_t)
 
     # near the gap fold two basins can sit closer than the coarse grid can
     # separate: probe the mirror image across the local gap-minimizing angle
@@ -239,11 +247,10 @@ def invert_field(
     fit_floor = max(3.0 * sigma_hz, NUMERIC_FLOOR_HZ, 2.0 * best_rms)
     if (t2 - t1) <= max(_PROBE_GAP_HZ, 5.0 * sigma_hz):
         seeds = [s for s in solutions if s[2] <= fit_floor] or solutions[:1]
-        for b0, th0, _, _ in list(seeds):
-            th_star = _gap_minimizing_theta(b0, th0, consts)
-            mirror = 2.0 * th_star - th0
-            p, rms, jac = _refine(b0, mirror, t1, t2, consts, b_max_t)
-            solutions.append((p[0], p[1], rms, jac))
+        b0 = np.array([s[0] for s in seeds])
+        th0 = np.array([s[1] for s in seeds])
+        mirror = 2.0 * _gap_minimizing_theta(b0, th0, consts) - th0
+        solutions += _refine(np.column_stack([b0, mirror]), t1, t2, consts, b_max_t)
 
     # collapse duplicates (same basin reached twice): keep the lowest residual
     solutions.sort(key=lambda s: (s[2], s[0], s[1]))
@@ -269,7 +276,11 @@ def invert_field(
     if rms > NO_SOLUTION_RMS_HZ:
         raise NoSolutionError(rms)
 
-    condition = _scaled_condition(jac, b_max_t)
+    svals = np.linalg.svd(jac @ np.diag([b_max_t, math.pi / 2]), compute_uv=False)
+    if svals[-1] <= 0 or not np.all(np.isfinite(svals)):
+        condition = _COND_CAP
+    else:
+        condition = float(min(svals[0] / svals[-1], _COND_CAP))
     rivals = [
         s
         for s in compatible[1:]
@@ -280,15 +291,12 @@ def invert_field(
         alt = max(rivals, key=lambda s: (abs(s[0] - b0) / b_max_t) ** 2 + (s[1] - theta) ** 2)
         param_dist = math.hypot((alt[0] - b0) / b_max_t * 2, (alt[1] - theta) / (math.pi / 2))
         data_dist = max(abs(alt[2] - rms), 1e-12)
-        scaled = jac @ np.diag([b_max_t, math.pi / 2])
-        smax = float(np.linalg.svd(scaled, compute_uv=False)[0])
-        condition = float(min(max(condition, smax * param_dist / data_dist), _COND_CAP))
+        condition = float(min(max(condition, svals[0] * param_dist / data_dist), _COND_CAP))
 
     sigma_b = sigma_theta = 0.0
     if sigma_hz > 0:
-        scaled_j = jac
         try:
-            cov = np.linalg.inv(scaled_j.T @ scaled_j) * sigma_hz**2
+            cov = np.linalg.inv(jac.T @ jac) * sigma_hz**2
             sigma_b = math.sqrt(max(cov[0, 0], 0.0))
             sigma_theta = math.sqrt(max(cov[1, 1], 0.0))
         except np.linalg.LinAlgError:

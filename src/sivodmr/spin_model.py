@@ -1,9 +1,9 @@
 """Spin-3/2 model of the silicon-vacancy (V2) ground state in 4H-SiC.
 
 Builds the electron-spin Hamiltonian for a static field of magnitude B0
-tilted by theta from the defect c-axis, diagonalizes it with LAPACK eigh,
-and extracts the two microwave transitions that carry optical contrast in
-an ODMR experiment.
+tilted by theta from the defect c-axis, diagonalizes it with LAPACK eigh
+(real symmetric float64 batches on the table path), and extracts the two
+microwave transitions that carry optical contrast in an ODMR experiment.
 
 Internal units are strict SI: energies and frequencies in Hz (the
 Hamiltonian is written as H/h), magnetic fields in tesla, angles in
@@ -41,7 +41,9 @@ def _build_spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _SX, _SY, _SZ = _build_spin_operators()
-_SZ2_TERM = _SZ @ _SZ - (5.0 / 4.0) * np.eye(4)  # S_z^2 - S(S+1)/3 for S = 3/2
+# Sx and Sz are real in this basis, so the batch path stays in float64
+_SX_REAL, _SZ_REAL = _SX.real.copy(), _SZ.real.copy()
+_SZ2_TERM = _SZ_REAL @ _SZ_REAL - (5.0 / 4.0) * np.eye(4)  # S_z^2 - S(S+1)/3 for S = 3/2
 
 
 def spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,35 +178,28 @@ def build_hamiltonian(fv: FieldVector, consts: PhysicalConstants) -> SpinMatrix:
 def _hamiltonian_batch(
     b0_t: np.ndarray, theta_rad: np.ndarray, consts: PhysicalConstants
 ) -> np.ndarray:
+    """Real symmetric (n, 4, 4) float64 stack of H/h over matched field arrays."""
     zeeman = (consts.gyro_hz_per_t * b0_t)[:, None, None]
     cos_t = np.cos(theta_rad)[:, None, None]
     sin_t = np.sin(theta_rad)[:, None, None]
-    return consts.d_hz * _SZ2_TERM + zeeman * (cos_t * _SZ + sin_t * _SX)
-
-
-def _eigh_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigh of a batch of Hermitian matrices, with phased eigenvectors.
-
-    Returns ascending eigenvalues and eigenvector columns, each column
-    multiplied by the phase that makes its first component above 1e-12 of
-    the column's largest real and positive.
-    """
-    energies, v = np.linalg.eigh(h)
-    mags = np.abs(v)
-    first = np.argmax(mags > 1e-12 * mags.max(axis=-2, keepdims=True), axis=-2)
-    lead = np.take_along_axis(v, first[..., None, :], axis=-2)
-    return energies, v * (lead.conj() / np.abs(lead))
+    return consts.d_hz * _SZ2_TERM + zeeman * (cos_t * _SZ_REAL + sin_t * _SX_REAL)
 
 
 def diagonalize(h: SpinMatrix | np.ndarray) -> EigenSystem:
     """Eigen-decomposition of a 4x4 Hermitian matrix by LAPACK eigh.
 
-    Raises ValueError for non-Hermitian input (with the worst entry named).
+    Energies ascend; each eigenvector column is multiplied by the phase
+    that makes its first component above 1e-12 of the column's largest
+    real and positive.  Raises ValueError for non-Hermitian input (with the
+    worst entry named).
     """
     if not isinstance(h, SpinMatrix):
         h = SpinMatrix(np.asarray(h))
-    energies, vectors = _eigh_batch(h.entries[None, :, :])
-    return EigenSystem(energies[0], vectors[0])
+    energies, v = np.linalg.eigh(h.entries)
+    mags = np.abs(v)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    lead = v[first, np.arange(4)]
+    return EigenSystem(energies, v * (lead.conj() / np.abs(lead)))
 
 
 def _drive_matrix(drive_axis) -> np.ndarray:
@@ -250,9 +245,9 @@ def _select_transitions_batch(
 
 
 def _line_gaps(levels: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """Per-line difference upper - lower of a per-state quantity, (n, 4) -> (n, 2)."""
-    upper = np.take_along_axis(levels, lines[:, :, 1], axis=1)
-    return upper - np.take_along_axis(levels, lines[:, :, 0], axis=1)
+    """Per-line difference upper - lower of a per-state quantity, (n, 4, ...) -> (n, 2, ...)."""
+    rows = np.arange(levels.shape[0])[:, None]
+    return levels[rows, lines[:, :, 1]] - levels[rows, lines[:, :, 0]]
 
 
 def transition_frequencies(
@@ -311,23 +306,23 @@ def transition_table(
         raise ValueError("fields must be non-negative and angles finite")
     if jacobian and np.any(b0 == 0):
         raise ValueError("the Jacobian needs B0 > 0 (Kramers degeneracy at zero field)")
-    energies, vectors = _eigh_batch(_hamiltonian_batch(b0, th, consts))
+    # H is real symmetric, so LAPACK returns real eigenvectors; line
+    # selection, gaps and <k|dH|k> do not depend on their phase or sign
+    energies, vectors = np.linalg.eigh(_hamiltonian_batch(b0, th, consts))
     lines = _select_transitions_batch(energies, vectors)
     nu = _line_gaps(energies, lines)
     if not jacobian:
         return nu[:, 0], nu[:, 1]
-    cos_t = np.cos(th)[:, None, None]
-    sin_t = np.sin(th)[:, None, None]
-    dh_db0 = consts.gyro_hz_per_t * (cos_t * _SZ + sin_t * _SX)
-    dh_dtheta = b0[:, None, None] * consts.gyro_hz_per_t * (cos_t * _SX - sin_t * _SZ)
-    jac = np.stack(
-        [
-            _line_gaps(np.einsum("nja,njk,nka->na", vectors.conj(), dh, vectors).real, lines)
-            for dh in (dh_db0, dh_dtheta)
-        ],
+    sz, sx = (np.einsum("njk,jl,nlk->nk", vectors, op, vectors) for op in (_SZ_REAL, _SX_REAL))
+    cos_t = np.cos(th)[:, None]
+    sin_t = np.sin(th)[:, None]
+    gamma = consts.gyro_hz_per_t
+    # per-eigenstate dE_k/d(B0, theta), (n, 4, 2)
+    slopes = np.stack(
+        [gamma * (cos_t * sz + sin_t * sx), gamma * b0[:, None] * (cos_t * sx - sin_t * sz)],
         axis=-1,
     )
-    return nu[:, 0], nu[:, 1], jac
+    return nu[:, 0], nu[:, 1], _line_gaps(slopes, lines)
 
 
 def closed_form_axial(b0_t: float, consts: PhysicalConstants) -> TransitionPair:

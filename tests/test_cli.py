@@ -203,6 +203,20 @@ def test_io_errors_exit_one(tmp_path, capsys):
     assert ":3:" in err  # names the offending line
 
 
+@pytest.mark.parametrize(
+    "exc", [np.linalg.LinAlgError("Singular matrix"), RuntimeError("numerical failure")]
+)
+def test_numerical_failure_exits_one(capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("sivodmr.cli.invert_field", fail)
+    code, out, err = run(capsys, "invert", "--nu1-mhz", "98.148", "--nu2-mhz", "238.148")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(exc) in err
+
+
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     env_cfg = tmp_path / "env.cfg"
     env_cfg.write_text("d_mhz = 36.6\n")

@@ -238,6 +238,49 @@ def test_core_reports_non_convergence():
     assert iterations == 1
 
 
+def test_core_stack_matches_solo_runs_bit_for_bit():
+    # four problems, one per exit: converged, max_iter, every trial rejected
+    # by project, and lam overflowing under a sign-flipped Jacobian.  The
+    # last coordinate labels the problem; its Jacobian column is zero, so no
+    # step moves it.
+    def one(p):
+        x, y, label = p
+        if label == 1:  # Rosenbrock: slow from (-1.2, 1)
+            r = np.array([10.0 * (y - x * x), 1.0 - x])
+            jac = np.array([[-20.0 * x, 10.0, 0.0], [-1.0, 0.0, 0.0]])
+        else:
+            r = np.array([x - 1.0, y - 2.0])
+            jac = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+            if label == 3:
+                jac = -jac
+        return r, jac
+
+    def stacked(points):
+        rs, jacs = zip(*(one(p) for p in points))
+        return np.array(rs), np.array(jacs)
+
+    def project(p):
+        return None if p[2] == 2 else p
+
+    p0 = np.array([[0.0, 0.0, 0.0], [-1.2, 1.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
+    scales = np.array([1.0, 1.0, 1.0])
+    max_iter = 8
+    p, r, jac, ssr, iterations, converged, grad = _damped_gauss_newton(
+        stacked, p0, scales, project, max_iter
+    )
+    assert converged.tolist() == [True, False, False, False]
+    assert iterations.tolist()[1:] == [max_iter, 1, 1]
+    assert iterations[0] < max_iter
+    np.testing.assert_array_equal(p[2:], p0[2:])
+    np.testing.assert_array_equal(p[:, 2], p0[:, 2])
+    for i in range(len(p0)):
+        solo = _damped_gauss_newton(one, p0[i], scales, project, max_iter)
+        assert p[i].tobytes() == solo[0].tobytes()
+        assert r[i].tobytes() == solo[1].tobytes()
+        assert jac[i].tobytes() == solo[2].tobytes()
+        assert (ssr[i], iterations[i], converged[i], grad[i]) == solo[3:]
+
+
 def test_saturation_noiseless_recovery():
     powers = np.array([1.0, 5.0, 10.0, 20.0, 40.0, 60.0, 85.0, 150.0, 300.0])
     counts = 935e6 / (1.0 + 300.0 / powers)

@@ -7,12 +7,15 @@ import pytest
 
 from sivodmr.inversion import (
     COND_THRESHOLD,
+    DEFAULT_B_MAX_T,
     RESOLUTION_B_T,
     RESOLUTION_THETA_RAD,
     AxialInversion,
     AxialModelError,
     InversionResult,
     NoSolutionError,
+    _gap_minimizing_theta,
+    _refine,
     angle_sweep,
     axial_invert,
     invert_field,
@@ -54,6 +57,28 @@ def test_sub_gauss_fields_reproduce_the_pair(consts, b0_gauss, theta_deg):
     if theta_deg <= 30.0:  # at 60 deg a rival field near 50 deg fits as well
         assert res.b0_t / GAUSS == pytest.approx(b0_gauss, abs=1e-5)
         assert math.degrees(res.theta_rad) == pytest.approx(theta_deg, abs=1e-3)
+
+
+def test_stacked_refinement_rows_match_solo_runs(consts):
+    # a result never depends on its batch mates: B0 = 0 and 5e-8 T starts
+    # (forward-difference Jacobian) share the stack with ordinary starts
+    nu1, nu2 = _forward(0.5, 30.0, consts)
+    starts = np.array(
+        [[0.0, 0.5], [5e-8, 1.0], [1e-4, 0.2], [50 * GAUSS, 0.8], [80 * GAUSS, 1.2]]
+    )
+    stacked = _refine(starts, nu1, nu2, consts, DEFAULT_B_MAX_T)
+    for start, (b0, theta, rms, jac) in zip(starts, stacked):
+        [(b0_solo, theta_solo, rms_solo, jac_solo)] = _refine(
+            start[None], nu1, nu2, consts, DEFAULT_B_MAX_T
+        )
+        assert (b0, theta, rms) == (b0_solo, theta_solo, rms_solo)
+        assert jac.tobytes() == jac_solo.tobytes()
+    assert stacked[0][2] < 1.0  # the B0 = 0 start climbs to the field
+
+    b0s, thetas = starts[1:, 0], starts[1:, 1]
+    apex = _gap_minimizing_theta(b0s, thetas, consts)
+    for k in range(b0s.size):
+        assert apex[k] == _gap_minimizing_theta(b0s[k : k + 1], thetas[k : k + 1], consts)[0]
 
 
 def test_rounded_axial_pair_recovers_sixty_gauss(consts):
