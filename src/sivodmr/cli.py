@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,15 +44,15 @@ class UsageError(Exception):
 
 def _positive(text: str) -> float:
     value = float(text)
-    if not (value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
 def _non_negative(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    if not (value >= 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {text}")
     return value
 
 
@@ -70,6 +71,15 @@ def _grid_points(text: str) -> int:
 
 
 def cmd_simulate(args, cfg) -> int:
+    overrides = {
+        "fmin_mhz": args.fmin_mhz,
+        "fmax_mhz": args.fmax_mhz,
+        "points": args.points,
+        "laser_mw": args.laser_mw,
+        "mw_dbm": args.mw_dbm,
+        "dwell_ms": args.dwell_ms,
+    }
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     acq = cfg.acquisition(seed=args.seed)
     field = FieldVector(
         b0_t=args.b0_gauss / GAUSS_PER_T, theta_rad=math.radians(args.theta_deg)
@@ -187,12 +197,16 @@ def _sweep_svg(args, x, series, xlabel, ylabel) -> None:
         write_text(args.svg, line_plot_svg(x, series, xlabel=xlabel, ylabel=ylabel))
 
 
+_DEFAULT_POINTS = {"field": 121, "angle": 91, "laser": 85, "mw": 301}
+
+
 def cmd_sweep(args, cfg) -> int:
     consts = cfg.consts()
+    points = _DEFAULT_POINTS[args.kind] if args.points is None else args.points
     if args.kind == "field":
         if not (args.bmax_gauss > args.bmin_gauss):
             raise UsageError("--bmax-gauss must exceed --bmin-gauss")
-        b_gauss = np.linspace(args.bmin_gauss, args.bmax_gauss, args.points)
+        b_gauss = np.linspace(args.bmin_gauss, args.bmax_gauss, points)
         theta = math.radians(args.theta_deg)
         nu1, nu2 = transition_table(b_gauss / GAUSS_PER_T, np.full_like(b_gauss, theta), consts)
         write_sweep_csv(
@@ -206,7 +220,7 @@ def cmd_sweep(args, cfg) -> int:
             "B0 (G)", "frequency (MHz)",
         )
     elif args.kind == "angle":
-        theta_deg = np.linspace(0.0, 90.0, args.points)
+        theta_deg = np.linspace(0.0, 90.0, points)
         _th, nu1, nu2 = angle_sweep(
             args.b0_gauss / GAUSS_PER_T, np.radians(theta_deg), consts
         )
@@ -223,7 +237,7 @@ def cmd_sweep(args, cfg) -> int:
     elif args.kind == "laser":
         if not (args.pmax_mw > args.pmin_mw):
             raise UsageError("--pmax-mw must exceed --pmin-mw")
-        powers = np.linspace(args.pmin_mw, args.pmax_mw, args.points)
+        powers = np.linspace(args.pmin_mw, args.pmax_mw, points)
         sweep = laser_sweep_sensitivity(
             powers, args.contrast, args.fwhm_mhz * 1e6, cfg.saturation(), consts
         )
@@ -240,7 +254,7 @@ def cmd_sweep(args, cfg) -> int:
     else:
         if not (args.dbm_max > args.dbm_min):
             raise UsageError("--dbm-max must exceed --dbm-min")
-        dbm = np.linspace(args.dbm_min, args.dbm_max, args.points)
+        dbm = np.linspace(args.dbm_min, args.dbm_max, points)
         rate = photon_rate(args.laser_mw, cfg.saturation())
         sweep = mw_sweep_sensitivity(dbm, cfg.mw(), rate, consts)
         write_sweep_csv(
@@ -349,29 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_POINTS = {"field": 121, "angle": 91, "laser": 85, "mw": 301}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "points", None) is None and hasattr(args, "points"):
-        args.points = _DEFAULT_POINTS.get(getattr(args, "kind", ""), None)
     try:
-        cfg = load_config(args.config)
-        if args.command == "simulate":
-            overrides = {
-                "fmin_mhz": args.fmin_mhz,
-                "fmax_mhz": args.fmax_mhz,
-                "points": args.points,
-                "laser_mw": args.laser_mw,
-                "mw_dbm": args.mw_dbm,
-                "dwell_ms": args.dwell_ms,
-            }
-            from dataclasses import replace
-
-            cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-        return args.func(args, cfg)
+        return args.func(args, load_config(args.config))
     except UsageError as err:
         parser.print_usage(sys.stderr)
         print(f"error: {err}", file=sys.stderr)

@@ -5,10 +5,13 @@ spectra and photon-rate saturation) and the field refinement of
 inversion.py, with analytic Jacobians, Marquardt diagonal damping and
 monotone step acceptance.  The core runs a stack of independent problems
 in lock step (one model call per round for every live problem, each with
-its own damping and exit); a fit is a stack of one.  Parameter uncertainties
-come from the linearized covariance sigma^2 * inv(J^T J) with
-sigma^2 = residual_rms^2; residuals are assumed i.i.d. Gaussian, which is
-a documented simplification.
+its own damping and exit); a fit is a stack of one.  Callers constrain it
+through a projection of the trial stack, and every trial that is not
+finite is rejected by one rule.  Parameter uncertainties come from the
+linearized covariance sigma^2 * inv(J^T J) with sigma^2 = residual_rms^2;
+residuals are assumed i.i.d. Gaussian, which is a documented
+simplification.  Lorentzian fits are seeded from the most prominent
+maxima of the smoothed trace, found by a monotone-stack prominence scan.
 """
 
 from __future__ import annotations
@@ -85,17 +88,20 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
     every |step_i| <= STEP_RTOL * scales_i, or the relative SSR change drops
     below SSR_RTOL.  scales are fixed, data-derived magnitudes so that the
     iteration is exactly equivariant under axis shifts and rescalings.
-    project maps one trial point to the feasible point that replaces it, or
-    to None to reject it, which grows lam as a rise in SSR does.
 
     A 1-D p0 is one problem: fun maps a point to (r, J) and the return
     values are p, r, J, ssr, iterations, converged, grad_norm.  A (k, n) p0
     is a stack of k independent problems run in lock step: fun maps a
     (k', n) stack of trial points to (k', m) residuals and (k', m, n)
     Jacobians in one call, and every return value gains a leading axis of
-    k.  Each problem keeps its own lam, acceptance, iteration count and
-    exit, and the products are per-problem BLAS calls, so each follows
-    exactly the trajectory it follows alone.
+    k.  In both forms project maps a (k', n) stack of trial points to the
+    feasible points that replace them.  A trial row that is not finite,
+    because project marked it NaN or because its system was singular, is
+    rejected like a rise in SSR: lam grows tenfold and the problem retries
+    next round.  Each problem keeps its own lam, acceptance, iteration count
+    and exit (converged, max_iter, or lam past 1e12), and the products are
+    per-problem BLAS calls, so each follows exactly the trajectory it
+    follows alone.
     """
     if np.ndim(p0) == 1:
         one = fun
@@ -109,62 +115,37 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
 
     p = np.array(p0, dtype=float)
     scales = np.asarray(scales, dtype=float)
-    k, n = p.shape
+    k = p.shape[0]
     r, jac = fun(p)
     ssr = _sq_norms(r)
     lam = np.full(k, 1e-3)
-    iterations = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
-    live = np.ones(k, dtype=bool)    # not yet exited
-    fresh = np.ones(k, dtype=bool)   # at an iteration start: normal equations due
-    jtj = np.empty((k, n, n))
-    jtr = np.empty((k, n))
-    damp = np.zeros((k, n, n))       # diag(JtJ), zero-safe
-    eye = np.arange(n)
-    p_try = np.empty_like(p)
+    live = np.full(k, max_iter > 0)   # not yet exited
+    iterations = live.astype(int)
+    jtj, jtr, damp = _normal_equations(jac, r)
     while True:
-        live &= ~(fresh & (iterations >= max_iter))
-        start = np.flatnonzero(live & fresh)
-        if start.size:
-            iterations[start] += 1
-            sub_t = _rows(jac, start).transpose(0, 2, 1)
-            jtj[start] = np.matmul(sub_t, sub_t.transpose(0, 2, 1))
-            jtr[start] = np.matmul(sub_t, _rows(r, start)[:, :, None])[:, :, 0]
-            diag = jtj[start][:, eye, eye]
-            top = diag.max(axis=1, keepdims=True)
-            damp[start[:, None], eye, eye] = np.where(diag <= 0, np.where(top > 0, top, 1.0), diag)
-            fresh[start] = False
-        # one feasible trial point per live problem, or its exit
-        search = live.copy()
-        while True:
-            live &= ~(search & (lam > 1e12))
-            search &= live
-            rows = np.flatnonzero(search)
-            if rows.size == 0:
-                break
-            delta = _solve_rows(jtj[rows] + lam[rows, None, None] * damp[rows], -jtr[rows])
-            for i, d in zip(rows, delta):
-                q = None if d is None else p[i] + d
-                if q is not None and project is not None:
-                    q = project(q)
-                if q is None:
-                    lam[i] *= 10.0
-                else:
-                    p_try[i] = q
-                    search[i] = False
+        live &= lam <= 1e12
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        r_try, jac_try = fun(p_try[rows])
+        trial = p[rows] + _solve_rows(jtj[rows] + lam[rows, None, None] * damp[rows], -jtr[rows])
+        if project is not None:
+            trial = project(trial)
+        ok = np.all(np.isfinite(trial), axis=1)
+        lam[rows[~ok]] *= 10.0
+        rows, trial = rows[ok], trial[ok]
+        if rows.size == 0:
+            continue
+        r_try, jac_try = fun(trial)
         ssr_try = _sq_norms(r_try)
         ok = ssr_try <= ssr[rows]
         lam[rows[~ok]] *= 10.0
         acc = rows[ok]
         if acc.size == 0:
             continue
-        step_small = np.all(np.abs(p_try[acc] - p[acc]) <= STEP_RTOL * scales, axis=1)
+        step_small = np.all(np.abs(trial[ok] - p[acc]) <= STEP_RTOL * scales, axis=1)
         ssr_flat = np.abs(ssr[acc] - ssr_try[ok]) <= SSR_RTOL * np.maximum(ssr[acc], 1e-300)
-        p[acc] = p_try[acc]
+        p[acc] = trial[ok]
         if acc.size == k:
             r, jac = r_try, jac_try
         else:
@@ -172,29 +153,46 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
             jac[acc] = jac_try[ok]
         ssr[acc] = ssr_try[ok]
         lam[acc] = np.maximum(lam[acc] / 10.0, 1e-12)
-        fresh[acc] = True
-        done = acc[step_small | ssr_flat]
-        converged[done] = True
-        live[done] = False
+        done = step_small | ssr_flat
+        converged[acc] = done
+        live[acc] = ~done & (iterations[acc] < max_iter)
+        more = acc[live[acc]]
+        if more.size:
+            iterations[more] += 1
+            new_jtj, new_jtr, new_damp = _normal_equations(jac, r)
+            jtj[more], jtr[more], damp[more] = new_jtj[more], new_jtr[more], new_damp[more]
     grad = 2.0 * np.matmul(jac.transpose(0, 2, 1), r[:, :, None])[:, :, 0]
     return p, r, jac, ssr, iterations, converged, np.sqrt(_sq_norms(grad))
 
 
-def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return a if idx.size == a.shape[0] else a[idx]
+def _normal_equations(jac: np.ndarray, r: np.ndarray):
+    """JtJ, Jt r and the zero-safe Marquardt diagonal of a stack of problems.
+
+    A zero diagonal entry of JtJ damps with the largest one (or 1), so that
+    a parameter the residuals do not see still takes bounded steps.
+    """
+    jac_t = jac.transpose(0, 2, 1)
+    jtj = np.matmul(jac_t, jac_t.transpose(0, 2, 1))
+    jtr = np.matmul(jac_t, r[:, :, None])[:, :, 0]
+    eye = np.arange(jtj.shape[1])
+    diag = jtj[:, eye, eye]
+    top = diag.max(axis=1, keepdims=True)
+    damp = np.zeros_like(jtj)
+    damp[:, eye, eye] = np.where(diag <= 0, np.where(top > 0, top, 1.0), diag)
+    return jtj, jtr, damp
 
 
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> list:
-    """Per-row solutions of a stack of linear systems, None where singular."""
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row solutions of a stack of linear systems, NaN rows where singular."""
     try:
-        return list(np.linalg.solve(a, b[:, :, None])[:, :, 0])
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        out = []
-        for ai, bi in zip(a, b):
+        out = np.full(b.shape, np.nan)
+        for i, (ai, bi) in enumerate(zip(a, b)):
             try:
-                out.append(np.linalg.solve(ai, bi))
+                out[i] = np.linalg.solve(ai, bi)
             except np.linalg.LinAlgError:
-                out.append(None)
+                pass
         return out
 
 
@@ -253,15 +251,21 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (starts[inner] + ends[inner]) // 2
 
 
-def _sparse_table(values: np.ndarray, op) -> np.ndarray:
-    """Row j, entry i holds op over values[i : i + 2**j], cut at the end."""
-    rows = [values]
-    width = 1
-    while 2 * width <= values.size:
-        prev = rows[-1]
-        rows.append(np.concatenate((op(prev[:-width], prev[width:]), prev[-width:])))
-        width *= 2
-    return np.array(rows)
+def _side_minima(heights: np.ndarray, valleys: np.ndarray) -> np.ndarray:
+    """min(valleys[j + 1 : i + 1]) for each i, j the nearest earlier strictly higher peak.
+
+    With no such peak, j = -1.  One monotone-stack scan: the stack holds
+    the peaks not yet topped, with strictly falling heights, each with the
+    lowest valley between it and the stack entry below it.
+    """
+    out = []
+    stack: list[tuple[float, float]] = []
+    for height, low in zip(heights.tolist(), valleys.tolist()):
+        while stack and stack[-1][0] <= height:
+            low = min(low, stack.pop()[1])
+        stack.append((height, low))
+        out.append(low)
+    return np.array(out)
 
 
 def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
@@ -271,33 +275,16 @@ def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     of x between it and the nearest strictly higher point on each side (or
     the end of x).  That point lies next to the nearest strictly higher
     maximum, so the result is exact whenever peaks holds every maximum of
-    x at least as high as its lowest entry.  The nearest higher entry on
-    each side comes from a descent over a range-maximum table of the
-    heights, the minima from a range-minimum table of the valleys between
-    consecutive peaks.
+    x at least as high as its lowest entry.  The valleys between
+    consecutive peaks come from one reduceat; a monotone-stack scan run
+    left to right and right to left takes the lowest valley on each side.
     """
     heights = x[peaks]
-    k = peaks.size
-    tallest = _sparse_table(heights, np.maximum)
-    left = np.arange(k)      # heights[left:i] are all <= heights[i]
-    right = left + 1         # so are heights[i + 1:right]
-    for j in range(tallest.shape[0] - 1, -1, -1):
-        w = 1 << j
-        row = tallest[j]
-        ok = (left >= w) & (row[np.maximum(left - w, 0)] <= heights)
-        left = np.where(ok, left - w, left)
-        ok = (right + w <= k) & (row[np.minimum(right, k - 1)] <= heights)
-        right = np.where(ok, right + w, right)
     # valleys[i] = min(x[peaks[i - 1]:peaks[i]]), with x's ends as outer bounds
     valleys = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
-    lowest = _sparse_table(valleys, np.minimum)
-
-    def range_min(lo, hi):
-        level = np.frexp(hi - lo + 1)[1] - 1
-        return np.minimum(lowest[level, lo], lowest[level, hi + 1 - (1 << level)])
-
-    i = np.arange(k)
-    return heights - np.maximum(range_min(left, i), range_min(i + 1, right))
+    left = _side_minima(heights, valleys[:-1])
+    right = _side_minima(heights[::-1], valleys[:0:-1])[::-1]
+    return heights - np.maximum(left, right)
 
 
 def _prominent_maxima(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -398,7 +385,7 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
         return model - signal, jac
 
     def project(p):
-        return p if np.all(p[width_slots] > 0) else None
+        return np.where(np.all(p[:, width_slots] > 0, axis=1, keepdims=True), p, np.nan)
 
     p, r, jac, ssr, iterations, converged, grad_norm = _damped_gauss_newton(
         fun, p0, scales, project
@@ -444,7 +431,7 @@ def fit_saturation(powers_mw, counts_cps) -> FitResult:
         return model - counts, jac
 
     def project(p):
-        return p if p[0] > 0 and p[1] > 0 else None
+        return np.where(np.all(p > 0, axis=1, keepdims=True), p, np.nan)
 
     p, r, jac, ssr, iterations, converged, grad_norm = _damped_gauss_newton(
         fun, p0, scales, project

@@ -43,6 +43,7 @@ _COND_CAP = 1e12
 _DEDUPE_B_T = 2e-8              # refinement floor: closer solutions are one basin
 _DEDUPE_THETA_RAD = 2e-5
 _ZERO_FIELD_T = 1e-7            # below this B0 the Kramers pairs count as degenerate
+_REFINE_MAX_ITER = 40           # Gauss-Newton iterations per candidate refinement
 
 
 class NoSolutionError(RuntimeError):
@@ -127,7 +128,7 @@ def _rms(nu1, nu2, t1, t2) -> np.ndarray:
     return np.sqrt(((nu1 - t1) ** 2 + (nu2 - t2) ** 2) / 2.0)
 
 
-def _refine(starts, t1, t2, consts, b_max_t, max_iter=40):
+def _refine(starts, t1, t2, consts, b_max_t):
     """Damped Gauss-Newton on the 2x2 systems of a (k, 2) stack of starts.
 
     The k refinements run in lock step, with one transition_table call per
@@ -167,7 +168,7 @@ def _refine(starts, t1, t2, consts, b_max_t, max_iter=40):
         project(np.asarray(starts, dtype=float)),
         np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]),
         project,
-        max_iter,
+        _REFINE_MAX_ITER,
     )
     return list(zip(p[:, 0], p[:, 1], np.sqrt(ssr / 2.0), jac))
 
@@ -208,8 +209,13 @@ def invert_field(
     in n_compatible and flag the result as ambiguous.
 
     Raises NoSolutionError when no field in the domain comes within
-    NO_SOLUTION_RMS_HZ of the requested pair.
+    NO_SOLUTION_RMS_HZ of the requested pair, and ValueError for an
+    argument that is not finite or out of range.
     """
+    for name, value in (("nu1_hz", nu1_hz), ("nu2_hz", nu2_hz), ("sigma_hz", sigma_hz),
+                        ("b_max_t", b_max_t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not (nu1_hz > 0 and nu2_hz > 0):
         raise ValueError("both frequencies must be positive")
     if not (b_max_t > 0):

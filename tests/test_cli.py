@@ -11,7 +11,7 @@ import pytest
 
 import sivodmr
 from sivodmr.cli import main
-from sivodmr.io import read_spectrum_csv, read_sweep_csv, write_sweep_csv
+from sivodmr.io import CsvFormatError, read_spectrum_csv, read_sweep_csv, write_sweep_csv
 
 
 def run(capsys, *argv):
@@ -190,6 +190,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     )
     assert code == 2
     assert "bmax" in err
+    for argv in (
+        ["invert", "--nu1-mhz", "inf", "--nu2-mhz", "100"],
+        ["invert", "--nu1-mhz", "70", "--nu2-mhz", "nan"],
+        ["invert", "--nu1-mhz", "70", "--nu2-mhz", "100", "--sigma-khz", "inf"],
+        ["simulate", "--b0-gauss", "nan"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_io_errors_exit_one(tmp_path, capsys):
@@ -201,6 +211,17 @@ def test_io_errors_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "odmr", str(bad))
     assert code == 1
     assert ":3:" in err  # names the offending line
+
+
+def test_malformed_sweep_csv_names_the_line(tmp_path):
+    bad = tmp_path / "bad.csv"
+    for rows, detail in (
+        ("1.0,2.0\n3.0\n", "expected 2 columns"),   # wrong column count
+        ("1.0,2.0\n3.0,x\n", "non-numeric"),        # non-numeric cell
+    ):
+        bad.write_text("# sweep-csv v1\n# kind=laser\nlaser_mw,rate_cps\n" + rows)
+        with pytest.raises(CsvFormatError, match=f"bad.csv:5: {detail}"):
+            read_sweep_csv(str(bad))
 
 
 @pytest.mark.parametrize(

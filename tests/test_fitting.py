@@ -21,6 +21,7 @@ from sivodmr.fitting import (
     _lorentzian_model,
     _prominent_maxima,
     _saturation_model,
+    _solve_rows,
     fit_lorentzian_multi,
     fit_saturation,
     fit_zfs_series,
@@ -239,8 +240,8 @@ def test_core_reports_non_convergence():
 
 
 def test_core_stack_matches_solo_runs_bit_for_bit():
-    # four problems, one per exit: converged, max_iter, every trial rejected
-    # by project, and lam overflowing under a sign-flipped Jacobian.  The
+    # four problems, one per exit: converged, max_iter, every trial made
+    # non-finite by project, and lam overflowing under a sign-flipped Jacobian.  The
     # last coordinate labels the problem; its Jacobian column is zero, so no
     # step moves it.
     def one(p):
@@ -260,7 +261,7 @@ def test_core_stack_matches_solo_runs_bit_for_bit():
         return np.array(rs), np.array(jacs)
 
     def project(p):
-        return None if p[2] == 2 else p
+        return np.where(p[:, 2:] == 2, np.nan, p)
 
     p0 = np.array([[0.0, 0.0, 0.0], [-1.2, 1.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
     scales = np.array([1.0, 1.0, 1.0])
@@ -279,6 +280,19 @@ def test_core_stack_matches_solo_runs_bit_for_bit():
         assert r[i].tobytes() == solo[1].tobytes()
         assert jac[i].tobytes() == solo[2].tobytes()
         assert (ssr[i], iterations[i], converged[i], grad[i]) == solo[3:]
+
+
+def test_solve_rows_singular_row_is_nan_others_solo():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(5, 3, 3))
+    b = rng.normal(size=(5, 3))
+    a[2, :, 1] = 0.0  # a zero column: an exactly zero pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, b[:, :, None])
+    got = _solve_rows(a, b)
+    assert np.all(np.isnan(got[2]))
+    for i in (0, 1, 3, 4):
+        assert got[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
 
 
 def test_saturation_noiseless_recovery():

@@ -197,6 +197,16 @@ def test_invert_input_validation(consts):
         invert_field(70e6, 80e6, consts, b_max_t=0.0)
     with pytest.raises(ValueError):
         invert_field(70e6, 80e6, consts, sigma_hz=-1.0)
+    # non-finite inputs are named before any search runs
+    for kwargs in (
+        {"nu1_hz": math.inf},
+        {"nu2_hz": math.nan},
+        {"sigma_hz": math.inf},
+        {"b_max_t": math.inf},
+    ):
+        args = {"nu1_hz": 70e6, "nu2_hz": 80e6, "consts": consts, **kwargs}
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be finite"):
+            invert_field(**args)
 
 
 def test_result_invariants_enforced():
