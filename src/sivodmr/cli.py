@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -40,6 +40,13 @@ GAUSS_PER_T = 1e4
 
 class UsageError(Exception):
     """Bad flag combination or range; maps to exit code 2."""
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _positive(text: str) -> float:
@@ -153,8 +160,7 @@ def cmd_invert(args, cfg) -> int:
     if args.axial:
         res = axial_invert(nu1_hz, nu2_hz, consts)
         payload = {
-            "b0_t": res.b0_t,
-            "consistency_hz": res.consistency_hz,
+            **asdict(res),
             "b0_gauss_display": res.b0_t * GAUSS_PER_T,
             "consistency_mhz_display": res.consistency_hz / 1e6,
         }
@@ -173,15 +179,7 @@ def cmd_invert(args, cfg) -> int:
                 file=sys.stderr,
             )
         payload = {
-            "b0_t": res.b0_t,
-            "theta_rad": res.theta_rad,
-            "residual_hz": res.residual_hz,
-            "degenerate": res.degenerate,
-            "reason": res.reason,
-            "condition": res.condition,
-            "n_compatible": res.n_compatible,
-            "alt_b0_t": res.alt_b0_t,
-            "alt_theta_rad": res.alt_theta_rad,
+            **asdict(res),
             "b0_gauss_display": res.b0_t * GAUSS_PER_T,
             "theta_deg_display": math.degrees(res.theta_rad),
         }
@@ -305,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthesize an ODMR spectrum CSV")
     p.add_argument("--b0-gauss", type=_non_negative, required=True)
-    p.add_argument("--theta-deg", type=float, default=0.0)
+    p.add_argument("--theta-deg", type=_finite, default=0.0)
     p.add_argument("--fmin-mhz", type=_positive, default=None)
     p.add_argument("--fmax-mhz", type=_positive, default=None)
     p.add_argument("--points", type=_grid_points, default=None)
     p.add_argument("--laser-mw", type=_positive, default=None)
-    p.add_argument("--mw-dbm", type=float, default=None)
+    p.add_argument("--mw-dbm", type=_finite, default=None)
     p.add_argument("--dwell-ms", type=_positive, default=None)
     p.add_argument("--seed", type=int, default=None, help="omit for a noiseless spectrum")
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
@@ -320,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a CSV data file")
     p.add_argument("kind", choices=["odmr", "saturation"])
     p.add_argument("input", help="input CSV path")
-    p.add_argument("--peaks", type=int, default=2, help="Lorentzian count for odmr fits")
+    p.add_argument("--peaks", type=int, choices=[1, 2], default=2,
+                   help="Lorentzian count for odmr fits")
     p.add_argument("--out", default="-", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_fit)
 
@@ -340,14 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_grid_points, default=None)
     p.add_argument("--bmin-gauss", type=_non_negative, default=0.0)
     p.add_argument("--bmax-gauss", type=_positive, default=120.0)
-    p.add_argument("--theta-deg", type=float, default=0.0)
+    p.add_argument("--theta-deg", type=_finite, default=0.0)
     p.add_argument("--b0-gauss", type=_positive, default=60.0)
     p.add_argument("--pmin-mw", type=_positive, default=1.0)
     p.add_argument("--pmax-mw", type=_positive, default=85.0)
     p.add_argument("--contrast", type=_positive, default=1.8e-3)
     p.add_argument("--fwhm-mhz", type=_positive, default=13.0)
-    p.add_argument("--dbm-min", type=float, default=0.0)
-    p.add_argument("--dbm-max", type=float, default=30.0)
+    p.add_argument("--dbm-min", type=_finite, default=0.0)
+    p.add_argument("--dbm-max", type=_finite, default=30.0)
     p.add_argument("--laser-mw", type=_positive, default=85.0)
     p.set_defaults(func=cmd_sweep)
 

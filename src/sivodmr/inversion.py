@@ -5,10 +5,13 @@ the angle that minimizes |nu2 - nu1| at fixed field: away from that fold a
 second, mirror-image parameter point generally reproduces the same pair
 exactly.  The inverter therefore refines every candidate basin it can find
 (coarse-grid local minima plus a reflection probe across the local
-gap-minimizing angle), reduces deterministically (lowest residual, ties to
-smaller B0 then smaller theta), and reports honest diagnostics: a local
-Jacobian condition estimate, a secant condition over rival basins, and a
-degenerate flag with the reason that raised it.
+gap-minimizing angle) and reduces them in one pass: duplicates collapse
+to the lowest residual, one floor rule keeps the solutions that reproduce
+the pair, the smallest B0 (then theta) among them is reported and the
+rest are its rivals.  Diagnostics: a local Jacobian condition estimate, a
+secant condition over rival basins, the noise-mapped parameter sigmas of
+the fitting layer's covariance rule, and a degenerate flag with the
+reason that raised it.
 
 The candidates of one inversion are refined as one lock-step stack of the
 shared Gauss-Newton core, and the mirror probes as a second, so each trial
@@ -26,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fitting import _damped_gauss_newton
+from .fitting import _covariance_sigmas, _damped_gauss_newton
 from .spin_model import PhysicalConstants, transition_table
 
 DEFAULT_B_MAX_T = 0.02          # 200 G search cap
@@ -173,6 +176,11 @@ def _refine(starts, t1, t2, consts, b_max_t):
     return list(zip(p[:, 0], p[:, 1], np.sqrt(ssr / 2.0), jac))
 
 
+def _fit_floor(solutions, sigma_hz: float) -> float:
+    """Largest residual that still reproduces the pair (noise, numeric or best-fit floor)."""
+    return max(3.0 * sigma_hz, NUMERIC_FLOOR_HZ, 2.0 * min(s[2] for s in solutions))
+
+
 def _gap_minimizing_theta(b0_t: np.ndarray, theta0: np.ndarray, consts) -> np.ndarray:
     """Angles minimizing |nu2 - nu1| at fixed field, searched near theta0.
 
@@ -238,46 +246,39 @@ def invert_field(
         if len(candidates) >= _MAX_CANDIDATES:
             break
 
+    # the global minimum of the surface is an 8-neighbour local minimum, so
+    # candidates[0] sits at surface.min() and always passes this cut
     starts = [
         (b_nodes[i], th_nodes[j])
         for i, j in candidates
         if surface[i, j] <= max(10 * NO_SOLUTION_RMS_HZ, 20 * surface.min())
     ]
-    if not starts:
-        starts = [(b_nodes[GRID_N_B // 2], th_nodes[GRID_N_THETA // 2])]
     solutions = _refine(starts, t1, t2, consts, b_max_t)
 
     # near the gap fold two basins can sit closer than the coarse grid can
     # separate: probe the mirror image across the local gap-minimizing angle
-    best_rms = min(s[2] for s in solutions)
-    fit_floor = max(3.0 * sigma_hz, NUMERIC_FLOOR_HZ, 2.0 * best_rms)
     if (t2 - t1) <= max(_PROBE_GAP_HZ, 5.0 * sigma_hz):
-        seeds = [s for s in solutions if s[2] <= fit_floor] or solutions[:1]
-        b0 = np.array([s[0] for s in seeds])
-        th0 = np.array([s[1] for s in seeds])
+        floor = _fit_floor(solutions, sigma_hz)
+        seeds = np.array([s[:2] for s in solutions if s[2] <= floor])
+        b0, th0 = seeds[:, 0], seeds[:, 1]
         mirror = 2.0 * _gap_minimizing_theta(b0, th0, consts) - th0
         solutions += _refine(np.column_stack([b0, mirror]), t1, t2, consts, b_max_t)
 
-    # collapse duplicates (same basin reached twice): keep the lowest residual
+    # one reduction: collapse duplicates (same basin reached twice) to the
+    # lowest residual, keep what lies inside the floor (the best always
+    # does), take the smallest B0, then smallest theta; the rest are rivals,
+    # each farther from it than the dedupe tolerance
     solutions.sort(key=lambda s: (s[2], s[0], s[1]))
     distinct = []
     for s in solutions:
-        if any(
+        if not any(
             abs(s[0] - d[0]) <= _DEDUPE_B_T and abs(s[1] - d[1]) <= _DEDUPE_THETA_RAD
             for d in distinct
         ):
-            continue
-        distinct.append(s)
-
-    best_rms = distinct[0][2]
-    fit_floor = max(3.0 * sigma_hz, NUMERIC_FLOOR_HZ, 2.0 * best_rms)
-    compatible = [s for s in distinct if s[2] <= fit_floor]
-    if not compatible:
-        compatible = [distinct[0]]
-    # deterministic reduction: lowest residual with ties (anything inside the
-    # floor) broken to smaller B0, then smaller theta
-    compatible.sort(key=lambda s: (s[0], s[1]))
-    b0, theta, rms, jac = compatible[0]
+            distinct.append(s)
+    floor = _fit_floor(distinct, sigma_hz)
+    compatible = sorted((s for s in distinct if s[2] <= floor), key=lambda s: (s[0], s[1]))
+    (b0, theta, rms, jac), rivals = compatible[0], compatible[1:]
 
     if rms > NO_SOLUTION_RMS_HZ:
         raise NoSolutionError(rms)
@@ -287,11 +288,6 @@ def invert_field(
         condition = _COND_CAP
     else:
         condition = float(min(svals[0] / svals[-1], _COND_CAP))
-    rivals = [
-        s
-        for s in compatible[1:]
-        if abs(s[0] - b0) > _DEDUPE_B_T or abs(s[1] - theta) > _DEDUPE_THETA_RAD
-    ]
     alt = None
     if rivals:
         alt = max(rivals, key=lambda s: (abs(s[0] - b0) / b_max_t) ** 2 + (s[1] - theta) ** 2)
@@ -299,21 +295,12 @@ def invert_field(
         data_dist = max(abs(alt[2] - rms), 1e-12)
         condition = float(min(max(condition, svals[0] * param_dist / data_dist), _COND_CAP))
 
-    sigma_b = sigma_theta = 0.0
-    if sigma_hz > 0:
-        try:
-            cov = np.linalg.inv(jac.T @ jac) * sigma_hz**2
-            sigma_b = math.sqrt(max(cov[0, 0], 0.0))
-            sigma_theta = math.sqrt(max(cov[1, 1], 0.0))
-        except np.linalg.LinAlgError:
-            sigma_b = sigma_theta = math.inf
-
     reason = None
     if (t2 - t1) <= sigma_hz:
         reason = "sigma-overlap"
     elif b0 <= max(RESOLUTION_B_T / 10.0, 2.0 * sigma_hz / consts.gyro_hz_per_t):
         reason = "zero-field"
-    elif rivals and any(
+    elif any(
         abs(s[0] - b0) > RESOLUTION_B_T or abs(s[1] - theta) > RESOLUTION_THETA_RAD
         for s in rivals
     ):
@@ -322,7 +309,12 @@ def invert_field(
         reason = "split-basin"
     elif condition > COND_THRESHOLD:
         reason = "ill-conditioned"
-    elif sigma_b > RESOLUTION_B_T or sigma_theta > RESOLUTION_THETA_RAD:
+    elif sigma_hz > 0 and np.any(
+        # condition <= COND_THRESHOLD here, so no Jacobian column vanishes and
+        # the column-scaled normal matrix is far from singular: cannot raise
+        _covariance_sigmas(jac, sigma_hz, ("b0_t", "theta_rad"))
+        > [RESOLUTION_B_T, RESOLUTION_THETA_RAD]
+    ):
         reason = "unresolved"
 
     return InversionResult(

@@ -1,9 +1,12 @@
 """Spin-3/2 model of the silicon-vacancy (V2) ground state in 4H-SiC.
 
 Builds the electron-spin Hamiltonian for a static field of magnitude B0
-tilted by theta from the defect c-axis, diagonalizes it with LAPACK eigh
-(real symmetric float64 batches on the table path), and extracts the two
-microwave transitions that carry optical contrast in an ODMR experiment.
+tilted by theta from the defect c-axis, diagonalizes it with LAPACK eigh,
+and extracts the two microwave transitions that carry optical contrast in
+an ODMR experiment.  The Hamiltonian is written once, as a real symmetric
+float64 batch; every line comes from one real eigen path (transition_table,
+and transition_pair as its one-row case), and only diagonalize, the
+complex path for any Hermitian input, phases its eigenvectors.
 
 Internal units are strict SI: energies and frequencies in Hz (the
 Hamiltonian is written as H/h), magnetic fields in tesla, angles in
@@ -166,23 +169,21 @@ class TransitionPair:
             raise ValueError("transition strengths must be non-negative")
 
 
-def build_hamiltonian(fv: FieldVector, consts: PhysicalConstants) -> SpinMatrix:
-    """H/h = D*(Sz^2 - S(S+1)/3) + g*muB/h*B0*(Sz cos(theta) + Sx sin(theta))."""
-    zeeman_hz = consts.gyro_hz_per_t * fv.b0_t
-    h = consts.d_hz * _SZ2_TERM + zeeman_hz * (
-        math.cos(fv.theta_rad) * _SZ + math.sin(fv.theta_rad) * _SX
-    )
-    return SpinMatrix(h)
-
-
 def _hamiltonian_batch(
     b0_t: np.ndarray, theta_rad: np.ndarray, consts: PhysicalConstants
 ) -> np.ndarray:
-    """Real symmetric (n, 4, 4) float64 stack of H/h over matched field arrays."""
+    """H/h = D*(Sz^2 - S(S+1)/3) + g*muB/h*B0*(Sz cos(theta) + Sx sin(theta)),
+    a real symmetric (n, 4, 4) float64 stack over matched field arrays."""
     zeeman = (consts.gyro_hz_per_t * b0_t)[:, None, None]
     cos_t = np.cos(theta_rad)[:, None, None]
     sin_t = np.sin(theta_rad)[:, None, None]
     return consts.d_hz * _SZ2_TERM + zeeman * (cos_t * _SZ_REAL + sin_t * _SX_REAL)
+
+
+def build_hamiltonian(fv: FieldVector, consts: PhysicalConstants) -> SpinMatrix:
+    """The one-field Hamiltonian H/h (Hz) as a validated complex SpinMatrix."""
+    h = _hamiltonian_batch(np.array([fv.b0_t]), np.array([fv.theta_rad]), consts)
+    return SpinMatrix(h[0])
 
 
 def diagonalize(h: SpinMatrix | np.ndarray) -> EigenSystem:
@@ -275,8 +276,10 @@ def transition_frequencies(
 def transition_pair(
     fv: FieldVector, consts: PhysicalConstants, drive_axis=(1.0, 0.0, 0.0)
 ) -> TransitionPair:
-    """Full forward path: build the Hamiltonian, diagonalize, select lines."""
-    return transition_frequencies(diagonalize(build_hamiltonian(fv, consts)), drive_axis)
+    """One field's lines from a one-row table eigensolve (frequencies = table row)."""
+    h = _hamiltonian_batch(np.array([fv.b0_t]), np.array([fv.theta_rad]), consts)
+    energies, vectors = np.linalg.eigh(h)
+    return transition_frequencies(EigenSystem(energies[0], vectors[0]), drive_axis)
 
 
 def transition_table(

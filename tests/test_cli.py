@@ -195,11 +195,31 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["invert", "--nu1-mhz", "70", "--nu2-mhz", "nan"],
         ["invert", "--nu1-mhz", "70", "--nu2-mhz", "100", "--sigma-khz", "inf"],
         ["simulate", "--b0-gauss", "nan"],
+        ["simulate", "--b0-gauss", "60", "--theta-deg", "nan"],
+        ["simulate", "--b0-gauss", "60", "--mw-dbm", "inf"],
+        ["sweep", "field", "--theta-deg", "inf"],
+        ["sweep", "mw", "--dbm-min", "nan", "--dbm-max", "10"],
+        ["sweep", "mw", "--dbm-max=-inf"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "odmr", str(tmp_path / "x.csv"), "--peaks", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "angle", "--points", "1"])
+    assert exc.value.code == 2
+    assert "at least 2 points" in capsys.readouterr().err
+    for argv, flag in (
+        (["sweep", "laser", "--pmin-mw", "10", "--pmax-mw", "10"], "pmax"),
+        (["sweep", "mw", "--dbm-min", "20", "--dbm-max", "5"], "dbm-max"),
+    ):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert flag in err
 
 
 def test_io_errors_exit_one(tmp_path, capsys):

@@ -17,6 +17,7 @@ from sivodmr.fitting import (
     FitResult,
     IllConditionedFitError,
     ZfsSeries,
+    _covariance_sigmas,
     _damped_gauss_newton,
     _lorentzian_model,
     _prominent_maxima,
@@ -293,6 +294,18 @@ def test_solve_rows_singular_row_is_nan_others_solo():
     assert np.all(np.isnan(got[2]))
     for i in (0, 1, 3, 4):
         assert got[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
+
+
+def test_covariance_sigmas_names_the_degenerate_pair():
+    jac = np.array([[1.0, 0.0, 2.0], [2.0, 1.0, 4.0], [0.0, 3.0, 0.0], [1.0, -1.0, 2.0]])
+    names = ("a", "b", "c")
+    with pytest.raises(IllConditionedFitError, match="singular") as err:
+        _covariance_sigmas(jac, 1.0, names)  # columns a and c are proportional
+    assert set(err.value.param_pair) == {"a", "c"}
+    jac[:, 1] = 0.0
+    with pytest.raises(IllConditionedFitError, match="vanished") as err:
+        _covariance_sigmas(jac, 1.0, names)
+    assert err.value.param_pair[0] == "b"
 
 
 def test_saturation_noiseless_recovery():

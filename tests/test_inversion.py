@@ -46,6 +46,22 @@ def test_zero_field_pair_degenerate(consts):
     assert res.condition > COND_THRESHOLD or res.b0_t < RESOLUTION_B_T
 
 
+def test_exact_pair_below_resolution_flags_zero_field(consts):
+    res = invert_field(*_forward(0.005, 0.0, consts), consts)
+    assert res.reason == "zero-field"
+    assert res.degenerate
+
+
+def test_noise_beyond_resolution_flags_unresolved(consts):
+    # at 2 G the angle is weakly determined: 30 kHz of line noise maps to
+    # more than RESOLUTION_THETA_RAD, 10 kHz to less
+    pair = _forward(2.0, 30.0, consts)
+    res = invert_field(*pair, consts, sigma_hz=30e3)
+    assert res.reason == "unresolved"
+    assert res.n_compatible == 1
+    assert invert_field(*pair, consts, sigma_hz=10e3).reason is None
+
+
 @pytest.mark.parametrize("theta_deg", [0.0, 30.0, 60.0])
 @pytest.mark.parametrize("b0_gauss", [0.2, 0.3, 0.5, 0.8])
 def test_sub_gauss_fields_reproduce_the_pair(consts, b0_gauss, theta_deg):

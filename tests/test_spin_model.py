@@ -354,13 +354,18 @@ def test_gap_minimum_near_magic_angle(consts):
 
 
 def test_transition_table_matches_single_point_path(consts, rng):
+    # the reference is the complex, phased diagonalize path, independent of
+    # the table's real eigensolve; transition_pair is a one-row table call
     b0 = rng.uniform(0.0, 150 * GAUSS, size=25)
     th = rng.uniform(0.0, math.pi / 2, size=25)
     nu1, nu2 = transition_table(b0, th, consts)
     for k in range(25):
-        p = transition_pair(FieldVector(b0[k], th[k]), consts)
+        fv = FieldVector(b0[k], th[k])
+        p = transition_frequencies(diagonalize(build_hamiltonian(fv, consts)))
         assert nu1[k] == pytest.approx(p.nu1_hz, abs=1e-6)
         assert nu2[k] == pytest.approx(p.nu2_hz, abs=1e-6)
+        pair = transition_pair(fv, consts)
+        assert (pair.nu1_hz, pair.nu2_hz) == (nu1[k], nu2[k])
 
 
 def test_transition_table_input_validation(consts):
