@@ -15,9 +15,9 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .config import load_config
+from .config import GAUSS_PER_T, load_config
 from .fitting import FitResult, fit_lorentzian_multi, fit_saturation
-from .inversion import angle_sweep, axial_invert, invert_field
+from .inversion import axial_invert, invert_field
 from .io import (
     CsvFormatError,
     read_spectrum_csv,
@@ -35,32 +35,32 @@ from .spectrum import photon_rate, synthesize_spectrum
 from .spin_model import FieldVector, transition_table
 from .svgplot import line_plot_svg
 
-GAUSS_PER_T = 1e4
-
 
 class UsageError(Exception):
     """Bad flag combination or range; maps to exit code 2."""
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+def _checked_float(name: str, accept, rule: str):
+    """Float flag parser that takes finite values passing accept.
+
+    The parser carries name as its __name__, which argparse prints for a
+    value that is not a number ("invalid _positive value: 'abc'").
+    """
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
-def _non_negative(text: str) -> float:
-    value = float(text)
-    if not (value >= 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {text}")
-    return value
+_finite = _checked_float("_finite", lambda v: True, "finite")
+_positive = _checked_float("_positive", lambda v: v > 0, "positive and finite")
+_non_negative = _checked_float("_non_negative", lambda v: v >= 0, "non-negative and finite")
+_fraction = _checked_float("_fraction", lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -78,15 +78,11 @@ def _grid_points(text: str) -> int:
 
 
 def cmd_simulate(args, cfg) -> int:
-    overrides = {
-        "fmin_mhz": args.fmin_mhz,
-        "fmax_mhz": args.fmax_mhz,
-        "points": args.points,
-        "laser_mw": args.laser_mw,
-        "mw_dbm": args.mw_dbm,
-        "dwell_ms": args.dwell_ms,
-    }
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    # the grid and acquisition flags are named after the RunConfig keys they override
+    keys = ("fmin_mhz", "fmax_mhz", "points", "laser_mw", "mw_dbm", "dwell_ms")
+    cfg = replace(cfg, **{k: getattr(args, k) for k in keys if getattr(args, k) is not None})
+    if not (cfg.fmax_mhz > cfg.fmin_mhz):
+        raise UsageError("--fmax-mhz must exceed --fmin-mhz")
     acq = cfg.acquisition(seed=args.seed)
     field = FieldVector(
         b0_t=args.b0_gauss / GAUSS_PER_T, theta_rad=math.radians(args.theta_deg)
@@ -190,81 +186,56 @@ def cmd_invert(args, cfg) -> int:
 # ------------------------------------------------------------------- sweep
 
 
-def _sweep_svg(args, x, series, xlabel, ylabel) -> None:
-    if args.svg:
-        write_text(args.svg, line_plot_svg(x, series, xlabel=xlabel, ylabel=ylabel))
-
-
 _DEFAULT_POINTS = {"field": 121, "angle": 91, "laser": 85, "mw": 301}
 
 
 def cmd_sweep(args, cfg) -> int:
+    """One table per kind: an x column, the kind's columns, then CSV and SVG."""
     consts = cfg.consts()
     points = _DEFAULT_POINTS[args.kind] if args.points is None else args.points
     if args.kind == "field":
         if not (args.bmax_gauss > args.bmin_gauss):
             raise UsageError("--bmax-gauss must exceed --bmin-gauss")
-        b_gauss = np.linspace(args.bmin_gauss, args.bmax_gauss, points)
-        theta = math.radians(args.theta_deg)
-        nu1, nu2 = transition_table(b_gauss / GAUSS_PER_T, np.full_like(b_gauss, theta), consts)
-        write_sweep_csv(
-            args.out,
-            ["b0_gauss", "nu1_hz", "nu2_hz"],
-            [b_gauss, nu1, nu2],
-            {"kind": "field", "theta_deg": args.theta_deg},
-        )
-        _sweep_svg(
-            args, b_gauss, [("nu1 (MHz)", nu1 / 1e6), ("nu2 (MHz)", nu2 / 1e6)],
-            "B0 (G)", "frequency (MHz)",
-        )
+        x = np.linspace(args.bmin_gauss, args.bmax_gauss, points)
+        b0_t, theta_rad = x / GAUSS_PER_T, np.full_like(x, math.radians(args.theta_deg))
+        x_name, xlabel = "b0_gauss", "B0 (G)"
+        meta = {"kind": "field", "theta_deg": args.theta_deg}
     elif args.kind == "angle":
-        theta_deg = np.linspace(0.0, 90.0, points)
-        _th, nu1, nu2 = angle_sweep(
-            args.b0_gauss / GAUSS_PER_T, np.radians(theta_deg), consts
-        )
-        write_sweep_csv(
-            args.out,
-            ["theta_deg", "nu1_hz", "nu2_hz"],
-            [theta_deg, nu1, nu2],
-            {"kind": "angle", "b0_gauss": args.b0_gauss},
-        )
-        _sweep_svg(
-            args, theta_deg, [("nu1 (MHz)", nu1 / 1e6), ("nu2 (MHz)", nu2 / 1e6)],
-            "theta (deg)", "frequency (MHz)",
-        )
+        x = np.linspace(0.0, 90.0, points)
+        b0_t, theta_rad = np.full_like(x, args.b0_gauss / GAUSS_PER_T), np.radians(x)
+        x_name, xlabel = "theta_deg", "theta (deg)"
+        meta = {"kind": "angle", "b0_gauss": args.b0_gauss}
     elif args.kind == "laser":
         if not (args.pmax_mw > args.pmin_mw):
             raise UsageError("--pmax-mw must exceed --pmin-mw")
-        powers = np.linspace(args.pmin_mw, args.pmax_mw, points)
+        x = np.linspace(args.pmin_mw, args.pmax_mw, points)
         sweep = laser_sweep_sensitivity(
-            powers, args.contrast, args.fwhm_mhz * 1e6, cfg.saturation(), consts
+            x, args.contrast, args.fwhm_mhz * 1e6, cfg.saturation(), consts
         )
-        write_sweep_csv(
-            args.out,
-            ["laser_mw", "rate_cps", "eta_t_per_sqrt_hz"],
-            [sweep.powers_mw, sweep.rate_cps, sweep.eta_t_per_sqrt_hz],
-            {"kind": "laser", "contrast": args.contrast, "fwhm_mhz": args.fwhm_mhz},
-        )
-        _sweep_svg(
-            args, powers, [("eta (uT/sqrt(Hz))", sweep.eta_t_per_sqrt_hz * 1e6)],
-            "laser power (mW)", "sensitivity (uT/sqrt(Hz))",
-        )
+        x_name, xlabel = "laser_mw", "laser power (mW)"
+        names, columns = ["rate_cps"], [sweep.rate_cps]
+        meta = {"kind": "laser", "contrast": args.contrast, "fwhm_mhz": args.fwhm_mhz}
     else:
         if not (args.dbm_max > args.dbm_min):
             raise UsageError("--dbm-max must exceed --dbm-min")
-        dbm = np.linspace(args.dbm_min, args.dbm_max, points)
+        x = np.linspace(args.dbm_min, args.dbm_max, points)
         rate = photon_rate(args.laser_mw, cfg.saturation())
-        sweep = mw_sweep_sensitivity(dbm, cfg.mw(), rate, consts)
-        write_sweep_csv(
-            args.out,
-            ["mw_dbm", "contrast", "fwhm_hz", "eta_t_per_sqrt_hz"],
-            [sweep.mw_dbm, sweep.contrast, sweep.fwhm_hz, sweep.eta_t_per_sqrt_hz],
-            {"kind": "mw", "laser_mw": args.laser_mw, "optimum_dbm": sweep.optimum_dbm},
-        )
-        _sweep_svg(
-            args, dbm, [("eta (uT/sqrt(Hz))", sweep.eta_t_per_sqrt_hz * 1e6)],
-            "MW power (dBm)", "sensitivity (uT/sqrt(Hz))",
-        )
+        sweep = mw_sweep_sensitivity(x, cfg.mw(), rate, consts)
+        x_name, xlabel = "mw_dbm", "MW power (dBm)"
+        names, columns = ["contrast", "fwhm_hz"], [sweep.contrast, sweep.fwhm_hz]
+        meta = {"kind": "mw", "laser_mw": args.laser_mw, "optimum_dbm": sweep.optimum_dbm}
+    if args.kind in ("field", "angle"):
+        nu1, nu2 = transition_table(b0_t, theta_rad, consts)
+        names, columns = ["nu1_hz", "nu2_hz"], [nu1, nu2]
+        series = [("nu1 (MHz)", nu1 / 1e6), ("nu2 (MHz)", nu2 / 1e6)]
+        ylabel = "frequency (MHz)"
+    else:
+        names, columns = names + ["eta_t_per_sqrt_hz"], columns + [sweep.eta_t_per_sqrt_hz]
+        series = [("eta (uT/sqrt(Hz))", sweep.eta_t_per_sqrt_hz * 1e6)]
+        ylabel = "sensitivity (uT/sqrt(Hz))"
+    write_sweep_csv(args.out, [x_name, *names], [x, *columns], meta)
+    if args.svg:
+        write_text(args.svg, line_plot_svg(x, series, xlabel=xlabel, ylabel=ylabel))
     return 0
 
 
@@ -343,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b0-gauss", type=_positive, default=60.0)
     p.add_argument("--pmin-mw", type=_positive, default=1.0)
     p.add_argument("--pmax-mw", type=_positive, default=85.0)
-    p.add_argument("--contrast", type=_positive, default=1.8e-3)
+    p.add_argument("--contrast", type=_fraction, default=1.8e-3)
     p.add_argument("--fwhm-mhz", type=_positive, default=13.0)
     p.add_argument("--dbm-min", type=_finite, default=0.0)
     p.add_argument("--dbm-max", type=_finite, default=30.0)
@@ -351,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sensitivity", help="shot-noise sensitivity budget as JSON")
-    p.add_argument("--contrast", type=_positive, required=True)
+    p.add_argument("--contrast", type=_fraction, required=True)
     p.add_argument("--fwhm-mhz", type=_positive, required=True)
     p.add_argument("--rate-cps", type=_positive, default=None)
     p.add_argument("--laser-mw", type=_positive, default=85.0,
@@ -371,10 +342,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError) as err:
+    except (OSError, ValueError, RuntimeError, ArithmeticError) as err:
         # ValueError covers ConfigError, CsvFormatError and numpy's
         # LinAlgError; RuntimeError covers NoSolutionError, AxialModelError,
-        # IllConditionedFitError and any other numerical failure
+        # IllConditionedFitError and any other numerical failure;
+        # ArithmeticError covers an overflow such as 10 ** 400 in mw_response
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -5,15 +5,27 @@ environment variable, then an explicit --config path.  Unknown keys are
 rejected rather than ignored so typos fail loudly.
 """
 
-from __future__ import annotations
-
 import os
 from dataclasses import dataclass, fields, replace
 
-from .spectrum import AcquisitionConfig, MwResponseParams, SaturationParams
-from .spin_model import PhysicalConstants
+from .inversion import DEFAULT_B_MAX_T
+from .spectrum import (
+    DEFAULT_C_MAX,
+    DEFAULT_DWELL_S,
+    DEFAULT_FWHM0_HZ,
+    DEFAULT_I_S_CPS,
+    DEFAULT_LASER_MW,
+    DEFAULT_MW_DBM,
+    DEFAULT_P0_MW,
+    DEFAULT_P_SAT_DBM,
+    AcquisitionConfig,
+    MwResponseParams,
+    SaturationParams,
+)
+from .spin_model import DEFAULT_D_HZ, DEFAULT_G_FACTOR, PhysicalConstants
 
 ENV_VAR = "ODMR_CONFIG"
+GAUSS_PER_T = 1e4
 
 
 class ConfigError(ValueError):
@@ -22,22 +34,26 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """CLI-facing defaults in bench units (MHz, gauss, mW, dBm, ms)."""
+    """CLI-facing defaults in bench units (MHz, gauss, mW, dBm, ms).
 
-    d_mhz: float = 35.0
-    g_factor: float = 2.0023
-    i_s_mcps: float = 935.0
-    p0_mw: float = 300.0
-    c_max: float = 2.7e-3
-    fwhm0_mhz: float = 7.5
-    p_sat_dbm: float = 16.0
-    laser_mw: float = 60.0
-    mw_dbm: float = 18.0
+    The physical and acquisition defaults are the library's own, converted
+    to bench units; only the frequency grid is the CLI's.
+    """
+
+    d_mhz: float = DEFAULT_D_HZ / 1e6
+    g_factor: float = DEFAULT_G_FACTOR
+    i_s_mcps: float = DEFAULT_I_S_CPS / 1e6
+    p0_mw: float = DEFAULT_P0_MW
+    c_max: float = DEFAULT_C_MAX
+    fwhm0_mhz: float = DEFAULT_FWHM0_HZ / 1e6
+    p_sat_dbm: float = DEFAULT_P_SAT_DBM
+    laser_mw: float = DEFAULT_LASER_MW
+    mw_dbm: float = DEFAULT_MW_DBM
     fmin_mhz: float = 50.0
     fmax_mhz: float = 280.0
     points: int = 461
-    dwell_ms: float = 10.0
-    b_max_gauss: float = 200.0
+    dwell_ms: float = DEFAULT_DWELL_S * 1e3
+    b_max_gauss: float = DEFAULT_B_MAX_T * GAUSS_PER_T
 
     def consts(self) -> PhysicalConstants:
         return PhysicalConstants(d_hz=self.d_mhz * 1e6, g_factor=self.g_factor)
@@ -62,6 +78,7 @@ class RunConfig:
         )
 
 
+# the field types are classes (float, int) because annotations here are not postponed
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -79,7 +96,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = int(val) if key == "points" else float(val)
+            values[key] = _FIELD_TYPES[key](val)
         except ValueError as err:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {val!r}") from err
     return values

@@ -315,17 +315,19 @@ def _prominent_maxima(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         k = min(total, 8 * k)
 
 
-def _seed_lorentzian(freq: np.ndarray, signal: np.ndarray, n_peaks: int) -> np.ndarray:
+def _seed_lorentzian(
+    freq: np.ndarray, signal: np.ndarray, n_peaks: int, baseline: float
+) -> np.ndarray:
     """Initial guess: smooth, then take the largest-prominence maxima.
 
     Moving-average window of 5 points; missing peaks (merged or absent
     lines) fall back to evenly spaced positions across the grid.  The
     smoothed trace is bracketed by baseline-level samples so a line whose
     crest sits near the window edge keeps its full prominence instead of
-    being measured against its own truncated shoulder.
+    being measured against its own truncated shoulder.  baseline is the
+    median of signal, which the caller computes once for both uses.
     """
     smoothed = np.convolve(np.pad(signal, 2, mode="edge"), np.full(5, 0.2), mode="valid")
-    baseline = float(np.median(signal))
     span = freq[-1] - freq[0]
     bracketed = np.concatenate(([baseline], smoothed, [baseline]))
     idx = _prominent_maxima(bracketed, n_peaks)[0] - 1
@@ -366,8 +368,9 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
     names = ["baseline"]
     for k in range(n_peaks):
         names += [f"center{k + 1}_hz", f"fwhm{k + 1}_hz", f"amp{k + 1}"]
+    baseline = float(np.median(signal))
     if init is None:
-        p0 = _seed_lorentzian(freq, signal, n_peaks)
+        p0 = _seed_lorentzian(freq, signal, n_peaks, baseline)
     else:
         p0 = np.array(init, dtype=float)
         if p0.shape != (1 + 3 * n_peaks,):
@@ -376,7 +379,7 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
             raise ValueError("initial widths must be positive")
 
     span = float(freq[-1] - freq[0])
-    sig_scale = max(float(np.max(np.abs(signal - np.median(signal)))), 1e-12)
+    sig_scale = max(float(np.max(np.abs(signal - baseline))), 1e-12)
     scales = np.array([sig_scale] + [span, span, sig_scale] * n_peaks)
     width_slots = [2 + 3 * k for k in range(n_peaks)]
 

@@ -26,6 +26,9 @@ DEFAULT_P0_MW = 300.0       # laser saturation power (mW)
 DEFAULT_C_MAX = 2.7e-3      # asymptotic ODMR contrast
 DEFAULT_FWHM0_HZ = 7.5e6    # unbroadened linewidth (Hz)
 DEFAULT_P_SAT_DBM = 16.0    # MW saturation power (dBm)
+DEFAULT_LASER_MW = 60.0     # acquisition laser power (mW)
+DEFAULT_MW_DBM = 18.0       # acquisition MW power (dBm)
+DEFAULT_DWELL_S = 10e-3     # dwell per frequency point (s)
 
 
 @dataclass(frozen=True)
@@ -90,9 +93,9 @@ class AcquisitionConfig:
     f_start_hz: float
     f_stop_hz: float
     n_points: int
-    dwell_s: float = 10e-3
-    laser_mw: float = 60.0
-    mw_dbm: float = 18.0
+    dwell_s: float = DEFAULT_DWELL_S
+    laser_mw: float = DEFAULT_LASER_MW
+    mw_dbm: float = DEFAULT_MW_DBM
     seed: int | None = None
 
     def __post_init__(self) -> None:

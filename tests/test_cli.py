@@ -11,7 +11,12 @@ import pytest
 
 import sivodmr
 from sivodmr.cli import main
+from sivodmr.config import GAUSS_PER_T, RunConfig
+from sivodmr.inversion import DEFAULT_B_MAX_T
 from sivodmr.io import CsvFormatError, read_spectrum_csv, read_sweep_csv, write_sweep_csv
+from sivodmr.spectrum import AcquisitionConfig, MwResponseParams, SaturationParams
+from sivodmr.spin_model import PhysicalConstants
+from sivodmr.svgplot import line_plot_svg
 
 
 def run(capsys, *argv):
@@ -60,16 +65,38 @@ def test_simulate_zero_field_single_dip_at_2d(tmp_path, capsys):
     spec, _ = read_spectrum_csv(str(out))
     assert spec.freq_hz[np.argmax(spec.signal)] == pytest.approx(70e6, abs=0.5e6)
 
+    # the 238 MHz line of 60 G lies above a 150 MHz grid: still a spectrum
+    code, _, err = run(
+        capsys, "simulate", "--b0-gauss", "60", "--fmax-mhz", "150", "--out", str(out)
+    )
+    assert code == 0
+    assert "warning: a resonance lies outside the frequency grid" in err
+
 
 def test_simulate_svg_output(tmp_path, capsys):
     out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
-    code, _, _ = run(
-        capsys, "simulate", "--b0-gauss", "60", "--out", str(out), "--svg", str(svg)
-    )
-    assert code == 0
-    text = svg.read_text()
-    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
-    assert "polyline" in text
+    # simulate and every sweep kind: one polyline per series, the kind's x label
+    for argv, lines, xlabel in (
+        (["simulate", "--b0-gauss", "60"], 1, "frequency (MHz)"),
+        (["sweep", "field"], 2, "B0 (G)"),
+        (["sweep", "angle"], 2, "theta (deg)"),
+        (["sweep", "laser"], 1, "laser power (mW)"),
+        (["sweep", "mw"], 1, "MW power (dBm)"),
+    ):
+        svg.unlink(missing_ok=True)
+        code, _, _ = run(capsys, *argv, "--out", str(out), "--svg", str(svg))
+        assert code == 0
+        text = svg.read_text()
+        assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+        assert text.count("<polyline") == lines
+        assert f">{xlabel}</text>" in text
+
+
+def test_line_plot_svg_rejects_empty_and_centres_flat():
+    with pytest.raises(ValueError, match="at least one series"):
+        line_plot_svg([0.0, 1.0], [], xlabel="x", ylabel="y")
+    text = line_plot_svg([0.0, 1.0, 2.0], [("flat", [3.0, 3.0, 3.0])], xlabel="x", ylabel="y")
+    assert 'points="64.00,201.00 344.00,201.00 624.00,201.00"' in text
 
 
 def test_fit_odmr_roundtrip_noiseless(tmp_path, capsys):
@@ -102,6 +129,11 @@ def test_fit_saturation_flat_data_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "saturation", str(table))
     assert code == 1
     assert "i_s_cps" in err and "p0_mw" in err
+
+    write_sweep_csv(str(table), ["laser_mw"], [np.linspace(1, 80, 12)])
+    code, _, err = run(capsys, "fit", "saturation", str(table))
+    assert code == 1
+    assert "need power and count columns" in err
 
 
 def test_invert_cli_full_and_axial(capsys):
@@ -179,6 +211,16 @@ def test_sensitivity_json(capsys):
     assert payload["eta_ut_per_sqrt_hz_display"] == pytest.approx(13.811, abs=0.01)
     assert payload["rate_cps"] == pytest.approx(206428571.43, rel=1e-8)
 
+    # a given rate replaces the laser-power rate; eta scales as 1/sqrt(rate)
+    payload, _ = run_json(
+        capsys, "sensitivity", "--contrast", "1.8e-3", "--fwhm-mhz", "13",
+        "--rate-cps", "1e8",
+    )
+    assert payload["rate_cps"] == 1e8
+    assert payload["eta_t_per_sqrt_hz"] == pytest.approx(
+        1.3811346e-5 * math.sqrt(206428571.43 / 1e8), rel=1e-6
+    )
+
 
 def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -205,6 +247,28 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
+    # ODMR contrast is a fraction: 2 (meant as 2 permille) and 1 are usage errors
+    for argv in (
+        ["sensitivity", "--contrast", "2", "--fwhm-mhz", "13"],
+        ["sensitivity", "--contrast", "0", "--fwhm-mhz", "13"],
+        ["sweep", "laser", "--contrast", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--contrast: must be in (0, 1)" in capsys.readouterr().err
+    # argparse names the flag's parser for a value that is not a number
+    for argv, parser_name in (
+        (["simulate", "--b0-gauss", "abc"], "_non_negative"),
+        (["simulate", "--b0-gauss", "60", "--theta-deg", "abc"], "_finite"),
+        (["invert", "--nu1-mhz", "abc", "--nu2-mhz", "100"], "_positive"),
+        (["sensitivity", "--contrast", "abc", "--fwhm-mhz", "13"], "_fraction"),
+        (["sweep", "field", "--points", "abc"], "_grid_points"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"invalid {parser_name} value: 'abc'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["fit", "odmr", str(tmp_path / "x.csv"), "--peaks", "3"])
     assert exc.value.code == 2
@@ -216,6 +280,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for argv, flag in (
         (["sweep", "laser", "--pmin-mw", "10", "--pmax-mw", "10"], "pmax"),
         (["sweep", "mw", "--dbm-min", "20", "--dbm-max", "5"], "dbm-max"),
+        (["simulate", "--b0-gauss", "60", "--fmin-mhz", "200", "--fmax-mhz", "100"], "fmax"),
+        (["simulate", "--b0-gauss", "60", "--fmin-mhz", "300"], "fmax"),  # default 280
     ):
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
         assert code == 2
@@ -242,6 +308,19 @@ def test_malformed_sweep_csv_names_the_line(tmp_path):
         bad.write_text("# sweep-csv v1\n# kind=laser\nlaser_mw,rate_cps\n" + rows)
         with pytest.raises(CsvFormatError, match=f"bad.csv:5: {detail}"):
             read_sweep_csv(str(bad))
+    for text, read, detail in (
+        ("laser_mw,rate_cps\n1.0,2.0\n", read_sweep_csv, "bad.csv:1: expected magic line"),
+        ("# sweep-csv v1\n# kind=laser\n", read_sweep_csv, "bad.csv:3: missing header row"),
+        ("# odmr-csv v1\nfreq,signal\n1.0,0.0\n2.0,0.0\n", read_spectrum_csv,
+         "bad.csv:2: expected header 'frequency_hz,signal'"),
+        ("# odmr-csv v1\nfrequency_hz,signal\n1.0,0.0\n", read_spectrum_csv,
+         "bad.csv: need at least 2 data rows, got 1"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(CsvFormatError, match=detail):
+            read(str(bad))
+    with pytest.raises(ValueError, match="one equally sized column per header entry"):
+        write_sweep_csv(str(bad), ["a", "b"], [np.zeros(3), np.zeros(4)])
 
 
 @pytest.mark.parametrize(
@@ -258,9 +337,28 @@ def test_numerical_failure_exits_one(capsys, monkeypatch, exc):
     assert err.startswith("error: ") and str(exc) in err
 
 
+def test_numerical_overflow_exits_one(capsys):
+    # 10 ** ((4000 - 16) / 10) overflows a float inside mw_response
+    code, out, err = run(capsys, "simulate", "--b0-gauss", "60", "--mw-dbm", "4000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    cfg = RunConfig()
+    assert cfg.consts() == PhysicalConstants()
+    assert cfg.saturation() == SaturationParams()
+    assert cfg.mw() == MwResponseParams()
+    assert cfg.acquisition() == AcquisitionConfig(
+        cfg.fmin_mhz * 1e6, cfg.fmax_mhz * 1e6, cfg.points
+    )
+    assert cfg.b_max_gauss / GAUSS_PER_T == DEFAULT_B_MAX_T
+
+
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     env_cfg = tmp_path / "env.cfg"
-    env_cfg.write_text("d_mhz = 36.6\n")
+    env_cfg.write_text("# a comment-only line and a blank line are skipped\n\nd_mhz = 36.6\n")
     flag_cfg = tmp_path / "flag.cfg"
     flag_cfg.write_text("d_mhz = 30.0  # overrides the env file\n")
     out = tmp_path / "f.csv"
@@ -284,13 +382,19 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus_key = 1\n")
-    code, _, err = run(
-        capsys, "--config", str(cfg), "sensitivity", "--contrast", "1e-3",
-        "--fwhm-mhz", "13",
-    )
-    assert code == 1
-    assert "bogus_key" in err
+    for text, detail in (
+        ("bogus_key = 1\n", "bad.cfg:1: unknown key 'bogus_key'"),
+        ("\nd_mhz 35\n", "bad.cfg:2: expected 'key = value'"),
+        ("d_mhz = abc\n", "bad.cfg:1: bad value for d_mhz: 'abc'"),
+        ("points = 4.5\n", "bad.cfg:1: bad value for points: '4.5'"),  # points is an int
+    ):
+        cfg.write_text(text)
+        code, _, err = run(
+            capsys, "--config", str(cfg), "sensitivity", "--contrast", "1e-3",
+            "--fwhm-mhz", "13",
+        )
+        assert code == 1
+        assert detail in err
 
 
 def test_help_available_everywhere(capsys):

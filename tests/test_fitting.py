@@ -347,6 +347,8 @@ def test_saturation_input_validation():
         fit_saturation([1.0, -2.0, 3.0], [1e8, 2e8, 3e8])
     with pytest.raises(ValueError):
         fit_saturation([1.0, 2.0], [1e8, 2e8])
+    with pytest.raises(ValueError, match="matching"):
+        fit_saturation([1.0, 2.0, 3.0], [1e8, 2e8])
 
 
 def test_zfs_series_flat(consts):

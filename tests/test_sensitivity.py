@@ -168,6 +168,10 @@ def test_sweeps_keep_scalar_validation(consts):
     for bad in ([10.0, -math.inf], [10.0, math.nan]):  # zero and undefined contrast
         with pytest.raises(ValueError):
             mw_sweep_sensitivity(bad, MwResponseParams(), 2.064e8, consts)
+    with pytest.raises(ValueError, match="rate_cps"):
+        mw_sweep_sensitivity([10.0, 20.0], MwResponseParams(), 0.0, consts)
+    with pytest.raises(ValueError, match="empty"):
+        mw_sweep_sensitivity([], MwResponseParams(), 2.064e8, consts)
     with pytest.raises(ValueError):
         photon_rate(np.array([1.0, 0.0]), sat)
 

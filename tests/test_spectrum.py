@@ -59,6 +59,8 @@ def test_lorentzian_vectorized_and_validated():
         LorentzianPeak(1.0e8, 0.0, 1e-3)
     with pytest.raises(ValueError):
         LorentzianPeak(1.0e8, 1e6, math.inf)
+    with pytest.raises(ValueError, match="center_hz"):
+        LorentzianPeak(math.nan, 1e6, 1e-3)
 
 
 def test_photon_rate_anchors():
@@ -125,6 +127,8 @@ def test_mw_response_params_validation():
         MwResponseParams(c_max=1.5)
     with pytest.raises(ValueError):
         MwResponseParams(fwhm0_hz=-1.0)
+    with pytest.raises(ValueError, match="p_sat_dbm"):
+        MwResponseParams(p_sat_dbm=math.nan)
 
 
 def test_acquisition_config_validation():
@@ -136,6 +140,8 @@ def test_acquisition_config_validation():
         AcquisitionConfig(1e8, 2e8, 100, dwell_s=0.0)
     with pytest.raises(ValueError):
         AcquisitionConfig(1e8, 2e8, 100, laser_mw=0.0)
+    with pytest.raises(ValueError, match="mw_dbm"):
+        AcquisitionConfig(1e8, 2e8, 100, mw_dbm=math.inf)
 
 
 def test_odmr_spectrum_validation():

@@ -121,6 +121,8 @@ def test_field_vector_canonicalizes_theta():
         FieldVector(-1e-3, 0.0)
     with pytest.raises(ValueError):
         FieldVector(math.inf, 0.0)
+    with pytest.raises(ValueError, match="theta_rad must be finite"):
+        FieldVector(1e-3, math.nan)
 
 
 @given(theta=st.floats(-12.0, 12.0, allow_nan=False))
@@ -164,11 +166,15 @@ def test_spin_matrix_rejects_non_hermitian():
 def test_spin_matrix_rejects_trace():
     with pytest.raises(ValueError, match="traceless"):
         SpinMatrix(np.eye(4, dtype=complex) * 1e6)
+    with pytest.raises(ValueError, match="4x4"):
+        SpinMatrix(np.zeros((3, 3)))
 
 
 def test_eigensystem_rejects_descending_energies():
     with pytest.raises(ValueError, match="ascending"):
         EigenSystem(np.array([1.0, 0.0, 2.0, 3.0]), np.eye(4, dtype=complex))
+    with pytest.raises(ValueError, match="4 energies"):
+        EigenSystem(np.arange(3.0), np.eye(3))
 
 
 def test_transition_pair_validation():
