@@ -2,7 +2,7 @@
 
 Flags use bench units (MHz, gauss, degrees, mW, dBm); file and JSON
 payloads are SI with `_display` companions in bench units.  Exit codes:
-0 success, 1 I/O or data error, 2 usage error.
+0 success, 2 usage error, 1 any other failure (one `error:` line).
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from .io import (
     write_sweep_csv,
     write_text,
 )
-from .sensitivity import (
-    laser_sweep_sensitivity,
-    mw_sweep_sensitivity,
-    sensitivity_budget,
-)
+from .sensitivity import SensitivityBudget, laser_sweep_sensitivity, mw_sweep_sensitivity
 from .spectrum import photon_rate, synthesize_spectrum
 from .spin_model import FieldVector, transition_table
 from .svgplot import line_plot_svg
@@ -247,7 +243,7 @@ def cmd_sensitivity(args, cfg) -> int:
         rate = args.rate_cps
     else:
         rate = photon_rate(args.laser_mw, cfg.saturation())
-    budget = sensitivity_budget(args.contrast, args.fwhm_mhz * 1e6, rate, cfg.consts())
+    budget = SensitivityBudget(args.contrast, args.fwhm_mhz * 1e6, rate, cfg.consts())
     payload = {
         "contrast": budget.contrast,
         "fwhm_hz": budget.fwhm_hz,
@@ -342,11 +338,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError, ArithmeticError) as err:
-        # ValueError covers ConfigError, CsvFormatError and numpy's
-        # LinAlgError; RuntimeError covers NoSolutionError, AxialModelError,
-        # IllConditionedFitError and any other numerical failure;
-        # ArithmeticError covers an overflow such as 10 ** 400 in mw_response
+    except Exception as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -8,12 +8,17 @@ laser power use the photo-emission saturation curve (contrast and width
 held fixed), and sweeps against microwave power use the two-level
 saturation response, whose figure of merit (1+s)^{3/2}/s is minimized at
 s = 2, i.e. 3 dB above the saturation power.
+
+Each input is checked once: estimate_sensitivity requires contrast,
+linewidth and rate to be positive and finite, and photon_rate checks the
+laser power.  SensitivityBudget derives its eta from estimate_sensitivity
+at construction rather than taking it as an argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +26,6 @@ from .spectrum import MwResponseParams, SaturationParams, mw_response, photon_ra
 from .spin_model import PhysicalConstants
 
 SLOPE_PREFACTOR = 0.77          # 4/(3 sqrt 3), Lorentzian max-slope readout factor
-_SELF_CONSISTENCY_RTOL = 1e-12
 
 
 def estimate_sensitivity(
@@ -31,8 +35,9 @@ def estimate_sensitivity(
     consts: PhysicalConstants = PhysicalConstants(),
 ):
     """Shot-noise-limited DC sensitivity in T/sqrt(Hz), elementwise on arrays."""
-    if not np.all((contrast > 0) & (fwhm_hz > 0) & (rate_cps > 0)):
-        raise ValueError("contrast, fwhm_hz and rate_cps must all be positive")
+    for name, value in (("contrast", contrast), ("fwhm_hz", fwhm_hz), ("rate_cps", rate_cps)):
+        if not np.all((value > 0) & np.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite")
     return (
         SLOPE_PREFACTOR
         / consts.gyro_hz_per_t
@@ -43,37 +48,17 @@ def estimate_sensitivity(
 
 @dataclass(frozen=True)
 class SensitivityBudget:
-    """The (C, linewidth, photon rate) triple with its sensitivity."""
+    """The (C, linewidth, photon rate) triple with its derived sensitivity."""
 
     contrast: float
     fwhm_hz: float
     rate_cps: float
-    eta_t_per_sqrt_hz: float
+    eta_t_per_sqrt_hz: float = field(init=False)
     consts: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self) -> None:
-        if not (
-            self.contrast > 0
-            and self.fwhm_hz > 0
-            and self.rate_cps > 0
-            and self.eta_t_per_sqrt_hz > 0
-        ):
-            raise ValueError("all budget entries must be positive")
-        expected = estimate_sensitivity(
-            self.contrast, self.fwhm_hz, self.rate_cps, self.consts
-        )
-        if abs(self.eta_t_per_sqrt_hz - expected) > _SELF_CONSISTENCY_RTOL * expected:
-            raise ValueError("eta_t_per_sqrt_hz inconsistent with (C, fwhm, rate)")
-
-
-def sensitivity_budget(
-    contrast: float,
-    fwhm_hz: float,
-    rate_cps: float,
-    consts: PhysicalConstants = PhysicalConstants(),
-) -> SensitivityBudget:
-    eta = estimate_sensitivity(contrast, fwhm_hz, rate_cps, consts)
-    return SensitivityBudget(contrast, fwhm_hz, rate_cps, eta, consts)
+        eta = estimate_sensitivity(self.contrast, self.fwhm_hz, self.rate_cps, self.consts)
+        object.__setattr__(self, "eta_t_per_sqrt_hz", eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +79,8 @@ def laser_sweep_sensitivity(
 ) -> LaserSweep:
     """eta(P) table: the photon rate saturates, so eta falls monotonically."""
     powers = np.asarray(powers_mw, dtype=float).ravel()
-    if powers.size == 0 or np.any(powers <= 0):
-        raise ValueError("laser powers must be positive")
+    if powers.size == 0:
+        raise ValueError("laser power list must not be empty")
     rates = photon_rate(powers, sat)
     return LaserSweep(powers, rates, estimate_sensitivity(contrast, fwhm_hz, rates, consts))
 
@@ -118,8 +103,6 @@ def mw_sweep_sensitivity(
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> MwSweep:
     """eta(P_mw) table plus its argmin over the supplied grid."""
-    if not (rate_cps > 0):
-        raise ValueError("rate_cps must be positive")
     dbm = np.asarray(mw_dbm_list, dtype=float).ravel()
     if dbm.size == 0:
         raise ValueError("mw power list must not be empty")
@@ -144,6 +127,6 @@ def project_saturation(
 
     eta scales as 1/sqrt(rate), so eta_sat = eta(P) * sqrt(I(P)/I_s).
     """
-    if not (eta_at_p > 0 and p_mw > 0):
-        raise ValueError("eta_at_p and p_mw must be positive")
+    if not (eta_at_p > 0):
+        raise ValueError("eta_at_p must be positive")
     return eta_at_p * math.sqrt(photon_rate(p_mw, sat) / sat.i_s_cps)

@@ -171,9 +171,18 @@ def mw_response(mw_dbm, params: MwResponseParams = MwResponseParams()):
     """(contrast, fwhm_hz) at the given microwave power, elementwise on arrays.
 
     Two-level saturation: contrast saturates as s/(1+s) while the line
-    power-broadens as sqrt(1+s); both grow monotonically with drive.
+    power-broadens as sqrt(1+s); both grow monotonically with drive.  A
+    power whose s overflows a float raises ValueError naming mw_dbm.
     """
-    s = 10.0 ** ((mw_dbm - params.p_sat_dbm) / 10.0)
+    try:
+        with np.errstate(over="raise"):
+            s = 10.0 ** ((mw_dbm - params.p_sat_dbm) / 10.0)
+    except (OverflowError, FloatingPointError):
+        # OverflowError from a Python float, FloatingPointError from numpy
+        raise ValueError(
+            f"mw_dbm too large: drive saturation 10^((mw_dbm - {params.p_sat_dbm:g})/10) "
+            f"overflows at {np.max(mw_dbm):g} dBm"
+        ) from None
     contrast = params.c_max * s / (1.0 + s)
     fwhm_hz = params.fwhm0_hz * np.sqrt(1.0 + s)
     return contrast, fwhm_hz

@@ -58,27 +58,20 @@ def spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class PhysicalConstants:
     """Fixed parameters of the spin model.
 
-    gyro_hz_per_t is derived as g_factor * MU_B_OVER_H when omitted; a
-    caller-supplied value must agree with that product.
+    gyro_hz_per_t = g_factor * MU_B_OVER_H is derived at construction and
+    is not an argument, so dataclasses.replace on g_factor carries it along.
     """
 
     d_hz: float = DEFAULT_D_HZ
     g_factor: float = DEFAULT_G_FACTOR
-    gyro_hz_per_t: float = field(default=0.0)
+    gyro_hz_per_t: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.d_hz > 0 and math.isfinite(self.d_hz)):
             raise ValueError(f"d_hz must be positive and finite, got {self.d_hz}")
         if not (self.g_factor > 0 and math.isfinite(self.g_factor)):
             raise ValueError(f"g_factor must be positive and finite, got {self.g_factor}")
-        derived = self.g_factor * MU_B_OVER_H
-        if self.gyro_hz_per_t == 0.0:
-            object.__setattr__(self, "gyro_hz_per_t", derived)
-        elif abs(self.gyro_hz_per_t - derived) > 1e-12 * derived:
-            raise ValueError(
-                "gyro_hz_per_t inconsistent with g_factor * MU_B_OVER_H: "
-                f"{self.gyro_hz_per_t!r} vs {derived!r}"
-            )
+        object.__setattr__(self, "gyro_hz_per_t", self.g_factor * MU_B_OVER_H)
 
 
 @dataclass(frozen=True)
@@ -173,11 +166,19 @@ def _hamiltonian_batch(
     b0_t: np.ndarray, theta_rad: np.ndarray, consts: PhysicalConstants
 ) -> np.ndarray:
     """H/h = D*(Sz^2 - S(S+1)/3) + g*muB/h*B0*(Sz cos(theta) + Sx sin(theta)),
-    a real symmetric (n, 4, 4) float64 stack over matched field arrays."""
-    zeeman = (consts.gyro_hz_per_t * b0_t)[:, None, None]
+    a real symmetric (n, 4, 4) float64 stack over matched field arrays.
+    Every caller passes finite fields, so the only way to a non-finite
+    entry is an overflow of gamma*B0, which raises ValueError naming b0_t."""
     cos_t = np.cos(theta_rad)[:, None, None]
     sin_t = np.sin(theta_rad)[:, None, None]
-    return consts.d_hz * _SZ2_TERM + zeeman * (cos_t * _SZ_REAL + sin_t * _SX_REAL)
+    try:
+        with np.errstate(over="raise"):
+            zeeman = (consts.gyro_hz_per_t * b0_t)[:, None, None]
+            return consts.d_hz * _SZ2_TERM + zeeman * (cos_t * _SZ_REAL + sin_t * _SX_REAL)
+    except FloatingPointError:
+        raise ValueError(
+            f"b0_t too large: gyro_hz_per_t * b0_t overflows at {np.max(b0_t):g} T"
+        ) from None
 
 
 def build_hamiltonian(fv: FieldVector, consts: PhysicalConstants) -> SpinMatrix:

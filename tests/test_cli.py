@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ def test_fit_odmr_roundtrip_noiseless(tmp_path, capsys):
     assert payload["center2_hz"] == pytest.approx(238.148087e6, rel=1e-5)
     assert payload["center1_mhz_display"] == pytest.approx(98.148087, rel=1e-5)
     assert payload["sigma_center1_hz"] >= 0.0
+
+
+def test_fit_odmr_warns_when_not_converged(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "spec.csv"
+    run(capsys, "simulate", "--b0-gauss", "60", "--points", "2001", "--out", str(out))
+    fit = sivodmr.cli.fit_lorentzian_multi
+    monkeypatch.setattr(
+        "sivodmr.cli.fit_lorentzian_multi",
+        lambda *a, **k: replace(fit(*a, **k), converged=False),
+    )
+    payload, err = run_json(capsys, "fit", "odmr", str(out))
+    assert payload["converged"] is False
+    assert err == "warning: fit did not converge; results are best-effort\n"
 
 
 def test_fit_saturation_roundtrip_via_sweep(tmp_path, capsys):
@@ -302,11 +316,12 @@ def test_io_errors_exit_one(tmp_path, capsys):
 def test_malformed_sweep_csv_names_the_line(tmp_path):
     bad = tmp_path / "bad.csv"
     for rows, detail in (
-        ("1.0,2.0\n3.0\n", "expected 2 columns"),   # wrong column count
-        ("1.0,2.0\n3.0,x\n", "non-numeric"),        # non-numeric cell
+        ("1.0,2.0\n3.0\n", "5: expected 2 columns"),   # wrong column count
+        ("1.0,2.0\n3.0,x\n", "5: non-numeric"),        # non-numeric cell
+        ("1.0,2.0\n\n3.0\n", "6: expected 2 columns"),  # a blank line is skipped, yet counted
     ):
         bad.write_text("# sweep-csv v1\n# kind=laser\nlaser_mw,rate_cps\n" + rows)
-        with pytest.raises(CsvFormatError, match=f"bad.csv:5: {detail}"):
+        with pytest.raises(CsvFormatError, match=f"bad.csv:{detail}"):
             read_sweep_csv(str(bad))
     for text, read, detail in (
         ("laser_mw,rate_cps\n1.0,2.0\n", read_sweep_csv, "bad.csv:1: expected magic line"),
@@ -324,7 +339,14 @@ def test_malformed_sweep_csv_names_the_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "exc", [np.linalg.LinAlgError("Singular matrix"), RuntimeError("numerical failure")]
+    "exc",
+    [
+        np.linalg.LinAlgError("Singular matrix"),
+        RuntimeError("numerical failure"),
+        # a bug's TypeError or KeyError is one error line too, never a traceback
+        TypeError("bad operand"),
+        KeyError("missing"),
+    ],
 )
 def test_numerical_failure_exits_one(capsys, monkeypatch, exc):
     def fail(*args, **kwargs):
@@ -334,15 +356,25 @@ def test_numerical_failure_exits_one(capsys, monkeypatch, exc):
     code, out, err = run(capsys, "invert", "--nu1-mhz", "98.148", "--nu2-mhz", "238.148")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and str(exc) in err
+    assert err == f"error: {exc}\n"
 
 
 def test_numerical_overflow_exits_one(capsys):
-    # 10 ** ((4000 - 16) / 10) overflows a float inside mw_response
-    code, out, err = run(capsys, "simulate", "--b0-gauss", "60", "--mw-dbm", "4000")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    for argv, message in (
+        # 10 ** ((4000 - 16) / 10) overflows a float inside mw_response
+        (["simulate", "--b0-gauss", "60", "--mw-dbm", "4000"], "mw_dbm too large"),
+        (["sweep", "mw", "--dbm-max", "4000"], "mw_dbm too large"),
+        # gamma * 1e304 T overflows in the Hamiltonian build
+        (["simulate", "--b0-gauss", "1e308"], "b0_t too large"),
+        # 1e308 MHz is inf in Hz: no Infinity JSON, no inf column
+        (["sensitivity", "--contrast", "1e-3", "--fwhm-mhz", "1e308"], "fwhm_hz must be"),
+        (["sweep", "laser", "--fwhm-mhz", "1e308"], "fwhm_hz must be"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        # one line: no RuntimeWarning and no traceback
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_run_config_defaults_are_the_library_defaults():

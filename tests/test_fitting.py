@@ -335,9 +335,13 @@ def test_saturation_noisy_recovery_median():
 
 def test_saturation_flat_data_raises_named_pair():
     powers = np.array([1.0, 10.0, 100.0])
-    with pytest.raises(IllConditionedFitError) as err:
-        fit_saturation(powers, np.full(3, 5e8))
-    assert err.value.param_pair == ("i_s_cps", "p0_mw")
+    for counts, detail in (
+        (np.full(3, 5e8), "does not vary"),
+        ([3e8, 2e8, 1e8], "collapsed to zero"),  # counts falling with power drive P0 to 0
+    ):
+        with pytest.raises(IllConditionedFitError, match=detail) as err:
+            fit_saturation(powers, counts)
+        assert err.value.param_pair == ("i_s_cps", "p0_mw")
 
 
 def test_saturation_input_validation():

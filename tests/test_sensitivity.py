@@ -1,6 +1,7 @@
 """Tests for the shot-noise sensitivity budget and its power sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from sivodmr.sensitivity import (
     mw_optimum_dbm,
     mw_sweep_sensitivity,
     project_saturation,
-    sensitivity_budget,
 )
 from sivodmr.spectrum import MwResponseParams, SaturationParams, mw_response, photon_rate
 
@@ -60,21 +60,24 @@ def test_quadrupled_rate_halves_eta(consts):
 
 
 def test_estimate_rejects_non_positive(consts):
-    for bad in [(0.0, 13e6, 2e8), (1.8e-3, -1.0, 2e8), (1.8e-3, 13e6, 0.0)]:
-        with pytest.raises(ValueError):
+    for bad, name in [
+        ((0.0, 13e6, 2e8), "contrast"),
+        ((1.8e-3, -1.0, 2e8), "fwhm_hz"),
+        ((1.8e-3, 13e6, 0.0), "rate_cps"),
+        ((1.8e-3, math.inf, 2e8), "fwhm_hz"),  # non-finite, e.g. 1e308 MHz in Hz
+    ]:
+        with pytest.raises(ValueError, match=name):
             estimate_sensitivity(*bad, consts)
 
 
 def test_budget_self_consistency(consts):
-    budget = sensitivity_budget(1.8e-3, 13e6, 2.064e8, consts)
-    assert isinstance(budget, SensitivityBudget)
-    assert budget.eta_t_per_sqrt_hz == pytest.approx(
-        estimate_sensitivity(1.8e-3, 13e6, 2.064e8, consts), rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        SensitivityBudget(1.8e-3, 13e6, 2.064e8, budget.eta_t_per_sqrt_hz * 1.01, consts)
-    with pytest.raises(ValueError):
-        SensitivityBudget(-1.8e-3, 13e6, 2.064e8, budget.eta_t_per_sqrt_hz, consts)
+    budget = SensitivityBudget(1.8e-3, 13e6, 2.064e8, consts)
+    assert budget.eta_t_per_sqrt_hz == estimate_sensitivity(1.8e-3, 13e6, 2.064e8, consts)
+    with pytest.raises(ValueError, match="contrast"):
+        SensitivityBudget(-1.8e-3, 13e6, 2.064e8, consts)
+    # eta is derived, not an argument: replace() on an input yields the new eta
+    budget = replace(SensitivityBudget(1.8e-3, 13e6, 2.064e8), contrast=2e-3)
+    assert budget.eta_t_per_sqrt_hz == estimate_sensitivity(2e-3, 13e6, 2.064e8)
 
 
 def test_laser_sweep_monotone_and_ratio(consts):
