@@ -12,6 +12,10 @@ linearized covariance sigma^2 * inv(J^T J) with sigma^2 = residual_rms^2;
 residuals are assumed i.i.d. Gaussian, which is a documented
 simplification.  Lorentzian fits are seeded from the most prominent
 maxima of the smoothed trace, found by a monotone-stack prominence scan.
+The Lorentzian Jacobian is built parameter-major, one contiguous row per
+parameter handed to the core as its (n, n_params) transpose view, because
+writing strided columns of an (n, n_params) array cost more than the
+model's arithmetic.
 """
 
 from __future__ import annotations
@@ -222,19 +226,32 @@ def _lorentzian_model(freq: np.ndarray, params: np.ndarray, n_peaks: int):
     """Residual-ready model and Jacobian: baseline + sum of Lorentzians.
 
     Parameter layout: [baseline, center1, fwhm1, amp1, (center2, fwhm2, amp2)].
+    The Jacobian is the transpose view of a C-contiguous (n_params, n)
+    buffer whose rows are written in place.
     """
     model = np.full(freq.size, params[0])
-    jac = np.zeros((freq.size, 1 + 3 * n_peaks))
-    jac[:, 0] = 1.0
+    rows = np.empty((1 + 3 * n_peaks, freq.size))
+    rows[0] = 1.0
     for k in range(n_peaks):
         f0, w, a = params[1 + 3 * k : 4 + 3 * k]
-        u = (freq - f0) / (w / 2.0)
-        den = 1.0 + u * u
+        d_center, d_fwhm, d_amp = rows[1 + 3 * k : 4 + 3 * k]
+        # den lives in the amp row and w * den * den in the center row until
+        # each is overwritten last; every product keeps the order of
+        # 4a u / (w den den), 2a u u / (w den den) and 1 / den.
+        u = freq - f0
+        u /= w / 2.0
+        den = np.multiply(u, u, out=d_amp)
+        den += 1.0
         model += a / den
-        jac[:, 1 + 3 * k] = 4.0 * a * u / (w * den * den)
-        jac[:, 2 + 3 * k] = 2.0 * a * u * u / (w * den * den)
-        jac[:, 3 + 3 * k] = 1.0 / den
-    return model, jac
+        wden2 = np.multiply(den, w, out=d_center)
+        wden2 *= den
+        np.multiply(u, 2.0 * a, out=d_fwhm)
+        d_fwhm *= u
+        d_fwhm /= wden2
+        np.divide(1.0, den, out=d_amp)
+        u *= 4.0 * a
+        np.divide(u, wden2, out=d_center)
+    return model, rows.T
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:

@@ -361,12 +361,3 @@ def axial_invert(
     if consistency > tol_hz:
         raise AxialModelError(b0, consistency, tol_hz)
     return AxialInversion(b0, consistency)
-
-
-def angle_sweep(b0_t: float, theta_rad, consts: PhysicalConstants = PhysicalConstants()):
-    """Forward table (theta, nu1, nu2) at fixed field magnitude."""
-    if not (b0_t > 0):
-        raise ValueError("b0_t must be positive")
-    theta = np.asarray(theta_rad, dtype=float).ravel()
-    nu1, nu2 = transition_table(np.full_like(theta, b0_t), theta, consts)
-    return theta, nu1, nu2

@@ -10,9 +10,10 @@ saturation response, whose figure of merit (1+s)^{3/2}/s is minimized at
 s = 2, i.e. 3 dB above the saturation power.
 
 Each input is checked once: estimate_sensitivity requires contrast,
-linewidth and rate to be positive and finite, and photon_rate checks the
-laser power.  SensitivityBudget derives its eta from estimate_sensitivity
-at construction rather than taking it as an argument.
+linewidth and rate to be positive and finite, and its result finite, and
+photon_rate checks the laser power.  SensitivityBudget derives its eta
+from estimate_sensitivity at construction rather than taking it as an
+argument.
 """
 
 from __future__ import annotations
@@ -34,16 +35,27 @@ def estimate_sensitivity(
     rate_cps: float,
     consts: PhysicalConstants = PhysicalConstants(),
 ):
-    """Shot-noise-limited DC sensitivity in T/sqrt(Hz), elementwise on arrays."""
+    """Shot-noise-limited DC sensitivity in T/sqrt(Hz), elementwise on arrays.
+
+    Finite inputs can still overflow eta (a huge linewidth over a tiny
+    contrast); that raises ValueError instead of returning inf.
+    """
     for name, value in (("contrast", contrast), ("fwhm_hz", fwhm_hz), ("rate_cps", rate_cps)):
         if not np.all((value > 0) & np.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite")
-    return (
-        SLOPE_PREFACTOR
-        / consts.gyro_hz_per_t
-        * fwhm_hz
-        / (contrast * np.sqrt(rate_cps))
-    )
+    with np.errstate(over="ignore", divide="ignore"):
+        eta = (
+            SLOPE_PREFACTOR
+            / consts.gyro_hz_per_t
+            * fwhm_hz
+            / (contrast * np.sqrt(rate_cps))
+        )
+    if not np.all(np.isfinite(eta)):
+        raise ValueError(
+            "sensitivity overflows a float: eta = 0.77 fwhm_hz / (gyro contrast sqrt(rate_cps)) "
+            "is not finite"
+        )
+    return eta
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,10 @@ def test_numerical_overflow_exits_one(capsys):
         # 1e308 MHz is inf in Hz: no Infinity JSON, no inf column
         (["sensitivity", "--contrast", "1e-3", "--fwhm-mhz", "1e308"], "fwhm_hz must be"),
         (["sweep", "laser", "--fwhm-mhz", "1e308"], "fwhm_hz must be"),
+        # finite inputs whose eta overflows: no Infinity JSON, no inf column
+        (["sensitivity", "--contrast", "1e-300", "--fwhm-mhz", "1e300"], "sensitivity overflows"),
+        (["sweep", "laser", "--contrast", "1e-300", "--fwhm-mhz", "1e300"],
+         "sensitivity overflows"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1

@@ -90,6 +90,31 @@ def test_lorentzian_jacobian_matches_finite_differences(rng):
         assert np.all(rel <= 1e-5)
 
 
+@pytest.mark.parametrize("n_peaks", [1, 2])
+def test_lorentzian_jacobian_is_parameter_major_and_bit_exact(rng, n_peaks):
+    """One contiguous row per parameter, each bit-equal to the column formulas."""
+    freq = np.linspace(50e6, 280e6, 4601)
+    for _ in range(10):
+        params = [rng.normal(0, 1e-3)]
+        for _ in range(n_peaks):
+            params += [rng.uniform(60e6, 270e6), rng.uniform(1e6, 30e6), rng.uniform(-3e-3, 3e-3)]
+        params = np.array(params)
+        model, jac = _lorentzian_model(freq, params, n_peaks)
+        assert jac.shape == (freq.size, 1 + 3 * n_peaks)
+        assert jac.T.flags.c_contiguous
+        expected_model = np.full(freq.size, params[0])
+        assert np.array_equal(jac[:, 0], np.ones(freq.size))
+        for k in range(n_peaks):
+            f0, w, a = params[1 + 3 * k : 4 + 3 * k]
+            u = (freq - f0) / (w / 2.0)
+            den = 1.0 + u * u
+            expected_model += a / den
+            assert np.array_equal(jac[:, 1 + 3 * k], 4.0 * a * u / (w * den * den))
+            assert np.array_equal(jac[:, 2 + 3 * k], 2.0 * a * u * u / (w * den * den))
+            assert np.array_equal(jac[:, 3 + 3 * k], 1.0 / den)
+        assert np.array_equal(model, expected_model)
+
+
 def test_saturation_jacobian_matches_finite_differences(rng):
     powers = np.array([1.0, 5.0, 10.0, 20.0, 40.0, 60.0, 85.0, 150.0, 300.0])
     for _ in range(20):

@@ -16,7 +16,6 @@ from sivodmr.inversion import (
     NoSolutionError,
     _gap_minimizing_theta,
     _refine,
-    angle_sweep,
     axial_invert,
     invert_field,
 )
@@ -269,15 +268,3 @@ def test_axial_agrees_with_full_inverter(consts, b0_gauss):
     full = invert_field(tp.nu1_hz, tp.nu2_hz, consts)
     axial = axial_invert(tp.nu1_hz, tp.nu2_hz, consts)
     assert abs(full.b0_t - axial.b0_t) / GAUSS < 0.05
-
-
-def test_angle_sweep_matches_forward_model(consts):
-    thetas = np.linspace(0.0, math.pi / 2, 19)
-    th, nu1, nu2 = angle_sweep(60.0 * GAUSS, thetas, consts)
-    ref1, ref2 = transition_table(np.full_like(thetas, 60.0 * GAUSS), thetas, consts)
-    assert th.shape == nu1.shape == nu2.shape == thetas.shape
-    np.testing.assert_allclose(nu1, ref1, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(nu2, ref2, rtol=0, atol=1e-6)
-    assert np.all(nu2 >= nu1)
-    with pytest.raises(ValueError):
-        angle_sweep(0.0, thetas, consts)

@@ -70,6 +70,21 @@ def test_estimate_rejects_non_positive(consts):
             estimate_sensitivity(*bad, consts)
 
 
+def test_estimate_rejects_overflowing_result(consts):
+    # finite, valid inputs whose eta overflows; no RuntimeWarning reaches the caller
+    for bad in [
+        (1e-300, 1e300, 2e8),
+        (1e-300, 13e6, 1e-300),  # the denominator underflows to zero
+        (np.array([1.8e-3, 1e-300]), np.array([13e6, 1e300]), 2e8),
+    ]:
+        with pytest.raises(ValueError, match="sensitivity overflows"):
+            estimate_sensitivity(*bad, consts)
+    with pytest.raises(ValueError, match="sensitivity overflows"):
+        SensitivityBudget(1e-300, 1e300, 2e8, consts)
+    with pytest.raises(ValueError, match="sensitivity overflows"):
+        laser_sweep_sensitivity([1.0, 85.0], 1e-300, 1e300, SaturationParams(), consts)
+
+
 def test_budget_self_consistency(consts):
     budget = SensitivityBudget(1.8e-3, 13e6, 2.064e8, consts)
     assert budget.eta_t_per_sqrt_hz == estimate_sensitivity(1.8e-3, 13e6, 2.064e8, consts)
