@@ -293,9 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="recover (B0, theta) from two resonances")
     p.add_argument("--nu1-mhz", type=_positive, required=True)
     p.add_argument("--nu2-mhz", type=_positive, required=True)
-    p.add_argument("--axial", action="store_true", help="closed-form axial inversion")
-    p.add_argument("--sigma-khz", type=_non_negative, default=0.0,
-                   help="1-sigma frequency noise driving degeneracy checks")
+    # the closed-form axial estimate has no noise model to take a sigma
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--axial", action="store_true", help="closed-form axial inversion")
+    mode.add_argument("--sigma-khz", type=_non_negative, default=0.0,
+                      help="1-sigma frequency noise driving degeneracy checks")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_invert)
 

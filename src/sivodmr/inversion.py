@@ -4,14 +4,20 @@ The forward map from (B0, theta) to the sorted frequency pair folds across
 the angle that minimizes |nu2 - nu1| at fixed field: away from that fold a
 second, mirror-image parameter point generally reproduces the same pair
 exactly.  The inverter therefore refines every candidate basin it can find
-(coarse-grid local minima plus a reflection probe across the local
-gap-minimizing angle) and reduces them in one pass: duplicates collapse
-to the lowest residual, one floor rule keeps the solutions that reproduce
-the pair, the smallest B0 (then theta) among them is reported and the
-rest are its rivals.  Diagnostics: a local Jacobian condition estimate, a
-secant condition over rival basins, the noise-mapped parameter sigmas of
-the fitting layer's covariance rule, and a degenerate flag with the
-reason that raised it.
+and reduces them in one pass: duplicates collapse to the lowest residual,
+one floor rule keeps the solutions that reproduce the pair, the smallest
+B0 (then theta) among them is reported and the rest are its rivals.
+Diagnostics: a local Jacobian condition estimate, a secant condition over
+rival basins, the noise-mapped parameter sigmas of the fitting layer's
+covariance rule, and a degenerate flag with the reason that raised it.
+
+The candidates come from one mesh-containment rule: the cached coarse grid
+is split into triangles, and every triangle whose (nu1, nu2) image holds
+the pair, within a padding of its barycentric coordinates, seeds the linear
+preimage of the pair.  Only a pair that no triangle holds starts from the
+best grid node.  The sorted pair also folds along nu1 = nu2 inside a single
+cell, which no linear triangle unfolds, so a reflection probe across the
+local gap-minimizing angle adds the mirror seeds.
 
 The candidates of one inversion are refined as one lock-step stack of the
 shared Gauss-Newton core, and the mirror probes as a second, so each trial
@@ -40,7 +46,6 @@ NO_SOLUTION_RMS_HZ = 1e6        # best residual above this means "unreachable"
 NUMERIC_FLOOR_HZ = 1.0          # residuals below this are numerically "exact"
 RESOLUTION_B_T = 1e-5           # 0.1 G: instrument-scale field resolution
 RESOLUTION_THETA_RAD = math.radians(0.5)  # instrument-scale angle resolution
-_MAX_CANDIDATES = 8
 _PROBE_GAP_HZ = 5e6             # probe the mirror basin when the lines are this close
 _COND_CAP = 1e12
 _DEDUPE_B_T = 2e-8              # refinement floor: closer solutions are one basin
@@ -104,31 +109,60 @@ class InversionResult:
 
 @lru_cache(maxsize=8)
 def _forward_grid(d_hz: float, g_factor: float, b_max_t: float):
+    """The coarse grid's lines and the affine maps of its triangles.
+
+    Returns the (2, GRID_N_B, GRID_N_THETA) array of (nu1, nu2) at the
+    nodes and tri, six contiguous rows over the triangles.  Each cell splits
+    along its anti-diagonal into a lower triangle, nodes (i, j), (i+1, j),
+    (i, j+1), and an upper one, nodes (i+1, j+1), (i, j+1), (i+1, j); the
+    upper ones follow the lower ones.  The rows hold the (nu1, nu2) image of
+    the first node, then the inverse of the 2x2 edge matrix, which maps nu
+    minus that image to the barycentric coordinates of the second and third
+    nodes.  A triangle whose image has no area (two nodes at B0 = 0) gets
+    NaN rows and never matches.
+    """
     consts = PhysicalConstants(d_hz=d_hz, g_factor=g_factor)
     b_nodes = np.linspace(0.0, b_max_t, GRID_N_B)
     th_nodes = np.linspace(0.0, math.pi / 2, GRID_N_THETA)
     bb, tt = np.meshgrid(b_nodes, th_nodes, indexing="ij")
-    nu1, nu2 = transition_table(bb.ravel(), tt.ravel(), consts)
-    shape = (GRID_N_B, GRID_N_THETA)
-    return b_nodes, th_nodes, nu1.reshape(shape), nu2.reshape(shape)
+    g = np.stack(transition_table(bb.ravel(), tt.ravel(), consts)).reshape(2, *bb.shape)
+    # (line, lower/upper, i, j): the first node of each triangle, then its two edges
+    v0 = np.stack([g[:, :-1, :-1], g[:, 1:, 1:]], axis=1)
+    e1 = np.stack([g[:, 1:, :-1], g[:, :-1, 1:]], axis=1) - v0
+    e2 = np.stack([g[:, :-1, 1:], g[:, 1:, :-1]], axis=1) - v0
+    det = e1[0] * e2[1] - e2[0] * e1[1]
+    # inverse of the edge matrix [e1 e2]: [[e2[1], -e2[0]], [-e1[1], e1[0]]] / det
+    tri = np.concatenate([v0, e2[1:], -e2[:1], -e1[1:], e1[:1]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tri[2:] /= det
+    tri[2:, det == 0] = np.nan
+    return g, tri.reshape(6, -1)
 
 
-def _local_minima(surface: np.ndarray) -> np.ndarray:
-    """Indices of 8-neighborhood local minima (plateau edges included)."""
-    padded = np.pad(surface, 1, constant_values=np.inf)
-    center = padded[1:-1, 1:-1]
-    is_min = np.ones_like(center, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            is_min &= center <= padded[1 + di : 1 + di + center.shape[0],
-                                       1 + dj : 1 + dj + center.shape[1]]
-    return np.argwhere(is_min)
+def _mesh_seeds(tri: np.ndarray, t1: float, t2: float, sigma_hz: float) -> list:
+    """Linear preimages, in grid units, of every triangle whose image holds the pair.
 
-
-def _rms(nu1, nu2, t1, t2) -> np.ndarray:
-    return np.sqrt(((nu1 - t1) ** 2 + (nu2 - t2) ** 2) / 2.0)
+    Each barycentric coordinate may fall 0.5 below zero, and with noise a
+    further 3 sigma mapped through the triangle's map, so that a pair just
+    beyond a fold edge (theta = 0 or pi/2) still finds its cell.  Preimages
+    within a quarter cell of a kept one collapse into it.
+    """
+    v1, v2, m11, m12, m21, m22 = tri
+    d1, d2 = t1 - v1, t2 - v2
+    l1 = m11 * d1 + m12 * d2
+    l2 = m21 * d1 + m22 * d2
+    pads = (0.5, 0.5, 0.5)
+    if sigma_hz > 0:
+        pads = [0.5 + 3.0 * sigma_hz * np.hypot(a, b)
+                for a, b in ((m11, m12), (m21, m22), (m11 + m21, m12 + m22))]
+    hit = np.flatnonzero((l1 >= -pads[0]) & (l2 >= -pads[1]) & (l1 + l2 <= 1.0 + pads[2]))
+    upper, i, j = np.unravel_index(hit, (2, GRID_N_B - 1, GRID_N_THETA - 1))
+    sign = 1 - 2 * upper
+    seeds = []
+    for u in zip((i + upper + sign * l1[hit]).tolist(), (j + upper + sign * l2[hit]).tolist()):
+        if all(max(abs(u[0] - s[0]), abs(u[1] - s[1])) > 0.25 for s in seeds):
+            seeds.append(u)
+    return seeds
 
 
 def _refine(starts, t1, t2, consts, b_max_t):
@@ -141,7 +175,8 @@ def _refine(starts, t1, t2, consts, b_max_t):
     resolution.  Below _ZERO_FIELD_T, where the degenerate Kramers pairs
     leave Hellmann-Feynman undefined, the B0 column is a forward difference
     and the theta column is zero; rounds holding such a row make a second
-    table call for them.  Returns (b0, theta, rms residual, Jacobian) per start.
+    table call for them.  On the angle edges theta = 0 and pi/2 the theta
+    column is zero too.  Returns (b0, theta, rms residual, Jacobian) per start.
     """
     hi = np.array([b_max_t, math.pi / 2])
 
@@ -164,6 +199,9 @@ def _refine(starts, t1, t2, consts, b_max_t):
             m = b0.size
             nu[low] = np.column_stack([nu1[:m], nu2[:m]])
             jac[low, :, 0] = np.column_stack([nu1[m:] - nu1[:m], nu2[m:] - nu2[:m]]) / _ZERO_FIELD_T
+        # the lines are even in theta about 0 and pi/2, so d(nu)/d(theta) is
+        # zero there; Hellmann-Feynman gives rounding noise in its place
+        jac[(p[:, 1] == 0.0) | (p[:, 1] == hi[1]), :, 1] = 0.0
         return nu - [t1, t2], jac
 
     p, _, jac, ssr, _, _, _ = _damped_gauss_newton(
@@ -204,13 +242,14 @@ def invert_field(
     b_max_t: float = DEFAULT_B_MAX_T,
     sigma_hz: float = 0.0,
 ) -> InversionResult:
-    """Recover (B0, theta) from a resonance pair by grid-seeded Gauss-Newton.
+    """Recover (B0, theta) from a resonance pair by mesh-seeded Gauss-Newton.
 
     Minimizes (nu1 - model1)^2 + (nu2 - model2)^2 over B0 in [0, b_max_t]
-    and theta in [0, pi/2]: a 201 x 91 coarse grid (cached per constants)
-    seeds damped Gauss-Newton refinements of every candidate basin; the
-    reported solution is the deterministic argmin (lowest residual, ties
-    broken to smaller B0, then smaller theta).  sigma_hz is the 1-sigma
+    and theta in [0, pi/2]: every triangle of a 201 x 91 coarse grid
+    (cached per constants) whose image holds the pair seeds a damped
+    Gauss-Newton refinement at the pair's linear preimage; among the
+    solutions that reproduce the pair the smallest B0, then the smallest
+    theta, is reported and the rest are its rivals.  sigma_hz is the 1-sigma
     frequency uncertainty of the inputs (e.g. the fitted line-center sigma)
     and drives the degeneracy diagnostics; rival parameter points that
     reproduce the pair within max(3 sigma, the numeric floor) are counted
@@ -232,28 +271,15 @@ def invert_field(
         raise ValueError("sigma_hz must be non-negative")
     t1, t2 = sorted((float(nu1_hz), float(nu2_hz)))
 
-    b_nodes, th_nodes, g1, g2 = _forward_grid(consts.d_hz, consts.g_factor, b_max_t)
-    surface = _rms(g1, g2, t1, t2)
-
-    minima = _local_minima(surface)
-    order = np.argsort(surface[minima[:, 0], minima[:, 1]], kind="stable")
-    candidates: list[tuple[int, int]] = []
-    for k in order:
-        i, j = int(minima[k, 0]), int(minima[k, 1])
-        if any(abs(i - i0) <= 2 and abs(j - j0) <= 2 for i0, j0 in candidates):
-            continue
-        candidates.append((i, j))
-        if len(candidates) >= _MAX_CANDIDATES:
-            break
-
-    # the global minimum of the surface is an 8-neighbour local minimum, so
-    # candidates[0] sits at surface.min() and always passes this cut
-    starts = [
-        (b_nodes[i], th_nodes[j])
-        for i, j in candidates
-        if surface[i, j] <= max(10 * NO_SOLUTION_RMS_HZ, 20 * surface.min())
-    ]
-    solutions = _refine(starts, t1, t2, consts, b_max_t)
+    grid, tri = _forward_grid(consts.d_hz, consts.g_factor, b_max_t)
+    seeds = _mesh_seeds(tri, t1, t2, sigma_hz)
+    if not seeds:
+        # no triangle holds the pair: refine from the best node, which
+        # raises NoSolutionError below for a pair out of reach
+        ssr = (grid[0] - t1) ** 2 + (grid[1] - t2) ** 2
+        seeds = [np.unravel_index(np.argmin(ssr), ssr.shape)]
+    step = [b_max_t / (GRID_N_B - 1), math.pi / 2 / (GRID_N_THETA - 1)]
+    solutions = _refine(np.array(seeds, dtype=float) * step, t1, t2, consts, b_max_t)
 
     # near the gap fold two basins can sit closer than the coarse grid can
     # separate: probe the mirror image across the local gap-minimizing angle

@@ -261,6 +261,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
+    # the axial estimate takes no sigma: giving one is an error, not dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--nu1-mhz", "98.148", "--nu2-mhz", "238.148", "--axial",
+              "--sigma-khz", "50"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --axial" in capsys.readouterr().err
     # ODMR contrast is a fraction: 2 (meant as 2 permille) and 1 are usage errors
     for argv in (
         ["sensitivity", "--contrast", "2", "--fwhm-mhz", "13"],

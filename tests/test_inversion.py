@@ -96,6 +96,39 @@ def test_stacked_refinement_rows_match_solo_runs(consts):
         assert apex[k] == _gap_minimizing_theta(b0s[k : k + 1], thetas[k : k + 1], consts)[0]
 
 
+@pytest.mark.parametrize("theta_rad", [0.0, math.pi / 2])
+def test_refine_zeroes_theta_column_on_the_angle_edges(consts, theta_rad):
+    # the lines are even in theta about both edges, so d(nu)/d(theta) is
+    # exactly zero there rather than Hellmann-Feynman rounding noise
+    nu1, nu2 = _forward(60.0, math.degrees(theta_rad), consts)
+    [(_, theta, _, jac)] = _refine(
+        np.array([[60.0 * GAUSS, theta_rad]]), nu1, nu2, consts, DEFAULT_B_MAX_T
+    )
+    assert theta == theta_rad
+    assert jac[:, 1].tolist() == [0.0, 0.0]
+
+
+def test_fixed_grid_bands_are_right_or_flagged(consts):
+    # exact pairs from the bands where a narrow or edge basin used to be
+    # missed without a flag: the fold edge near 90 deg, sub-gauss fields,
+    # and a fault field found by the benchmark
+    near_90 = (89.5, 89.75, 89.9, 89.99)
+    cases = [(b0, th) for th in near_90 for b0 in np.arange(5.0, 120.1, 2.5).tolist()]
+    sub_gauss = (0.05, 0.1, 0.2, 0.4, 0.8)
+    cases += [(b0, th) for b0 in sub_gauss for th in (0.0, 30.0, 45.0, 60.0, 89.0)]
+    cases.append((61.884686535515186, 89.76732823173803))
+    wrong = []
+    for b0_gauss, theta_deg in cases:
+        res = invert_field(*_forward(b0_gauss, theta_deg, consts), consts)
+        if not (
+            res.degenerate
+            or abs(res.b0_t / GAUSS - b0_gauss) <= 0.1
+            and abs(math.degrees(res.theta_rad) - theta_deg) <= 0.5
+        ):
+            wrong.append((b0_gauss, theta_deg))
+    assert not wrong, f"{len(wrong)}/{len(cases)} unflagged misses: {wrong[:5]}"
+
+
 def test_rounded_axial_pair_recovers_sixty_gauss(consts):
     res = invert_field(98.148e6, 238.148e6, consts)
     assert res.b0_t / GAUSS == pytest.approx(60.0, abs=1e-3)
