@@ -83,7 +83,9 @@ def _sq_norms(v: np.ndarray) -> np.ndarray:
     return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS):
+def _damped_gauss_newton(
+    fun, p0, scales, project=None, max_iter=MAX_ITERATIONS, max_damping=1e12
+):
     """Minimize sum(r^2) for r, J = fun(p) starting from p0.
 
     Marquardt damping on the normal equations, (JtJ + lam*diag(JtJ)) d = -Jt r;
@@ -103,14 +105,16 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
     because project marked it NaN or because its system was singular, is
     rejected like a rise in SSR: lam grows tenfold and the problem retries
     next round.  Each problem keeps its own lam, acceptance, iteration count
-    and exit (converged, max_iter, or lam past 1e12), and the products are
+    and exit (converged, max_iter, or its lam past max_damping, where it
+    stops unconverged at its last accepted point), and the products are
     per-problem BLAS calls, so each follows exactly the trajectory it
     follows alone.
     """
     if np.ndim(p0) == 1:
         one = fun
         p, r, jac, ssr, iterations, converged, grad_norm = _damped_gauss_newton(
-            lambda q: tuple(a[None] for a in one(q[0])), [p0], scales, project, max_iter
+            lambda q: tuple(a[None] for a in one(q[0])), [p0], scales, project, max_iter,
+            max_damping,
         )
         return (
             p[0], r[0], jac[0], float(ssr[0]), int(iterations[0]), bool(converged[0]),
@@ -128,7 +132,7 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
     iterations = live.astype(int)
     jtj, jtr, damp = _normal_equations(jac, r)
     while True:
-        live &= lam <= 1e12
+        live &= lam <= max_damping
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break

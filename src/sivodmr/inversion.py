@@ -23,6 +23,10 @@ The candidates of one inversion are refined as one lock-step stack of the
 shared Gauss-Newton core, and the mirror probes as a second, so each trial
 costs one transition_table call (real, unphased eigenvectors) for the whole
 stack; each candidate still follows the path it would follow alone.
+A row whose damping climbs past _REFINE_MAX_DAMPING stops where it is:
+such rows sit on a jump of the forward map (a flip of the pumped-pair
+line selection) that no step can cross, and without the cap they held
+their whole stack for up to ~90 trials.
 
 All quantities SI: Hz, tesla, radians.
 """
@@ -52,6 +56,7 @@ _DEDUPE_B_T = 2e-8              # refinement floor: closer solutions are one bas
 _DEDUPE_THETA_RAD = 2e-5
 _ZERO_FIELD_T = 1e-7            # below this B0 the Kramers pairs count as degenerate
 _REFINE_MAX_ITER = 40           # Gauss-Newton iterations per candidate refinement
+_REFINE_MAX_DAMPING = 1e3       # Marquardt lambda past which a refinement row gives up
 
 
 class NoSolutionError(RuntimeError):
@@ -176,7 +181,11 @@ def _refine(starts, t1, t2, consts, b_max_t):
     leave Hellmann-Feynman undefined, the B0 column is a forward difference
     and the theta column is zero; rounds holding such a row make a second
     table call for them.  On the angle edges theta = 0 and pi/2 the theta
-    column is zero too.  Returns (b0, theta, rms residual, Jacobian) per start.
+    column is zero too.  A row whose lambda passes _REFINE_MAX_DAMPING exits
+    unconverged at its last accepted point: a step that the local linear
+    model cannot take after that much damping is a jump of the forward map,
+    and further damping only made its stack wait on it.  Returns (b0,
+    theta, rms residual, Jacobian) per start.
     """
     hi = np.array([b_max_t, math.pi / 2])
 
@@ -210,6 +219,7 @@ def _refine(starts, t1, t2, consts, b_max_t):
         np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]),
         project,
         _REFINE_MAX_ITER,
+        _REFINE_MAX_DAMPING,
     )
     return list(zip(p[:, 0], p[:, 1], np.sqrt(ssr / 2.0), jac))
 
@@ -256,8 +266,9 @@ def invert_field(
     in n_compatible and flag the result as ambiguous.
 
     Raises NoSolutionError when no field in the domain comes within
-    NO_SOLUTION_RMS_HZ of the requested pair, and ValueError for an
-    argument that is not finite or out of range.
+    NO_SOLUTION_RMS_HZ of the requested pair (before any refinement when the
+    larger line is beyond every line the domain holds), and ValueError for
+    an argument that is not finite or out of range.
     """
     for name, value in (("nu1_hz", nu1_hz), ("nu2_hz", nu2_hz), ("sigma_hz", sigma_hz),
                         ("b_max_t", b_max_t)):
@@ -272,6 +283,16 @@ def invert_field(
     t1, t2 = sorted((float(nu1_hz), float(nu2_hz)))
 
     grid, tri = _forward_grid(consts.d_hz, consts.g_factor, b_max_t)
+    # |E| <= ||H|| <= D + 3/2 gamma B0, so no line exceeds 2D + 3 gamma b_max;
+    # past that by sqrt(2) NO_SOLUTION_RMS_HZ the larger line alone puts the
+    # RMS residual out of reach.  The best node's RMS is taken as the larger
+    # miss times a factor <= 1, which stays finite where squares overflow.
+    top_hz = 2.0 * consts.d_hz + 3.0 * consts.gyro_hz_per_t * b_max_t
+    if t2 - top_hz > math.sqrt(2.0) * NO_SOLUTION_RMS_HZ:
+        miss = np.abs([grid[0] - t1, grid[1] - t2])
+        hi = miss.max(axis=0)
+        rms = hi * np.sqrt(0.5 + 0.5 * (miss.min(axis=0) / hi) ** 2)
+        raise NoSolutionError(float(rms.min()))
     seeds = _mesh_seeds(tri, t1, t2, sigma_hz)
     if not seeds:
         # no triangle holds the pair: refine from the best node, which

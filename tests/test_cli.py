@@ -379,6 +379,8 @@ def test_numerical_overflow_exits_one(capsys):
         (["sensitivity", "--contrast", "1e-300", "--fwhm-mhz", "1e300"], "sensitivity overflows"),
         (["sweep", "laser", "--contrast", "1e-300", "--fwhm-mhz", "1e300"],
          "sensitivity overflows"),
+        # a line far past every line of the domain: its squared miss overflows
+        (["invert", "--nu1-mhz", "1e300", "--nu2-mhz", "2"], "no field reproduces"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1

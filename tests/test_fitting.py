@@ -308,6 +308,46 @@ def test_core_stack_matches_solo_runs_bit_for_bit():
         assert (ssr[i], iterations[i], converged[i], grad[i]) == solo[3:]
 
 
+def test_core_damping_cap_stops_a_row_stranded_on_a_jump():
+    # row 0 is linear; row 1's first residual jumps by 5 past x = 0.3, so its
+    # undamped first trial (x near 1) is rejected and every later step that
+    # crosses the jump is too: the row creeps toward the jump under rising lam
+    def one(p):
+        x, y, label = p
+        r = np.array([x - 1.0, y - 2.0])
+        if label == 1:
+            r[0] += 5.0 * (x > 0.3)
+        return r, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    trials = []
+
+    def stacked(points):
+        trials.append(points.copy())
+        rs, jacs = zip(*(one(p) for p in points))
+        return np.array(rs), np.array(jacs)
+
+    p0 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    scales = np.ones(3)
+    max_iter = 40
+    rounds = {}
+    for cap in (1e12, 1e3):
+        trials.clear()
+        p, r, jac, ssr, iterations, converged, grad = _damped_gauss_newton(
+            stacked, p0, scales, None, max_iter, cap
+        )
+        rounds[cap] = len(trials)
+        assert trials[1][1, 0] > 0.3  # the first trial of row 1 crosses the jump
+        if cap == 1e3:
+            assert converged.tolist() == [True, False]
+            assert iterations[1] < max_iter
+            assert p[1, 0] < 0.3
+        for i in range(2):
+            solo = _damped_gauss_newton(one, p0[i], scales, None, max_iter, cap)
+            assert p[i].tobytes() == solo[0].tobytes()
+            assert (ssr[i], iterations[i], converged[i]) == solo[3:6]
+    assert rounds[1e3] < rounds[1e12] / 2
+
+
 def test_solve_rows_singular_row_is_nan_others_solo():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(5, 3, 3))

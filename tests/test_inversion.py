@@ -1,6 +1,7 @@
 """Tests for the (B0, theta) inverter and the closed-form axial estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,39 @@ def test_unreachable_pair_raises(consts):
     with pytest.raises(NoSolutionError) as err:
         invert_field(500e6, 900e6, consts)
     assert err.value.best_residual_hz > 1e6
+
+
+def test_pair_beyond_every_line_raises_without_overflow(consts):
+    # no line of the domain exceeds 2D + 3 gamma b_max, so this pair is out
+    # of reach before any refinement, and its best residual stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoSolutionError) as err:
+            invert_field(1e306, 2e6, consts)
+    assert math.isfinite(err.value.best_residual_hz)
+    assert err.value.best_residual_hz > 1e305
+
+
+def test_damping_cap_stops_rows_stranded_on_a_line_selection_jump(consts, monkeypatch):
+    # at (70 G, 40 deg) refinement rows land on jumps of the pumped-pair
+    # selection that no damped step can cross; the damping cap stops them
+    # (36 table calls, 93 uncapped) and the reduction keeps the same answer
+    nu1, nu2 = _forward(70.0, 40.0, consts)
+    invert_field(nu1, nu2, consts)  # warm the grid cache
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return transition_table(*args, **kwargs)
+
+    monkeypatch.setattr("sivodmr.inversion.transition_table", counted)
+    res = invert_field(nu1, nu2, consts)
+    assert len(calls) <= 45
+    assert res.b0_t == pytest.approx(70.0 * GAUSS, abs=1e-12)
+    assert math.degrees(res.theta_rad) == pytest.approx(40.0, abs=1e-9)
+    assert res.reason == "ambiguous"
+    assert res.n_compatible == 2
+    assert res.alt_b0_t == pytest.approx(0.0072205, abs=1e-7)
 
 
 def test_invert_input_validation(consts):
