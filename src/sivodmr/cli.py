@@ -322,9 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity", help="shot-noise sensitivity budget as JSON")
     p.add_argument("--contrast", type=_fraction, required=True)
     p.add_argument("--fwhm-mhz", type=_positive, required=True)
-    p.add_argument("--rate-cps", type=_positive, default=None)
-    p.add_argument("--laser-mw", type=_positive, default=85.0,
-                   help="used when --rate-cps is omitted")
+    # a given rate leaves nothing for a laser power to set
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--rate-cps", type=_positive, default=None)
+    source.add_argument("--laser-mw", type=_positive, default=85.0,
+                        help="used when --rate-cps is omitted")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_sensitivity)
 

@@ -55,7 +55,6 @@ class FitResult:
     residual_rms: float
     iterations: int
     converged: bool
-    grad_norm: float = 0.0
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -96,7 +95,7 @@ def _damped_gauss_newton(
     iteration is exactly equivariant under axis shifts and rescalings.
 
     A 1-D p0 is one problem: fun maps a point to (r, J) and the return
-    values are p, r, J, ssr, iterations, converged, grad_norm.  A (k, n) p0
+    values are p, r, J, ssr, iterations, converged.  A (k, n) p0
     is a stack of k independent problems run in lock step: fun maps a
     (k', n) stack of trial points to (k', m) residuals and (k', m, n)
     Jacobians in one call, and every return value gains a leading axis of
@@ -112,14 +111,11 @@ def _damped_gauss_newton(
     """
     if np.ndim(p0) == 1:
         one = fun
-        p, r, jac, ssr, iterations, converged, grad_norm = _damped_gauss_newton(
+        p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
             lambda q: tuple(a[None] for a in one(q[0])), [p0], scales, project, max_iter,
             max_damping,
         )
-        return (
-            p[0], r[0], jac[0], float(ssr[0]), int(iterations[0]), bool(converged[0]),
-            float(grad_norm[0]),
-        )
+        return p[0], r[0], jac[0], float(ssr[0]), int(iterations[0]), bool(converged[0])
 
     p = np.array(p0, dtype=float)
     scales = np.asarray(scales, dtype=float)
@@ -169,8 +165,7 @@ def _damped_gauss_newton(
             iterations[more] += 1
             new_jtj, new_jtr, new_damp = _normal_equations(jac, r)
             jtj[more], jtr[more], damp[more] = new_jtj[more], new_jtr[more], new_damp[more]
-    grad = 2.0 * np.matmul(jac.transpose(0, 2, 1), r[:, :, None])[:, :, 0]
-    return p, r, jac, ssr, iterations, converged, np.sqrt(_sq_norms(grad))
+    return p, r, jac, ssr, iterations, converged
 
 
 def _normal_equations(jac: np.ndarray, r: np.ndarray):
@@ -411,12 +406,10 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
     def project(p):
         return np.where(np.all(p[:, width_slots] > 0, axis=1, keepdims=True), p, np.nan)
 
-    p, r, jac, ssr, iterations, converged, grad_norm = _damped_gauss_newton(
-        fun, p0, scales, project
-    )
+    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
     residual_rms = math.sqrt(ssr / freq.size)
     sigmas = _covariance_sigmas(jac, residual_rms, names)
-    return FitResult(tuple(names), p, sigmas, residual_rms, iterations, converged, grad_norm)
+    return FitResult(tuple(names), p, sigmas, residual_rms, iterations, converged)
 
 
 def _saturation_model(powers: np.ndarray, params: np.ndarray):
@@ -457,14 +450,12 @@ def fit_saturation(powers_mw, counts_cps) -> FitResult:
     def project(p):
         return np.where(np.all(p > 0, axis=1, keepdims=True), p, np.nan)
 
-    p, r, jac, ssr, iterations, converged, grad_norm = _damped_gauss_newton(
-        fun, p0, scales, project
-    )
+    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
     if p[1] < 1e-6 * float(np.min(powers)):
         raise IllConditionedFitError(*names, "saturation power collapsed to zero")
     residual_rms = math.sqrt(ssr / powers.size)
     sigmas = _covariance_sigmas(jac, residual_rms, names)
-    return FitResult(names, p, sigmas, residual_rms, iterations, converged, grad_norm)
+    return FitResult(names, p, sigmas, residual_rms, iterations, converged)
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ def _refine(starts, t1, t2, consts, b_max_t):
         jac[(p[:, 1] == 0.0) | (p[:, 1] == hi[1]), :, 1] = 0.0
         return nu - [t1, t2], jac
 
-    p, _, jac, ssr, _, _, _ = _damped_gauss_newton(
+    p, _, jac, ssr, _, _ = _damped_gauss_newton(
         fun,
         project(np.asarray(starts, dtype=float)),
         np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]),
@@ -399,6 +399,9 @@ def axial_invert(
     (e.g. the zero-field pair (2D, 2D) maps to gamma B0 = 2D but violates
     the 4D split by the full 4D).
     """
+    for name, value in (("nu1_hz", nu1_hz), ("nu2_hz", nu2_hz)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not (nu2_hz >= nu1_hz):
         raise ValueError("require nu2_hz >= nu1_hz")
     if nu1_hz <= 0:

@@ -142,24 +142,16 @@ class EigenSystem:
 
 @dataclass(frozen=True)
 class TransitionPair:
-    """The two contrast-carrying resonance frequencies, nu1_hz <= nu2_hz.
-
-    Strengths are squared drive-operator matrix elements |<i|S.n|j>|^2 of the
-    corresponding eigenstate pairs (dimensionless).
-    """
+    """The two contrast-carrying resonance frequencies, nu1_hz <= nu2_hz."""
 
     nu1_hz: float
     nu2_hz: float
-    strength1: float
-    strength2: float
 
     def __post_init__(self) -> None:
         if not (self.nu1_hz >= 0 and self.nu2_hz >= self.nu1_hz):
             raise ValueError(
                 f"require 0 <= nu1_hz <= nu2_hz, got ({self.nu1_hz}, {self.nu2_hz})"
             )
-        if self.strength1 < 0 or self.strength2 < 0:
-            raise ValueError("transition strengths must be non-negative")
 
 
 def _hamiltonian_batch(
@@ -204,17 +196,6 @@ def diagonalize(h: SpinMatrix | np.ndarray) -> EigenSystem:
     return EigenSystem(energies, v * (lead.conj() / np.abs(lead)))
 
 
-def _drive_matrix(drive_axis) -> np.ndarray:
-    n = np.asarray(drive_axis, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("drive_axis must be a 3-vector")
-    norm = float(np.linalg.norm(n))
-    if norm == 0 or not np.all(np.isfinite(n)):
-        raise ValueError("drive_axis must be a finite, non-zero 3-vector")
-    n = n / norm
-    return n[0] * _SX + n[1] * _SY + n[2] * _SZ
-
-
 def _select_transitions_batch(
     energies: np.ndarray, vectors: np.ndarray
 ) -> np.ndarray:
@@ -250,37 +231,6 @@ def _line_gaps(levels: np.ndarray, lines: np.ndarray) -> np.ndarray:
     """Per-line difference upper - lower of a per-state quantity, (n, 4, ...) -> (n, 2, ...)."""
     rows = np.arange(levels.shape[0])[:, None]
     return levels[rows, lines[:, :, 1]] - levels[rows, lines[:, :, 0]]
-
-
-def transition_frequencies(
-    eig: EigenSystem, drive_axis=(1.0, 0.0, 0.0)
-) -> TransitionPair:
-    """The two contrast-carrying transitions of a diagonalized Hamiltonian.
-
-    At zero field both lines sit at 2D; for an axial field they are
-    |gamma*B0 - 2D| and gamma*B0 + 2D.  The gap between the two pumped
-    (m = +/-1/2 like) states never appears: optical pumping leaves it
-    without population difference, hence without ODMR contrast.  Above the
-    axial level crossing the result is the two outer adjacent gaps of the
-    ascending spectrum, E2-E1 and E4-E3.  Each line carries its squared
-    drive matrix element; the drive axis influences the strengths only,
-    never the frequencies.
-    """
-    sn = _drive_matrix(drive_axis)
-    lines = _select_transitions_batch(eig.energies_hz[None, :], eig.vectors[None, :, :])
-    nu1, nu2 = _line_gaps(eig.energies_hz[None, :], lines)[0]
-    drive = eig.vectors.conj().T @ sn @ eig.vectors
-    s1, s2 = np.abs(drive[lines[0, :, 0], lines[0, :, 1]]) ** 2
-    return TransitionPair(float(nu1), float(nu2), float(s1), float(s2))
-
-
-def transition_pair(
-    fv: FieldVector, consts: PhysicalConstants, drive_axis=(1.0, 0.0, 0.0)
-) -> TransitionPair:
-    """One field's lines from a one-row table eigensolve (frequencies = table row)."""
-    h = _hamiltonian_batch(np.array([fv.b0_t]), np.array([fv.theta_rad]), consts)
-    energies, vectors = np.linalg.eigh(h)
-    return transition_frequencies(EigenSystem(energies[0], vectors[0]), drive_axis)
 
 
 def transition_table(
@@ -329,16 +279,21 @@ def transition_table(
     return nu[:, 0], nu[:, 1], _line_gaps(slopes, lines)
 
 
+def transition_pair(fv: FieldVector, consts: PhysicalConstants) -> TransitionPair:
+    """One field's lines: row 0 of a one-field transition_table."""
+    nu1, nu2 = transition_table(np.array([fv.b0_t]), np.array([fv.theta_rad]), consts)
+    return TransitionPair(float(nu1[0]), float(nu2[0]))
+
+
 def closed_form_axial(b0_t: float, consts: PhysicalConstants) -> TransitionPair:
     """Exact axial-field (theta = 0) transition frequencies.
 
     nu1 = |gamma*B0 - 2D| and nu2 = gamma*B0 + 2D; the lower branch closes at
-    the level crossing gamma*B0 = 2D and reopens beyond it.  Both lines carry
-    the axial drive element |<+-1/2|Sx|+-3/2>|^2 = 3/4.
+    the level crossing gamma*B0 = 2D and reopens beyond it.
     """
     if b0_t < 0 or not math.isfinite(b0_t):
         raise ValueError(f"b0_t must be non-negative and finite, got {b0_t}")
     zeeman = consts.gyro_hz_per_t * b0_t
     nu1 = abs(zeeman - 2.0 * consts.d_hz)
     nu2 = zeeman + 2.0 * consts.d_hz
-    return TransitionPair(nu1, nu2, 0.75, 0.75)
+    return TransitionPair(nu1, nu2)

@@ -267,6 +267,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
               "--sigma-khz", "50"])
     assert exc.value.code == 2
     assert "not allowed with argument --axial" in capsys.readouterr().err
+    # a given photon rate leaves no use for a laser power: both is an error
+    with pytest.raises(SystemExit) as exc:
+        main(["sensitivity", "--contrast", "1.8e-3", "--fwhm-mhz", "13", "--rate-cps", "1e8",
+              "--laser-mw", "5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --rate-cps" in capsys.readouterr().err
     # ODMR contrast is a fraction: 2 (meant as 2 permille) and 1 are usage errors
     for argv in (
         ["sensitivity", "--contrast", "2", "--fwhm-mhz", "13"],

@@ -255,7 +255,7 @@ def test_core_reports_non_convergence():
         model, jac = _lorentzian_model(freq, p, 1)
         return model - signal, jac
 
-    p, r, jac, ssr, iterations, converged, grad = _damped_gauss_newton(
+    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
         fun,
         np.array([0.0, 70e6, 30e6, 5e-4]),
         np.array([1e-3, 2.3e8, 2.3e8, 1e-3]),
@@ -292,7 +292,7 @@ def test_core_stack_matches_solo_runs_bit_for_bit():
     p0 = np.array([[0.0, 0.0, 0.0], [-1.2, 1.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
     scales = np.array([1.0, 1.0, 1.0])
     max_iter = 8
-    p, r, jac, ssr, iterations, converged, grad = _damped_gauss_newton(
+    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
         stacked, p0, scales, project, max_iter
     )
     assert converged.tolist() == [True, False, False, False]
@@ -305,7 +305,7 @@ def test_core_stack_matches_solo_runs_bit_for_bit():
         assert p[i].tobytes() == solo[0].tobytes()
         assert r[i].tobytes() == solo[1].tobytes()
         assert jac[i].tobytes() == solo[2].tobytes()
-        assert (ssr[i], iterations[i], converged[i], grad[i]) == solo[3:]
+        assert (ssr[i], iterations[i], converged[i]) == solo[3:]
 
 
 def test_core_damping_cap_stops_a_row_stranded_on_a_jump():
@@ -332,7 +332,7 @@ def test_core_damping_cap_stops_a_row_stranded_on_a_jump():
     rounds = {}
     for cap in (1e12, 1e3):
         trials.clear()
-        p, r, jac, ssr, iterations, converged, grad = _damped_gauss_newton(
+        p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
             stacked, p0, scales, None, max_iter, cap
         )
         rounds[cap] = len(trials)
@@ -344,7 +344,7 @@ def test_core_damping_cap_stops_a_row_stranded_on_a_jump():
         for i in range(2):
             solo = _damped_gauss_newton(one, p0[i], scales, None, max_iter, cap)
             assert p[i].tobytes() == solo[0].tobytes()
-            assert (ssr[i], iterations[i], converged[i]) == solo[3:6]
+            assert (ssr[i], iterations[i], converged[i]) == solo[3:]
     assert rounds[1e3] < rounds[1e12] / 2
 
 

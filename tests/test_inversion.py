@@ -327,6 +327,14 @@ def test_axial_invert_validation(consts):
         axial_invert(200e6, 100e6, consts)
     with pytest.raises(ValueError):
         axial_invert(-1.0, 100e6, consts)
+    for args, name in (
+        ((math.inf, math.inf), "nu1_hz"),
+        ((math.nan, 100e6), "nu1_hz"),
+        ((100e6, math.inf), "nu2_hz"),
+        ((100e6, math.nan), "nu2_hz"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            axial_invert(*args, consts)
 
 
 @pytest.mark.parametrize("b0_gauss", [40.0, 60.0, 100.0])

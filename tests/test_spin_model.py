@@ -25,11 +25,12 @@ from sivodmr.spin_model import (
     PhysicalConstants,
     SpinMatrix,
     TransitionPair,
+    _line_gaps,
+    _select_transitions_batch,
     build_hamiltonian,
     closed_form_axial,
     diagonalize,
     spin_operators,
-    transition_frequencies,
     transition_pair,
     transition_table,
 )
@@ -181,9 +182,9 @@ def test_eigensystem_rejects_descending_energies():
 
 def test_transition_pair_validation():
     with pytest.raises(ValueError):
-        TransitionPair(2.0e8, 1.0e8, 0.5, 0.5)
+        TransitionPair(2.0e8, 1.0e8)
     with pytest.raises(ValueError):
-        TransitionPair(1.0e8, 2.0e8, -0.1, 0.5)
+        TransitionPair(-1.0, 2.0e8)
 
 
 def test_diagonalize_diagonal_input_sorts_and_permutes():
@@ -274,8 +275,6 @@ def test_closed_form_axial_values(consts):
     p = closed_form_axial(60 * GAUSS, consts)
     assert p.nu1_hz == pytest.approx(NU1_60G, abs=0.01)
     assert p.nu2_hz == pytest.approx(NU2_60G, abs=0.01)
-    assert p.strength1 == pytest.approx(0.75)
-    assert p.strength2 == pytest.approx(0.75)
     # below the level crossing the lower branch reflects
     low = closed_form_axial(10 * GAUSS, consts)
     zeeman = consts.gyro_hz_per_t * 10 * GAUSS
@@ -299,34 +298,6 @@ def test_axial_sum_and_difference_rules(consts):
     nu1, nu2 = transition_table(b0, np.zeros_like(b0), consts)
     assert np.max(np.abs((nu2 - nu1) - 4 * consts.d_hz)) <= 1e3
     assert np.max(np.abs((nu1 + nu2) - 2 * consts.gyro_hz_per_t * b0)) <= 1e3
-
-
-def test_axial_strengths_and_drive_axis(consts):
-    pair_x = transition_pair(FieldVector(60 * GAUSS, 0.0), consts, drive_axis=(1, 0, 0))
-    assert pair_x.strength1 == pytest.approx(0.75, abs=1e-9)
-    assert pair_x.strength2 == pytest.approx(0.75, abs=1e-9)
-    # a longitudinal drive cannot flip m by one: strengths vanish
-    pair_z = transition_pair(FieldVector(60 * GAUSS, 0.0), consts, drive_axis=(0, 0, 1))
-    assert pair_z.strength1 == pytest.approx(0.0, abs=1e-9)
-    assert pair_z.strength2 == pytest.approx(0.0, abs=1e-9)
-    # frequencies never depend on the drive axis
-    pair_mix = transition_pair(
-        FieldVector(60 * GAUSS, 0.0), consts, drive_axis=(0.3, 0.2, 0.9)
-    )
-    assert pair_mix.nu1_hz == pytest.approx(pair_x.nu1_hz, abs=1e-6)
-    assert pair_mix.nu2_hz == pytest.approx(pair_x.nu2_hz, abs=1e-6)
-    with pytest.raises(ValueError):
-        transition_pair(FieldVector(60 * GAUSS, 0.0), consts, drive_axis=(0, 0, 0))
-
-
-def test_drive_axis_invariance_of_frequencies_off_axis(consts, rng):
-    fv = FieldVector(44 * GAUSS, 0.83)
-    base = transition_pair(fv, consts)
-    for _ in range(10):
-        axis = rng.normal(size=3)
-        p = transition_pair(fv, consts, drive_axis=axis)
-        assert p.nu1_hz == pytest.approx(base.nu1_hz, abs=1e-6)
-        assert p.nu2_hz == pytest.approx(base.nu2_hz, abs=1e-6)
 
 
 def test_theta_symmetry(consts, rng):
@@ -362,17 +333,25 @@ def test_gap_minimum_near_magic_angle(consts):
 
 
 def test_transition_table_matches_single_point_path(consts, rng):
-    # the reference is the complex, phased diagonalize path, independent of
-    # the table's real eigensolve; transition_pair is a one-row table call
+    # the reference selects lines from the complex, phased diagonalize
+    # path, independent of the table's real eigensolve
     b0 = rng.uniform(0.0, 150 * GAUSS, size=25)
     th = rng.uniform(0.0, math.pi / 2, size=25)
     nu1, nu2 = transition_table(b0, th, consts)
     for k in range(25):
-        fv = FieldVector(b0[k], th[k])
-        p = transition_frequencies(diagonalize(build_hamiltonian(fv, consts)))
-        assert nu1[k] == pytest.approx(p.nu1_hz, abs=1e-6)
-        assert nu2[k] == pytest.approx(p.nu2_hz, abs=1e-6)
-        pair = transition_pair(fv, consts)
+        eig = diagonalize(build_hamiltonian(FieldVector(b0[k], th[k]), consts))
+        energies = eig.energies_hz[None, :]
+        lines = _select_transitions_batch(energies, eig.vectors[None, :, :])
+        ref1, ref2 = _line_gaps(energies, lines)[0]
+        assert nu1[k] == pytest.approx(ref1, abs=1e-6)
+        assert nu2[k] == pytest.approx(ref2, abs=1e-6)
+    # transition_pair is a one-row table call: its pair is the row bit for
+    # bit, also at zero field, at 1 nT and on the angle edges
+    b0 = np.concatenate([b0, [0.0, 0.0, 1e-9, 1e-9, 60 * GAUSS, 60 * GAUSS]])
+    th = np.concatenate([th, [0.0, math.pi / 2, 0.0, math.pi / 2, 0.0, math.pi / 2]])
+    nu1, nu2 = transition_table(b0, th, consts)
+    for k in range(b0.size):
+        pair = transition_pair(FieldVector(b0[k], th[k]), consts)
         assert (pair.nu1_hz, pair.nu2_hz) == (nu1[k], nu2[k])
 
 
@@ -385,12 +364,6 @@ def test_transition_table_input_validation(consts):
     assert empty[0].size == 0 and empty[1].size == 0
     with pytest.raises(TypeError):  # jacobian is keyword-only
         transition_table(np.array([1e-3]), np.array([0.0]), consts, True)
-
-
-def test_transition_frequencies_requires_unit_axis_shape(consts):
-    eig = diagonalize(build_hamiltonian(FieldVector(60 * GAUSS, 0.2), consts))
-    with pytest.raises(ValueError):
-        transition_frequencies(eig, drive_axis=(1.0, 0.0))
 
 
 def _random_grid_batch():
