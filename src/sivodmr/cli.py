@@ -302,21 +302,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("sweep", help="tabulate resonances or sensitivity vs a control")
-    p.add_argument("kind", choices=["field", "angle", "laser", "mw"])
-    p.add_argument("--out", default="-", help="output CSV path (default stdout)")
-    p.add_argument("--svg", default=None)
-    p.add_argument("--points", type=_grid_points, default=None)
-    p.add_argument("--bmin-gauss", type=_non_negative, default=0.0)
-    p.add_argument("--bmax-gauss", type=_positive, default=120.0)
-    p.add_argument("--theta-deg", type=_finite, default=0.0)
-    p.add_argument("--b0-gauss", type=_positive, default=60.0)
-    p.add_argument("--pmin-mw", type=_positive, default=1.0)
-    p.add_argument("--pmax-mw", type=_positive, default=85.0)
-    p.add_argument("--contrast", type=_fraction, default=1.8e-3)
-    p.add_argument("--fwhm-mhz", type=_positive, default=13.0)
-    p.add_argument("--dbm-min", type=_finite, default=0.0)
-    p.add_argument("--dbm-max", type=_finite, default=30.0)
-    p.add_argument("--laser-mw", type=_positive, default=85.0)
+    # one parser per kind, so that a flag the kind does not use is a usage error
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", default="-", help="output CSV path (default stdout)")
+    shared.add_argument("--svg", default=None)
+    shared.add_argument("--points", type=_grid_points, default=None)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("field", parents=[shared], help="lines vs field at a fixed angle")
+    k.add_argument("--bmin-gauss", type=_non_negative, default=0.0)
+    k.add_argument("--bmax-gauss", type=_positive, default=120.0)
+    k.add_argument("--theta-deg", type=_finite, default=0.0)
+    k = kinds.add_parser("angle", parents=[shared], help="lines vs angle at a fixed field")
+    k.add_argument("--b0-gauss", type=_positive, default=60.0)
+    k = kinds.add_parser("laser", parents=[shared], help="sensitivity vs laser power")
+    k.add_argument("--pmin-mw", type=_positive, default=1.0)
+    k.add_argument("--pmax-mw", type=_positive, default=85.0)
+    k.add_argument("--contrast", type=_fraction, default=1.8e-3)
+    k.add_argument("--fwhm-mhz", type=_positive, default=13.0)
+    k = kinds.add_parser("mw", parents=[shared], help="sensitivity vs MW power")
+    k.add_argument("--dbm-min", type=_finite, default=0.0)
+    k.add_argument("--dbm-max", type=_finite, default=30.0)
+    k.add_argument("--laser-mw", type=_positive, default=85.0)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sensitivity", help="shot-noise sensitivity budget as JSON")

@@ -96,11 +96,12 @@ def _damped_gauss_newton(
 
     A 1-D p0 is one problem: fun maps a point to (r, J) and the return
     values are p, r, J, ssr, iterations, converged.  A (k, n) p0
-    is a stack of k independent problems run in lock step: fun maps a
-    (k', n) stack of trial points to (k', m) residuals and (k', m, n)
-    Jacobians in one call, and every return value gains a leading axis of
-    k.  In both forms project maps a (k', n) stack of trial points to the
-    feasible points that replace them.  A trial row that is not finite,
+    is a stack of k independent problems run in lock step: fun(trial, rows)
+    maps a (k', n) stack of trial points to (k', m) residuals and (k', m, n)
+    Jacobians in one call, where rows holds the stack indices of the trial
+    rows, so that each problem can look up its own data; every return value
+    gains a leading axis of k.  In both forms project maps a (k', n) stack
+    of trial points to the feasible points that replace them.  A trial row that is not finite,
     because project marked it NaN or because its system was singular, is
     rejected like a rise in SSR: lam grows tenfold and the problem retries
     next round.  Each problem keeps its own lam, acceptance, iteration count
@@ -112,7 +113,7 @@ def _damped_gauss_newton(
     if np.ndim(p0) == 1:
         one = fun
         p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
-            lambda q: tuple(a[None] for a in one(q[0])), [p0], scales, project, max_iter,
+            lambda q, rows: tuple(a[None] for a in one(q[0])), [p0], scales, project, max_iter,
             max_damping,
         )
         return p[0], r[0], jac[0], float(ssr[0]), int(iterations[0]), bool(converged[0])
@@ -120,7 +121,7 @@ def _damped_gauss_newton(
     p = np.array(p0, dtype=float)
     scales = np.asarray(scales, dtype=float)
     k = p.shape[0]
-    r, jac = fun(p)
+    r, jac = fun(p, np.arange(k))
     ssr = _sq_norms(r)
     lam = np.full(k, 1e-3)
     converged = np.zeros(k, dtype=bool)
@@ -140,7 +141,7 @@ def _damped_gauss_newton(
         rows, trial = rows[ok], trial[ok]
         if rows.size == 0:
             continue
-        r_try, jac_try = fun(trial)
+        r_try, jac_try = fun(trial, rows)
         ssr_try = _sq_norms(r_try)
         ok = ssr_try <= ssr[rows]
         lam[rows[~ok]] *= 10.0

@@ -1,28 +1,31 @@
 """Invert a measured resonance pair (nu1, nu2) back to the field (B0, theta).
 
-The forward map from (B0, theta) to the sorted frequency pair folds across
-the angle that minimizes |nu2 - nu1| at fixed field: away from that fold a
-second, mirror-image parameter point generally reproduces the same pair
-exactly.  The inverter therefore refines every candidate basin it can find
-and reduces them in one pass: duplicates collapse to the lowest residual,
-one floor rule keeps the solutions that reproduce the pair, the smallest
-B0 (then theta) among them is reported and the rest are its rivals.
+The inverter works on labelled lines, not on the sorted pair: line A (the
+lower bright state's line) and line B (the upper one's) cross near the
+magic angle, and a measured pair cannot tell which of its lines is A.  So
+both orderings, (nu1, nu2) and (nu2, nu1), are sought as (A, B).  The
+labelled map has no fold at A = B; a mirror field that reproduces the
+sorted pair is a solution of the other ordering.  Away from the angle
+edges, a second parameter point can still reproduce the pair exactly.
+The inverter therefore refines every candidate basin it can find and
+reduces them in one pass: duplicates collapse to the lowest residual, one
+floor rule keeps the solutions that reproduce the pair, the smallest B0
+(then theta) among them is reported and the rest are its rivals.
 Diagnostics: a local Jacobian condition estimate, a secant condition over
 rival basins, the noise-mapped parameter sigmas of the fitting layer's
 covariance rule, and a degenerate flag with the reason that raised it.
 
 The candidates come from one mesh-containment rule: the cached coarse grid
-is split into triangles, and every triangle whose (nu1, nu2) image holds
-the pair, within a padding of its barycentric coordinates, seeds the linear
-preimage of the pair.  Only a pair that no triangle holds starts from the
-best grid node.  The sorted pair also folds along nu1 = nu2 inside a single
-cell, which no linear triangle unfolds, so a reflection probe across the
-local gap-minimizing angle adds the mirror seeds.
+of labelled lines is split into triangles, and every triangle whose (A, B)
+image holds an ordering of the pair, within a padding of its barycentric
+coordinates, seeds the linear preimage of that ordering.  An exact pair
+tests only the B0 rows whose cached bounds hold it.  Only a pair that no
+triangle holds starts from the best grid node, in its better ordering.
 
-The candidates of one inversion are refined as one lock-step stack of the
-shared Gauss-Newton core, and the mirror probes as a second, so each trial
-costs one transition_table call (real, unphased eigenvectors) for the whole
-stack; each candidate still follows the path it would follow alone.
+The candidates of one inversion, each with its own ordering, are refined
+as one lock-step stack of the shared Gauss-Newton core, so each trial
+costs one transition_table call (real, unphased eigenvectors) for the
+whole stack; each candidate still follows the path it would follow alone.
 A row whose damping climbs past _REFINE_MAX_DAMPING stops where it is:
 such rows sit on a jump of the forward map (a flip of the pumped-pair
 line selection) that no step can cross, and without the cap they held
@@ -50,7 +53,6 @@ NO_SOLUTION_RMS_HZ = 1e6        # best residual above this means "unreachable"
 NUMERIC_FLOOR_HZ = 1.0          # residuals below this are numerically "exact"
 RESOLUTION_B_T = 1e-5           # 0.1 G: instrument-scale field resolution
 RESOLUTION_THETA_RAD = math.radians(0.5)  # instrument-scale angle resolution
-_PROBE_GAP_HZ = 5e6             # probe the mirror basin when the lines are this close
 _COND_CAP = 1e12
 _DEDUPE_B_T = 2e-8              # refinement floor: closer solutions are one basin
 _DEDUPE_THETA_RAD = 2e-5
@@ -114,54 +116,89 @@ class InversionResult:
 
 @lru_cache(maxsize=8)
 def _forward_grid(d_hz: float, g_factor: float, b_max_t: float):
-    """The coarse grid's lines and the affine maps of its triangles.
+    """The coarse grid's labelled lines and the affine maps of its triangles.
 
-    Returns the (2, GRID_N_B, GRID_N_THETA) array of (nu1, nu2) at the
-    nodes and tri, six contiguous rows over the triangles.  Each cell splits
-    along its anti-diagonal into a lower triangle, nodes (i, j), (i+1, j),
-    (i, j+1), and an upper one, nodes (i+1, j+1), (i, j+1), (i+1, j); the
-    upper ones follow the lower ones.  The rows hold the (nu1, nu2) image of
-    the first node, then the inverse of the 2x2 edge matrix, which maps nu
-    minus that image to the barycentric coordinates of the second and third
-    nodes.  A triangle whose image has no area (two nodes at B0 = 0) gets
-    NaN rows and never matches.
+    Returns (g, tri, lo, hi).  g is the (2, GRID_N_B, GRID_N_THETA) array of
+    the lines (A, B) at the nodes.  tri holds nine (2, GRID_N_B - 1,
+    GRID_N_THETA - 1) rows over the triangles, lower ones first, then upper,
+    each indexed by its cell (i, j).  Each cell splits along its
+    anti-diagonal into a lower triangle, nodes (i, j), (i+1, j), (i, j+1),
+    and an upper one, nodes (i+1, j+1), (i, j+1), (i+1, j).  The rows hold
+    the (A, B) image of the first node, then the inverse of the 2x2 edge
+    matrix, which maps (A, B) minus that image to the barycentric
+    coordinates of the second and third nodes, then the norms that scale
+    noise into each of the three coordinates.  A triangle whose image has
+    no area (two nodes at B0 = 0) gets NaN rows and never matches.  lo and
+    hi are (2, GRID_N_B - 1): per line and B0 row, the bounds of the images
+    of the row's triangles padded by 0.5 in each barycentric coordinate.
     """
     consts = PhysicalConstants(d_hz=d_hz, g_factor=g_factor)
     b_nodes = np.linspace(0.0, b_max_t, GRID_N_B)
     th_nodes = np.linspace(0.0, math.pi / 2, GRID_N_THETA)
     bb, tt = np.meshgrid(b_nodes, th_nodes, indexing="ij")
-    g = np.stack(transition_table(bb.ravel(), tt.ravel(), consts)).reshape(2, *bb.shape)
-    # (line, lower/upper, i, j): the first node of each triangle, then its two edges
-    v0 = np.stack([g[:, :-1, :-1], g[:, 1:, 1:]], axis=1)
-    e1 = np.stack([g[:, 1:, :-1], g[:, :-1, 1:]], axis=1) - v0
-    e2 = np.stack([g[:, :-1, 1:], g[:, 1:, :-1]], axis=1) - v0
+    g = np.stack(transition_table(bb.ravel(), tt.ravel(), consts, labelled=True))
+    g = g.reshape(2, *bb.shape)
+    nodes = (
+        (g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:]),  # lower triangles
+        (g[:, 1:, 1:], g[:, :-1, 1:], g[:, 1:, :-1]),  # upper triangles
+    )
+    # nine rows over (lower/upper, i, j); the first node of each triangle and
+    # its two edges are (line, lower/upper, i, j)
+    tri = np.empty((9, 2, GRID_N_B - 1, GRID_N_THETA - 1))
+    v0, e1, e2 = tri[:2], np.empty_like(tri[:2]), np.empty_like(tri[:2])
+    for k, (p, q, r) in enumerate(nodes):
+        v0[:, k] = p
+        np.subtract(q, p, out=e1[:, k])
+        np.subtract(r, p, out=e2[:, k])
     det = e1[0] * e2[1] - e2[0] * e1[1]
     # inverse of the edge matrix [e1 e2]: [[e2[1], -e2[0]], [-e1[1], e1[0]]] / det
-    tri = np.concatenate([v0, e2[1:], -e2[:1], -e1[1:], e1[:1]])
+    tri[2], tri[3], tri[4], tri[5] = e2[1], -e2[0], -e1[1], e1[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        tri[2:] /= det
-    tri[2:, det == 0] = np.nan
-    return g, tri.reshape(6, -1)
+        tri[2:6] /= det
+    tri[2:6, det == 0] = np.nan
+    m11, m12, m21, m22 = tri[2:6]
+    np.hypot(m11, m12, out=tri[6])
+    np.hypot(m21, m22, out=tri[7])
+    np.hypot(m11 + m21, m12 + m22, out=tri[8])
+    # corner k of a triangle padded by 0.5 is 2.5 X_k - 0.5 (X_0 + X_1 + X_2)
+    lo = np.full((2, GRID_N_B - 1), np.inf)
+    hi = -lo
+    for corners in nodes:
+        half_sum = 0.5 * (corners[0] + corners[1] + corners[2])
+        for x in corners:
+            padded = 2.5 * x - half_sum
+            np.minimum(lo, padded.min(axis=2), out=lo)
+            np.maximum(hi, padded.max(axis=2), out=hi)
+    return g, tri, lo, hi
 
 
-def _mesh_seeds(tri: np.ndarray, t1: float, t2: float, sigma_hz: float) -> list:
-    """Linear preimages, in grid units, of every triangle whose image holds the pair.
+def _mesh_seeds(tri, lo, hi, t1: float, t2: float, sigma_hz: float) -> list:
+    """Linear preimages, in grid units, of every triangle whose image holds (t1, t2) as (A, B).
 
     Each barycentric coordinate may fall 0.5 below zero, and with noise a
     further 3 sigma mapped through the triangle's map, so that a pair just
-    beyond a fold edge (theta = 0 or pi/2) still finds its cell.  Preimages
-    within a quarter cell of a kept one collapse into it.
+    beyond a fold edge (theta = 0 or pi/2) still finds its cell.  An exact
+    pair tests only the B0 rows from the first to the last whose bounds
+    (lo, hi) hold it; a noisy pair, whose pads have no such bound, tests
+    every row.  Preimages within a quarter cell of a kept one collapse into
+    it.
     """
-    v1, v2, m11, m12, m21, m22 = tri
+    start, stop = 0, GRID_N_B - 1
+    if sigma_hz == 0:
+        held = np.flatnonzero((lo[0] <= t1) & (t1 <= hi[0]) & (lo[1] <= t2) & (t2 <= hi[1]))
+        if held.size == 0:
+            return []
+        start, stop = held[0], held[-1] + 1
+    v1, v2, m11, m12, m21, m22, n1, n2, n3 = tri[:, :, start:stop]
     d1, d2 = t1 - v1, t2 - v2
     l1 = m11 * d1 + m12 * d2
     l2 = m21 * d1 + m22 * d2
     pads = (0.5, 0.5, 0.5)
     if sigma_hz > 0:
-        pads = [0.5 + 3.0 * sigma_hz * np.hypot(a, b)
-                for a, b in ((m11, m12), (m21, m22), (m11 + m21, m12 + m22))]
-    hit = np.flatnonzero((l1 >= -pads[0]) & (l2 >= -pads[1]) & (l1 + l2 <= 1.0 + pads[2]))
-    upper, i, j = np.unravel_index(hit, (2, GRID_N_B - 1, GRID_N_THETA - 1))
+        pads = [0.5 + 3.0 * sigma_hz * n for n in (n1, n2, n3)]
+    hit = (l1 >= -pads[0]) & (l2 >= -pads[1]) & (l1 + l2 <= 1.0 + pads[2])
+    upper, i, j = np.nonzero(hit)
+    i += start
     sign = 1 - 2 * upper
     seeds = []
     for u in zip((i + upper + sign * l1[hit]).tolist(), (j + upper + sign * l2[hit]).tolist()):
@@ -170,40 +207,46 @@ def _mesh_seeds(tri: np.ndarray, t1: float, t2: float, sigma_hz: float) -> list:
     return seeds
 
 
-def _refine(starts, t1, t2, consts, b_max_t):
+def _refine(starts, targets, consts, b_max_t):
     """Damped Gauss-Newton on the 2x2 systems of a (k, 2) stack of starts.
 
-    The k refinements run in lock step, with one transition_table call per
-    trial for all of them; each follows the trajectory it follows alone.
-    The Jacobian is Hellmann-Feynman.  Trial points are clipped into
-    [0, b_max_t] x [0, pi/2]; steps are judged small against the instrument
-    resolution.  Below _ZERO_FIELD_T, where the degenerate Kramers pairs
-    leave Hellmann-Feynman undefined, the B0 column is a forward difference
-    and the theta column is zero; rounds holding such a row make a second
-    table call for them.  On the angle edges theta = 0 and pi/2 the theta
-    column is zero too.  A row whose lambda passes _REFINE_MAX_DAMPING exits
-    unconverged at its last accepted point: a step that the local linear
-    model cannot take after that much damping is a jump of the forward map,
-    and further damping only made its stack wait on it.  Returns (b0,
-    theta, rms residual, Jacobian) per start.
+    Row k fits the labelled lines (A, B) to targets[k], one ordering of the
+    measured pair.  The k refinements run in lock step, with one
+    transition_table call per trial for all of them; each follows the
+    trajectory it follows alone.  The Jacobian is Hellmann-Feynman.  Trial
+    points are clipped into [0, b_max_t] x [0, pi/2]; steps are judged
+    small against the instrument resolution.  Below _ZERO_FIELD_T, where
+    the degenerate Kramers pairs leave Hellmann-Feynman undefined, the B0
+    column is a forward difference and the theta column is zero; rounds
+    holding such a row make a second table call for them.  On the angle
+    edges theta = 0 and pi/2 the theta column is zero too.  A row whose
+    lambda passes _REFINE_MAX_DAMPING exits unconverged at its last
+    accepted point: a step that the local linear model cannot take after
+    that much damping is a jump of the forward map, and further damping
+    only made its stack wait on it.  Returns (b0, theta, rms residual,
+    Jacobian) per start.
     """
     hi = np.array([b_max_t, math.pi / 2])
+    targets = np.asarray(targets, dtype=float)
 
     def project(p):
         return np.clip(p, 0.0, hi)
 
-    def fun(p):
+    def fun(p, rows):
         nu = np.empty((len(p), 2))
         jac = np.zeros((len(p), 2, 2))
         low = p[:, 0] < _ZERO_FIELD_T
         high = ~low
         if high.any():
-            nu1, nu2, jac[high] = transition_table(p[high, 0], p[high, 1], consts, jacobian=True)
+            nu1, nu2, jac[high] = transition_table(
+                p[high, 0], p[high, 1], consts, jacobian=True, labelled=True
+            )
             nu[high] = np.column_stack([nu1, nu2])
         if low.any():
             b0, th = p[low, 0], p[low, 1]
             nu1, nu2 = transition_table(
-                np.concatenate([b0, b0 + _ZERO_FIELD_T]), np.concatenate([th, th]), consts
+                np.concatenate([b0, b0 + _ZERO_FIELD_T]), np.concatenate([th, th]), consts,
+                labelled=True,
             )
             m = b0.size
             nu[low] = np.column_stack([nu1[:m], nu2[:m]])
@@ -211,7 +254,7 @@ def _refine(starts, t1, t2, consts, b_max_t):
         # the lines are even in theta about 0 and pi/2, so d(nu)/d(theta) is
         # zero there; Hellmann-Feynman gives rounding noise in its place
         jac[(p[:, 1] == 0.0) | (p[:, 1] == hi[1]), :, 1] = 0.0
-        return nu - [t1, t2], jac
+        return nu - targets[rows], jac
 
     p, _, jac, ssr, _, _ = _damped_gauss_newton(
         fun,
@@ -224,27 +267,6 @@ def _refine(starts, t1, t2, consts, b_max_t):
     return list(zip(p[:, 0], p[:, 1], np.sqrt(ssr / 2.0), jac))
 
 
-def _fit_floor(solutions, sigma_hz: float) -> float:
-    """Largest residual that still reproduces the pair (noise, numeric or best-fit floor)."""
-    return max(3.0 * sigma_hz, NUMERIC_FLOOR_HZ, 2.0 * min(s[2] for s in solutions))
-
-
-def _gap_minimizing_theta(b0_t: np.ndarray, theta0: np.ndarray, consts) -> np.ndarray:
-    """Angles minimizing |nu2 - nu1| at fixed field, searched near theta0.
-
-    Matched arrays of seeds, one table call per stage for all of them.
-    Two grid stages: the fold can separate rival basins by well under the
-    coarse spacing, so the apex must be located to ~1e-4 rad.
-    """
-    center, half, n = theta0, 0.12, 97
-    for _ in range(2):
-        th = np.clip(np.linspace(center - half, center + half, n, axis=-1), 0.0, math.pi / 2)
-        nu1, nu2 = transition_table(np.repeat(b0_t, n), th.ravel(), consts)
-        center = th[np.arange(th.shape[0]), np.argmin((nu2 - nu1).reshape(th.shape), axis=1)]
-        half, n = 1.5 * (2.0 * half / (n - 1)), 61
-    return center
-
-
 def invert_field(
     nu1_hz: float,
     nu2_hz: float,
@@ -255,9 +277,10 @@ def invert_field(
     """Recover (B0, theta) from a resonance pair by mesh-seeded Gauss-Newton.
 
     Minimizes (nu1 - model1)^2 + (nu2 - model2)^2 over B0 in [0, b_max_t]
-    and theta in [0, pi/2]: every triangle of a 201 x 91 coarse grid
-    (cached per constants) whose image holds the pair seeds a damped
-    Gauss-Newton refinement at the pair's linear preimage; among the
+    and theta in [0, pi/2], with either ordering of the pair taken as the
+    labelled lines (A, B): every triangle of a 201 x 91 coarse grid (cached
+    per constants) whose image holds an ordering seeds a damped
+    Gauss-Newton refinement at that ordering's linear preimage; among the
     solutions that reproduce the pair the smallest B0, then the smallest
     theta, is reported and the rest are its rivals.  sigma_hz is the 1-sigma
     frequency uncertainty of the inputs (e.g. the fitted line-center sigma)
@@ -282,34 +305,32 @@ def invert_field(
         raise ValueError("sigma_hz must be non-negative")
     t1, t2 = sorted((float(nu1_hz), float(nu2_hz)))
 
-    grid, tri = _forward_grid(consts.d_hz, consts.g_factor, b_max_t)
+    grid, tri, lo, hi = _forward_grid(consts.d_hz, consts.g_factor, b_max_t)
+    # each grid node takes the better of the two orderings as (A, B)
+    orderings = np.array([[t1, t2], [t2, t1]])
     # |E| <= ||H|| <= D + 3/2 gamma B0, so no line exceeds 2D + 3 gamma b_max;
     # past that by sqrt(2) NO_SOLUTION_RMS_HZ the larger line alone puts the
     # RMS residual out of reach.  The best node's RMS is taken as the larger
     # miss times a factor <= 1, which stays finite where squares overflow.
     top_hz = 2.0 * consts.d_hz + 3.0 * consts.gyro_hz_per_t * b_max_t
     if t2 - top_hz > math.sqrt(2.0) * NO_SOLUTION_RMS_HZ:
-        miss = np.abs([grid[0] - t1, grid[1] - t2])
-        hi = miss.max(axis=0)
-        rms = hi * np.sqrt(0.5 + 0.5 * (miss.min(axis=0) / hi) ** 2)
+        miss = np.abs(grid - orderings[:, :, None, None])
+        big = miss.max(axis=1)
+        rms = big * np.sqrt(0.5 + 0.5 * (miss.min(axis=1) / big) ** 2)
         raise NoSolutionError(float(rms.min()))
-    seeds = _mesh_seeds(tri, t1, t2, sigma_hz)
+    seeds, targets = [], []
+    for pair in orderings:
+        found = _mesh_seeds(tri, lo, hi, *pair, sigma_hz)
+        seeds += found
+        targets += [pair] * len(found)
     if not seeds:
         # no triangle holds the pair: refine from the best node, which
         # raises NoSolutionError below for a pair out of reach
-        ssr = (grid[0] - t1) ** 2 + (grid[1] - t2) ** 2
-        seeds = [np.unravel_index(np.argmin(ssr), ssr.shape)]
+        ssr = ((grid - orderings[:, :, None, None]) ** 2).sum(axis=1)
+        k, i, j = np.unravel_index(np.argmin(ssr), ssr.shape)
+        seeds, targets = [(i, j)], [orderings[k]]
     step = [b_max_t / (GRID_N_B - 1), math.pi / 2 / (GRID_N_THETA - 1)]
-    solutions = _refine(np.array(seeds, dtype=float) * step, t1, t2, consts, b_max_t)
-
-    # near the gap fold two basins can sit closer than the coarse grid can
-    # separate: probe the mirror image across the local gap-minimizing angle
-    if (t2 - t1) <= max(_PROBE_GAP_HZ, 5.0 * sigma_hz):
-        floor = _fit_floor(solutions, sigma_hz)
-        seeds = np.array([s[:2] for s in solutions if s[2] <= floor])
-        b0, th0 = seeds[:, 0], seeds[:, 1]
-        mirror = 2.0 * _gap_minimizing_theta(b0, th0, consts) - th0
-        solutions += _refine(np.column_stack([b0, mirror]), t1, t2, consts, b_max_t)
+    solutions = _refine(np.array(seeds, dtype=float) * step, targets, consts, b_max_t)
 
     # one reduction: collapse duplicates (same basin reached twice) to the
     # lowest residual, keep what lies inside the floor (the best always
@@ -323,7 +344,9 @@ def invert_field(
             for d in distinct
         ):
             distinct.append(s)
-    floor = _fit_floor(distinct, sigma_hz)
+    # the largest residual that still reproduces the pair: the noise floor,
+    # the numeric floor or twice the best fit's residual (distinct[0])
+    floor = max(3.0 * sigma_hz, NUMERIC_FLOOR_HZ, 2.0 * distinct[0][2])
     compatible = sorted((s for s in distinct if s[2] <= floor), key=lambda s: (s[0], s[1]))
     (b0, theta, rms, jac), rivals = compatible[0], compatible[1:]
 

@@ -196,9 +196,7 @@ def diagonalize(h: SpinMatrix | np.ndarray) -> EigenSystem:
     return EigenSystem(energies, v * (lead.conj() / np.abs(lead)))
 
 
-def _select_transitions_batch(
-    energies: np.ndarray, vectors: np.ndarray
-) -> np.ndarray:
+def _select_transitions_batch(vectors: np.ndarray) -> np.ndarray:
     """Eigenstate pairs of the two ODMR-active lines of a batch of eigensystems.
 
     Optical pumping equalizes the populations of the two eigenstates with
@@ -209,8 +207,12 @@ def _select_transitions_batch(
     the pumped pair interleaves the bright pair this yields the two outer
     adjacent gaps (E2-E1, E4-E3); when the pumped states are the two lowest
     levels (weak axial field, below the gamma*B0 = 2D level crossing) it
-    yields (E3-E1, E4-E2).  Returns an (n, 2, 2) index array holding the
-    (lower, upper) eigenstate of line nu1, then of line nu2, nu1 <= nu2.
+    yields (E3-E1, E4-E2).  vectors is the (n, 4, 4) batch of eigenvector
+    columns in ascending order of energy.  Returns an (n, 2, 2) index array
+    holding the (lower, upper) eigenstate of line A, the lower bright
+    state's line, then of line B, the upper one's.  The lines are labelled,
+    not sorted: near the magic angle A and B cross, and each keeps its
+    label through the crossing.
     """
     # m = +/-1/2 amplitude rows are 1 and 2 in the basis order
     char = np.abs(vectors[:, 1, :]) ** 2 + np.abs(vectors[:, 2, :]) ** 2
@@ -221,10 +223,7 @@ def _select_transitions_batch(
     edge = (pumped[:, 0] == 0) & (pumped[:, 1] == 1)
     edge |= (pumped[:, 0] == 2) & (pumped[:, 1] == 3)
     # interleaved: lines (0,1) and (2,3); edge: lines (0,2) and (1,3)
-    lines = np.where(edge[:, None, None], [[0, 2], [1, 3]], [[0, 1], [2, 3]])
-    freq = _line_gaps(energies, lines)
-    swap = freq[:, 0] > freq[:, 1]
-    return np.where(swap[:, None, None], lines[:, ::-1], lines)
+    return np.where(edge[:, None, None], [[0, 2], [1, 3]], [[0, 1], [2, 3]])
 
 
 def _line_gaps(levels: np.ndarray, lines: np.ndarray) -> np.ndarray:
@@ -239,8 +238,14 @@ def transition_table(
     consts: PhysicalConstants,
     *,
     jacobian: bool = False,
+    labelled: bool = False,
 ):
     """Vectorized (nu1_hz, nu2_hz) over matched arrays of field and angle.
+
+    By default each row is sorted, nu1 <= nu2.  With labelled=True the rows
+    hold line A, then line B, of _select_transitions_batch: the two lines
+    cross near the magic angle, and the labels follow each line through the
+    crossing where the sorted pair folds along nu1 = nu2.
 
     With jacobian=True a third array of shape (n, 2, 2) holds
     d(nu1, nu2)/d(B0, theta) in Hz/T and Hz/rad, by Hellmann-Feynman:
@@ -263,8 +268,12 @@ def transition_table(
     # H is real symmetric, so LAPACK returns real eigenvectors; line
     # selection, gaps and <k|dH|k> do not depend on their phase or sign
     energies, vectors = np.linalg.eigh(_hamiltonian_batch(b0, th, consts))
-    lines = _select_transitions_batch(energies, vectors)
+    lines = _select_transitions_batch(vectors)
     nu = _line_gaps(energies, lines)
+    if not labelled:
+        swap = nu[:, 0] > nu[:, 1]
+        nu = np.where(swap[:, None], nu[:, ::-1], nu)
+        lines = np.where(swap[:, None, None], lines[:, ::-1], lines)
     if not jacobian:
         return nu[:, 0], nu[:, 1]
     sz, sx = (np.einsum("njk,jl,nlk->nk", vectors, op, vectors) for op in (_SZ_REAL, _SX_REAL))

@@ -271,9 +271,10 @@ def test_criterion_11_inversion_roundtrip(consts):
         f"noisy band flags {total - unflagged}/{total}",
     )
     assert clause_b, f"{unflagged}/{total} noisy near-band cases missing the degenerate flag"
-    # Known limitation: the angle map folds around the gap-collapse angle, so a
-    # line pair from one side of the fold is exactly reproduced by a mirror
-    # field on the other side.  Ties resolve to the smaller field, which picks
+    # Known limitation: the two lines cross near the magic angle, so a sorted
+    # line pair from one side of the crossing is exactly reproduced, with the
+    # lines' labels swapped, by a mirror field on the other side.  Ties
+    # resolve to the smaller field, which picks
     # the wrong branch for roughly a third of the draws; those come back
     # degenerate-flagged with the rival attached rather than silently wrong.
     assert clause_a, (

@@ -261,6 +261,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
+    # each sweep kind takes only its own flags: another kind's is an error, not dropped
+    for argv in (
+        ["sweep", "field", "--laser-mw", "5", "--contrast", "0.5", "--out", os.devnull],
+        ["sweep", "laser", "--theta-deg", "30", "--out", os.devnull],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
     # the axial estimate takes no sigma: giving one is an error, not dropped
     with pytest.raises(SystemExit) as exc:
         main(["invert", "--nu1-mhz", "98.148", "--nu2-mhz", "238.148", "--axial",

@@ -282,7 +282,8 @@ def test_core_stack_matches_solo_runs_bit_for_bit():
                 jac = -jac
         return r, jac
 
-    def stacked(points):
+    def stacked(points, rows):
+        assert rows.tolist() == points[:, 2].tolist()  # each problem's label is its index
         rs, jacs = zip(*(one(p) for p in points))
         return np.array(rs), np.array(jacs)
 
@@ -321,7 +322,8 @@ def test_core_damping_cap_stops_a_row_stranded_on_a_jump():
 
     trials = []
 
-    def stacked(points):
+    def stacked(points, rows):
+        assert rows.tolist() == points[:, 2].tolist()  # each problem's label is its index
         trials.append(points.copy())
         rs, jacs = zip(*(one(p) for p in points))
         return np.array(rs), np.array(jacs)

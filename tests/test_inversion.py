@@ -15,11 +15,13 @@ from sivodmr.inversion import (
     AxialModelError,
     InversionResult,
     NoSolutionError,
-    _gap_minimizing_theta,
+    _forward_grid,
+    _mesh_seeds,
     _refine,
     axial_invert,
     invert_field,
 )
+import sivodmr.inversion
 from sivodmr.spin_model import FieldVector, closed_form_axial, transition_pair, transition_table
 
 GAUSS = 1e-4
@@ -34,6 +36,14 @@ def _forward(b0_gauss, theta_deg, consts):
     fv = FieldVector(b0_t=b0_gauss * GAUSS, theta_rad=math.radians(theta_deg))
     tp = transition_pair(fv, consts)
     return tp.nu1_hz, tp.nu2_hz
+
+
+def _labelled(b0_gauss, theta_deg, consts):
+    """The lines (A, B) at one field, the ordering the inverter refines toward."""
+    a, b = transition_table(
+        np.array([b0_gauss * GAUSS]), np.radians([theta_deg]), consts, labelled=True
+    )
+    return a[0], b[0]
 
 
 def test_zero_field_pair_degenerate(consts):
@@ -77,36 +87,75 @@ def test_sub_gauss_fields_reproduce_the_pair(consts, b0_gauss, theta_deg):
 
 def test_stacked_refinement_rows_match_solo_runs(consts):
     # a result never depends on its batch mates: B0 = 0 and 5e-8 T starts
-    # (forward-difference Jacobian) share the stack with ordinary starts
-    nu1, nu2 = _forward(0.5, 30.0, consts)
+    # (forward-difference Jacobian) share the stack with ordinary starts,
+    # and rows seeking the two orderings of the pair share one stack
+    a, b = _labelled(0.5, 30.0, consts)
     starts = np.array(
         [[0.0, 0.5], [5e-8, 1.0], [1e-4, 0.2], [50 * GAUSS, 0.8], [80 * GAUSS, 1.2]]
     )
-    stacked = _refine(starts, nu1, nu2, consts, DEFAULT_B_MAX_T)
-    for start, (b0, theta, rms, jac) in zip(starts, stacked):
+    targets = np.array([[a, b], [b, a], [a, b], [b, a], [a, b]])
+    stacked = _refine(starts, targets, consts, DEFAULT_B_MAX_T)
+    for start, target, (b0, theta, rms, jac) in zip(starts, targets, stacked):
         [(b0_solo, theta_solo, rms_solo, jac_solo)] = _refine(
-            start[None], nu1, nu2, consts, DEFAULT_B_MAX_T
+            start[None], target[None], consts, DEFAULT_B_MAX_T
         )
         assert (b0, theta, rms) == (b0_solo, theta_solo, rms_solo)
         assert jac.tobytes() == jac_solo.tobytes()
     assert stacked[0][2] < 1.0  # the B0 = 0 start climbs to the field
-
-    b0s, thetas = starts[1:, 0], starts[1:, 1]
-    apex = _gap_minimizing_theta(b0s, thetas, consts)
-    for k in range(b0s.size):
-        assert apex[k] == _gap_minimizing_theta(b0s[k : k + 1], thetas[k : k + 1], consts)[0]
 
 
 @pytest.mark.parametrize("theta_rad", [0.0, math.pi / 2])
 def test_refine_zeroes_theta_column_on_the_angle_edges(consts, theta_rad):
     # the lines are even in theta about both edges, so d(nu)/d(theta) is
     # exactly zero there rather than Hellmann-Feynman rounding noise
-    nu1, nu2 = _forward(60.0, math.degrees(theta_rad), consts)
+    target = _labelled(60.0, math.degrees(theta_rad), consts)
     [(_, theta, _, jac)] = _refine(
-        np.array([[60.0 * GAUSS, theta_rad]]), nu1, nu2, consts, DEFAULT_B_MAX_T
+        np.array([[60.0 * GAUSS, theta_rad]]), [target], consts, DEFAULT_B_MAX_T
     )
     assert theta == theta_rad
     assert jac[:, 1].tolist() == [0.0, 0.0]
+
+
+def test_row_pruned_seeds_match_testing_every_row(consts):
+    # an exact pair tests only the B0 rows whose padded-image bounds hold
+    # it; against bounds that hold everything, every row is tested
+    _, tri, lo, hi = _forward_grid(consts.d_hz, consts.g_factor, DEFAULT_B_MAX_T)
+    everywhere = np.full_like(lo, -np.inf), np.full_like(hi, np.inf)
+    rng = np.random.default_rng(16)
+    b0 = np.concatenate([rng.uniform(0.0, 200 * GAUSS, 500), [1e-9, 0.3 * GAUSS, 200 * GAUSS]])
+    th = np.concatenate([rng.uniform(0.0, math.pi / 2, 500), [0.0, math.pi / 2, math.pi / 2]])
+    lines_a, lines_b = transition_table(b0, th, consts, labelled=True)
+    found = 0
+    for a, b in zip(lines_a.tolist(), lines_b.tolist()):
+        for pair in ((a, b), (b, a)):
+            seeds = _mesh_seeds(tri, lo, hi, *pair, 0.0)
+            assert seeds == _mesh_seeds(tri, *everywhere, *pair, 0.0)
+            found += len(seeds)
+    assert found >= b0.size  # each pair's own field holds it in one ordering
+
+
+def test_inverter_reaches_eigensolves_through_the_module_name(consts, monkeypatch):
+    # the benchmark times and counts the inverter's eigensolves by replacing
+    # sivodmr.inversion.transition_table: the grid and every refinement
+    # round must go through that name
+    calls = []
+
+    def recorder(b0_t, theta_rad, *args, **kwargs):
+        calls.append((len(b0_t), kwargs.get("jacobian", False)))
+        return transition_table(b0_t, theta_rad, *args, **kwargs)
+
+    _forward_grid.cache_clear()
+    monkeypatch.setattr(sivodmr.inversion, "transition_table", recorder)
+    try:
+        nu1, nu2 = _forward(60.0, 30.0, consts)
+        invert_field(nu1, nu2, consts)
+        invert_field(nu1 + 3e4, nu2 - 2e4, consts, sigma_hz=5e4)
+    finally:
+        _forward_grid.cache_clear()
+    grid_size = sivodmr.inversion.GRID_N_B * sivodmr.inversion.GRID_N_THETA
+    assert [n for n, _ in calls].count(grid_size) == 1
+    assert calls[0] == (grid_size, False)
+    assert sum(1 for n, jacobian in calls if jacobian and n < grid_size) >= 2
 
 
 def test_fixed_grid_bands_are_right_or_flagged(consts):

@@ -332,6 +332,35 @@ def test_gap_minimum_near_magic_angle(consts):
     assert gap.min() < 0.01 * 4 * consts.d_hz
 
 
+def test_labelled_lines_cross_at_the_magic_angle_without_a_jump(consts):
+    # at 100 G the sorted pair folds where the lines meet; the labelled
+    # lines pass through each other, each moving smoothly
+    theta = np.radians(np.arange(50.0, 60.0 + 1e-9, 0.01))
+    b0 = np.full_like(theta, 100 * GAUSS)
+    line_a, line_b = transition_table(b0, theta, consts, labelled=True)
+    diff = line_a - line_b
+    assert diff.min() < 0.0 < diff.max()
+    for line in (line_a, line_b):
+        steps = np.abs(np.diff(line))
+        assert steps.max() <= 3.0 * np.median(steps)
+
+
+def test_sorted_table_is_the_row_sort_of_the_labelled_one(consts, rng):
+    b0 = np.concatenate([rng.uniform(0.0, 200 * GAUSS, 2000), [0.0, 0.0, 1e-9, 1e-9]])
+    theta = np.concatenate([rng.uniform(0.0, math.pi / 2, 2000), [0.0, math.pi / 2] * 2])
+    nu1, nu2 = transition_table(b0, theta, consts)
+    line_a, line_b = transition_table(b0, theta, consts, labelled=True)
+    swap = line_a > line_b
+    assert 0 < swap.sum() < swap.size
+    assert np.array_equal(nu1, np.where(swap, line_b, line_a))
+    assert np.array_equal(nu2, np.where(swap, line_a, line_b))
+    # the Jacobian needs B0 > 0: its rows swap with the lines
+    b0, theta, swap = b0[b0 > 0], theta[b0 > 0], swap[b0 > 0]
+    *_, jac = transition_table(b0, theta, consts, jacobian=True)
+    *_, jac_labelled = transition_table(b0, theta, consts, jacobian=True, labelled=True)
+    assert np.array_equal(jac, np.where(swap[:, None, None], jac_labelled[:, ::-1], jac_labelled))
+
+
 def test_transition_table_matches_single_point_path(consts, rng):
     # the reference selects lines from the complex, phased diagonalize
     # path, independent of the table's real eigensolve
@@ -341,8 +370,8 @@ def test_transition_table_matches_single_point_path(consts, rng):
     for k in range(25):
         eig = diagonalize(build_hamiltonian(FieldVector(b0[k], th[k]), consts))
         energies = eig.energies_hz[None, :]
-        lines = _select_transitions_batch(energies, eig.vectors[None, :, :])
-        ref1, ref2 = _line_gaps(energies, lines)[0]
+        lines = _select_transitions_batch(eig.vectors[None, :, :])
+        ref1, ref2 = sorted(_line_gaps(energies, lines)[0])
         assert nu1[k] == pytest.approx(ref1, abs=1e-6)
         assert nu2[k] == pytest.approx(ref2, abs=1e-6)
     # transition_pair is a one-row table call: its pair is the row bit for
