@@ -24,12 +24,13 @@ triangle holds starts from the best grid node, in its better ordering.
 
 The candidates of one inversion, each with its own ordering, are refined
 as one lock-step stack of the shared Gauss-Newton core, so each trial
-costs one transition_table call (real, unphased eigenvectors) for the
-whole stack; each candidate still follows the path it would follow alone.
-A row whose damping climbs past _REFINE_MAX_DAMPING stops where it is:
-such rows sit on a jump of the forward map (a flip of the pumped-pair
-line selection) that no step can cross, and without the cap they held
-their whole stack for up to ~90 trials.
+costs one transition_table call (eigenvalues and tridiagonal cofactors,
+no eigenvectors) for the whole stack; each candidate still follows the
+path it would follow alone.  A row whose damping climbs past
+_REFINE_MAX_DAMPING stops where it is: such rows sit on a jump of the
+forward map (a flip of the pumped-pair line selection) that no step can
+cross, and without the cap they held their whole stack for up to ~90
+trials.
 
 All quantities SI: Hz, tesla, radians.
 """

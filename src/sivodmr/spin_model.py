@@ -1,12 +1,15 @@
 """Spin-3/2 model of the silicon-vacancy (V2) ground state in 4H-SiC.
 
 Builds the electron-spin Hamiltonian for a static field of magnitude B0
-tilted by theta from the defect c-axis, diagonalizes it with LAPACK eigh,
-and extracts the two microwave transitions that carry optical contrast in
-an ODMR experiment.  The Hamiltonian is written once, as a real symmetric
-float64 batch; every line comes from one real eigen path (transition_table,
-and transition_pair as its one-row case), and only diagonalize, the
-complex path for any Hermitian input, phases its eigenvectors.
+tilted by theta from the defect c-axis and extracts the two microwave
+transitions that carry optical contrast in an ODMR experiment.  The
+Hamiltonian is written once, as a real symmetric tridiagonal float64
+batch.  Every line comes from one real path (transition_table, and
+transition_pair as its one-row case): LAPACK eigvalsh gives the energies,
+and the cofactors of the tridiagonal H give each state's m = +/-1/2 weight
+and its <Sz> and <Sx> without forming an eigenvector.  Only diagonalize,
+the complex path for any Hermitian input, calls eigh and phases its
+eigenvectors.
 
 Internal units are strict SI: energies and frequencies in Hz (the
 Hamiltonian is written as H/h), magnetic fields in tesla, angles in
@@ -27,6 +30,7 @@ DEFAULT_G_FACTOR = 2.0023
 
 # Basis order everywhere: m = +3/2, +1/2, -1/2, -3/2.
 _M_VALUES = (1.5, 0.5, -0.5, -1.5)
+_M_ARRAY = np.array(_M_VALUES)
 
 
 def _build_spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,40 +200,107 @@ def diagonalize(h: SpinMatrix | np.ndarray) -> EigenSystem:
     return EigenSystem(energies, v * (lead.conj() / np.abs(lead)))
 
 
-def _select_transitions_batch(vectors: np.ndarray) -> np.ndarray:
-    """Eigenstate pairs of the two ODMR-active lines of a batch of eigensystems.
+def _state_terms(
+    b0: np.ndarray, th: np.ndarray, consts: PhysicalConstants, *, expectations: bool
+):
+    """Per-state terms of a batch of Hamiltonians, from eigenvalues alone.
+
+    Returns (energies, weights, s), each eigenvalue-major: energies is the
+    (4, n) ascending eigenvalues of one LAPACK eigvalsh call, weights the
+    m = +/-1/2 character |v_1|^2 + |v_2|^2 of each state, and s None or,
+    with expectations=True, the (2, 4, n) <Sz> and <Sx> of each state.
+
+    No eigenvector is formed.  H is real symmetric tridiagonal, so at a
+    simple eigenvalue lambda each product v_k v_l of its unit eigenvector
+    is a cofactor of lambda - H (a leading times a trailing principal
+    minor) over p'(lambda), the sum of the diagonal cofactors.  The
+    cofactors need each level apart from the others by more than rounding:
+    a row whose off-diagonal is at most 1e-12 D (theta = 0, or B0 sin(theta)
+    below about 1e-15 T, where the Kramers pairs are split by no more than
+    that) takes the basis states as eigenvectors, in the stable sort order
+    of the diagonal, which also covers its ties.  Where two levels are
+    still degenerate to rounding (the +/-3/2 pair near theta = pi/2 at low
+    field), p' is rounding noise and <Sz> and <Sx> are kept within the
+    spectra of Sz and Sx.
+    """
+    h = _hamiltonian_batch(b0, th, consts)
+    # of H only its diagonal a_k and zs = H[1, 2] = gamma B0 sin(theta) are
+    # needed (H[0, 1] = H[2, 3] = sqrt(3)/2 zs); it goes before the
+    # cofactors' temporaries come
+    a = np.diagonal(h, axis1=1, axis2=2).T.copy()
+    zs = h[:, 1, 2].copy()
+    energies = np.linalg.eigvalsh(h).T
+    del h
+    n = zs.size
+    # x[k, i] = lambda_i - a_k, (4, 4, n); t = x0 x1 - 3/4 zs^2 and
+    # f = x2 x3 - 3/4 zs^2 are the leading and trailing 2x2 minors
+    x = energies - a[:, None]
+    zs2 = zs * zs
+    tf = x[0::2] * x[1::2]
+    tf -= 0.75 * zs2
+    s = None
+    if expectations:
+        # p' <Sx> = 2 sum_k Sx[k, k+1] times the off-diagonal cofactors
+        # sqrt(3)/2 zs f, zs x0 x3 and sqrt(3)/2 zs t
+        s = np.empty((2, 4, n))
+        np.add(tf[0], tf[1], out=s[1])
+        s[1] *= 0.75
+        s[1] += x[0] * x[3]
+        s[1] *= 2.0 * zs
+    # diagonal cofactors d_k = p' v_k^2 = (x1 f, x0 f, x3 t, x2 t) - zs^2 (x3, 0, 0, x0)
+    d = (x.reshape(2, 2, 4, n)[:, ::-1] * tf[::-1, None]).reshape(4, 4, n)
+    x[::-3] *= zs2
+    d[::3] -= x[::-3]
+    del x, tf
+    basis = np.abs(zs) <= 1e-12 * consts.d_hz
+    if basis.any():
+        # eigenvalue i belongs to basis state order[i]: d_k is 1 there, p' = 1
+        order = np.argsort(a[:, basis], axis=0, kind="stable")
+        d[:, :, basis] = order == np.arange(4)[:, None, None]
+        if expectations:
+            s[1][:, basis] = 0.0
+    p = d.sum(axis=0)
+    weights = (d[1] + d[2]) / p
+    if expectations:
+        s[0] = (_M_ARRAY @ d.reshape(4, -1)).reshape(4, n)
+        s /= p
+        np.minimum(s, 1.5, out=s)
+        np.maximum(s, -1.5, out=s)
+    return energies, weights, s
+
+
+def _select_transitions_batch(weights: np.ndarray) -> np.ndarray:
+    """Which of the two line layouts each row of a batch of eigensystems has.
 
     Optical pumping equalizes the populations of the two eigenstates with
     the largest m = +/-1/2 character, so the gap between those two pumped
     states carries no contrast.  Each remaining (bright) state connects to
     a pumped partner: lower bright state to lower pumped state, upper to
-    upper, which keeps the lines continuous while eigenstates mix.  When
-    the pumped pair interleaves the bright pair this yields the two outer
-    adjacent gaps (E2-E1, E4-E3); when the pumped states are the two lowest
-    levels (weak axial field, below the gamma*B0 = 2D level crossing) it
-    yields (E3-E1, E4-E2).  vectors is the (n, 4, 4) batch of eigenvector
-    columns in ascending order of energy.  Returns an (n, 2, 2) index array
-    holding the (lower, upper) eigenstate of line A, the lower bright
-    state's line, then of line B, the upper one's.  The lines are labelled,
+    upper, which keeps the lines continuous while eigenstates mix.
+    weights is the (4, n) m = +/-1/2 character of each row's eigenstates
+    in ascending order of energy; the pumped pair is the two largest, a
+    tie going to the lower state.  Returns the (n,) mask of rows whose
+    pumped pair sits at the spectrum's edge, the two lowest states (weak
+    axial field, below the gamma*B0 = 2D level crossing) or the two
+    highest: their lines are A = E2 - E0 and B = E3 - E1.  In the other
+    rows the pumped pair interleaves the bright one and the lines are the
+    outer adjacent gaps, A = E1 - E0 and B = E3 - E2.  Line A is the lower
+    bright state's line and B the upper one's.  The lines are labelled,
     not sorted: near the magic angle A and B cross, and each keeps its
     label through the crossing.
     """
-    # m = +/-1/2 amplitude rows are 1 and 2 in the basis order
-    char = np.abs(vectors[:, 1, :]) ** 2 + np.abs(vectors[:, 2, :]) ** 2
-    order = np.argsort(-char, axis=1, kind="stable")
-    pumped = np.sort(order[:, :2], axis=1)
-    # pumped pair at the spectrum's edge ({0,1} or {2,3}) <=> bright and
-    # pumped states do not interleave
-    edge = (pumped[:, 0] == 0) & (pumped[:, 1] == 1)
-    edge |= (pumped[:, 0] == 2) & (pumped[:, 1] == 3)
-    # interleaved: lines (0,1) and (2,3); edge: lines (0,2) and (1,3)
-    return np.where(edge[:, None, None], [[0, 2], [1, 3]], [[0, 1], [2, 3]])
+    # min and max of the lower two states' weights, then of the upper two
+    low = np.minimum(weights[0::2], weights[1::2])
+    high = np.maximum(weights[0::2], weights[1::2])
+    return (low[0] >= high[1]) | (low[1] > high[0])
 
 
-def _line_gaps(levels: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """Per-line difference upper - lower of a per-state quantity, (n, 4, ...) -> (n, 2, ...)."""
-    rows = np.arange(levels.shape[0])[:, None]
-    return levels[rows, lines[:, :, 1]] - levels[rows, lines[:, :, 0]]
+def _line_gaps(levels: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """Lines (A, B), upper minus lower state, of a per-state quantity: (4, ...) -> (2, ...)."""
+    lines = np.where(edge, levels[2:0:-1], levels[1:3])
+    lines[0] -= levels[0]
+    np.subtract(levels[3], lines[1], out=lines[1])
+    return lines
 
 
 def transition_table(
@@ -245,7 +316,10 @@ def transition_table(
     By default each row is sorted, nu1 <= nu2.  With labelled=True the rows
     hold line A, then line B, of _select_transitions_batch: the two lines
     cross near the magic angle, and the labels follow each line through the
-    crossing where the sorted pair folds along nu1 = nu2.
+    crossing where the sorted pair folds along nu1 = nu2.  The energies,
+    the m = +/-1/2 weights that select the lines and the expectation values
+    behind the Jacobian come from one eigvalsh call and the cofactors of
+    the tridiagonal H (_state_terms); no eigenvector is formed.
 
     With jacobian=True a third array of shape (n, 2, 2) holds
     d(nu1, nu2)/d(B0, theta) in Hz/T and Hz/rad, by Hellmann-Feynman:
@@ -253,39 +327,39 @@ def transition_table(
     and dH/dtheta = gamma B0 (cos(theta) Sx - sin(theta) Sz).  At B0 = 0 the
     Kramers pairs are degenerate and the lines have only one-sided
     derivatives, which Hellmann-Feynman does not give, so jacobian=True
-    requires B0 > 0.  At theta = pi/2 the +/-3/2 pair splits only at third
-    order in B0 and stays degenerate to rounding below about 1e-8 T, where
-    the theta column (at most 1.5 gamma B0) is unreliable.
+    requires B0 > 0.  Near theta = pi/2 the +/-3/2 pair splits only by
+    3 gamma B0 cos(theta) and a term of third order in B0; below about
+    1e-7 T, where both fall to about 1e-5 Hz, the pair can be degenerate to
+    rounding, and the slopes of its lines are then rounding noise, bounded
+    as unit eigenvectors would bound them (|<Sz>|, |<Sx>| <= 3/2).  At
+    theta = pi/2 itself the m -> -m mirror symmetry holds exactly in the
+    cofactors, and the theta column is zero to rounding.
     """
     b0 = np.asarray(b0_t, dtype=float).ravel()
     th = np.asarray(theta_rad, dtype=float).ravel()
     if b0.shape != th.shape:
         raise ValueError("b0_t and theta_rad must have matching shapes")
-    if np.any(b0 < 0) or not np.all(np.isfinite(b0)) or not np.all(np.isfinite(th)):
+    if not ((b0 >= 0).all() and np.isfinite(b0).all() and np.isfinite(th).all()):
         raise ValueError("fields must be non-negative and angles finite")
-    if jacobian and np.any(b0 == 0):
+    if jacobian and (b0 == 0).any():
         raise ValueError("the Jacobian needs B0 > 0 (Kramers degeneracy at zero field)")
-    # H is real symmetric, so LAPACK returns real eigenvectors; line
-    # selection, gaps and <k|dH|k> do not depend on their phase or sign
-    energies, vectors = np.linalg.eigh(_hamiltonian_batch(b0, th, consts))
-    lines = _select_transitions_batch(vectors)
-    nu = _line_gaps(energies, lines)
+    energies, weights, s = _state_terms(b0, th, consts, expectations=jacobian)
+    edge = _select_transitions_batch(weights)
+    nu = _line_gaps(energies, edge)
     if not labelled:
-        swap = nu[:, 0] > nu[:, 1]
-        nu = np.where(swap[:, None], nu[:, ::-1], nu)
-        lines = np.where(swap[:, None, None], lines[:, ::-1], lines)
+        swap = nu[0] > nu[1]
+        nu = np.where(swap, nu[::-1], nu)
     if not jacobian:
-        return nu[:, 0], nu[:, 1]
-    sz, sx = (np.einsum("njk,jl,nlk->nk", vectors, op, vectors) for op in (_SZ_REAL, _SX_REAL))
-    cos_t = np.cos(th)[:, None]
-    sin_t = np.sin(th)[:, None]
+        return nu[0], nu[1]
+    ds = _line_gaps(s.transpose(1, 0, 2), edge)  # (line, Sz/Sx, row)
+    if not labelled:
+        ds = np.where(swap, ds[::-1], ds)
+    cos_t, sin_t = np.cos(th), np.sin(th)
     gamma = consts.gyro_hz_per_t
-    # per-eigenstate dE_k/d(B0, theta), (n, 4, 2)
-    slopes = np.stack(
-        [gamma * (cos_t * sz + sin_t * sx), gamma * b0[:, None] * (cos_t * sx - sin_t * sz)],
-        axis=-1,
-    )
-    return nu[:, 0], nu[:, 1], _line_gaps(slopes, lines)
+    jac = np.empty((b0.size, 2, 2))
+    jac[:, :, 0] = (gamma * (cos_t * ds[:, 0] + sin_t * ds[:, 1])).T
+    jac[:, :, 1] = ((gamma * b0) * (cos_t * ds[:, 1] - sin_t * ds[:, 0])).T
+    return nu[0], nu[1], jac
 
 
 def transition_pair(fv: FieldVector, consts: PhysicalConstants) -> TransitionPair:

@@ -158,6 +158,30 @@ def test_inverter_reaches_eigensolves_through_the_module_name(consts, monkeypatc
     assert sum(1 for n, jacobian in calls if jacobian and n < grid_size) >= 2
 
 
+def test_line_path_makes_no_eigenvector_solve(consts, monkeypatch):
+    # lines, their selection and their Jacobian come from eigvalsh and the
+    # cofactors of the tridiagonal H; numpy.linalg.eigh, which took about
+    # 40 % of a grid-size table call, fails here if it comes back
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called on the line path")
+
+    b0 = np.array([1e-9, 5 * GAUSS, 60 * GAUSS, 150 * GAUSS])
+    theta = np.radians([0.0, 30.0, 54.7, 90.0])
+    _forward_grid.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    try:
+        transition_table(b0, theta, consts)
+        transition_table(b0, theta, consts, labelled=True)
+        transition_table(b0, theta, consts, jacobian=True)
+        nu1, nu2 = _forward(60.0, 30.0, consts)
+        res = invert_field(nu1, nu2, consts)
+        assert abs(res.b0_t / GAUSS - 60.0) <= 0.1
+        assert abs(math.degrees(res.theta_rad) - 30.0) <= 0.5
+        invert_field(nu1 + 3e4, nu2 - 2e4, consts, sigma_hz=5e4)
+    finally:
+        _forward_grid.cache_clear()
+
+
 def test_fixed_grid_bands_are_right_or_flagged(consts):
     # exact pairs from the bands where a narrow or edge basin used to be
     # missed without a flag: the fold edge near 90 deg, sub-gauss fields,

@@ -25,8 +25,9 @@ from sivodmr.spin_model import (
     PhysicalConstants,
     SpinMatrix,
     TransitionPair,
-    _line_gaps,
+    _hamiltonian_batch,
     _select_transitions_batch,
+    _state_terms,
     build_hamiltonian,
     closed_form_axial,
     diagonalize,
@@ -369,9 +370,11 @@ def test_transition_table_matches_single_point_path(consts, rng):
     nu1, nu2 = transition_table(b0, th, consts)
     for k in range(25):
         eig = diagonalize(build_hamiltonian(FieldVector(b0[k], th[k]), consts))
-        energies = eig.energies_hz[None, :]
-        lines = _select_transitions_batch(eig.vectors[None, :, :])
-        ref1, ref2 = sorted(_line_gaps(energies, lines)[0])
+        e = eig.energies_hz
+        weights = np.abs(eig.vectors[1]) ** 2 + np.abs(eig.vectors[2]) ** 2
+        edge = _select_transitions_batch(weights[:, None])[0]
+        lines = (e[2] - e[0], e[3] - e[1]) if edge else (e[1] - e[0], e[3] - e[2])
+        ref1, ref2 = sorted(lines)
         assert nu1[k] == pytest.approx(ref1, abs=1e-6)
         assert nu2[k] == pytest.approx(ref2, abs=1e-6)
     # transition_pair is a one-row table call: its pair is the row bit for
@@ -382,6 +385,74 @@ def test_transition_table_matches_single_point_path(consts, rng):
     for k in range(b0.size):
         pair = transition_pair(FieldVector(b0[k], th[k]), consts)
         assert (pair.nu1_hz, pair.nu2_hz) == (nu1[k], nu2[k])
+
+
+def test_cofactor_terms_match_eigh_eigenvectors(consts, rng):
+    # the per-state terms come from eigvalsh and the cofactors of lambda - H;
+    # the reference takes them from LAPACK eigh's eigenvectors, on fields
+    # whose levels all lie more than 1 kHz apart (theta = 0 rows included)
+    b0 = rng.uniform(0.0, 200 * GAUSS, 3000)
+    theta = rng.uniform(0.0, math.pi / 2, 3000)
+    theta[::30] = 0.0
+    h = _hamiltonian_batch(b0, theta, consts)
+    ref_energies, v = np.linalg.eigh(h)
+    apart = np.diff(ref_energies, axis=1).min(axis=1) > 1e3
+    assert apart.sum() >= 2000 and (theta[apart] == 0).sum() >= 50
+    sx, _, sz = spin_operators()
+    ref_w = v[:, 1] ** 2 + v[:, 2] ** 2
+    ref_sz = np.einsum("nki,kl,nli->ni", v, sz.real, v)
+    ref_sx = np.einsum("nki,kl,nli->ni", v, sx.real, v)
+    energies, weights, s = _state_terms(b0, theta, consts, expectations=True)
+    assert np.max(np.abs(energies.T - ref_energies)[apart]) <= 1e-5
+    for got, ref in ((weights, ref_w), (s[0], ref_sz), (s[1], ref_sx)):
+        assert np.max(np.abs(got.T - ref)[apart]) <= 1e-9
+    # without expectations only the weights come back, the same ones
+    _, plain_weights, none = _state_terms(b0, theta, consts, expectations=False)
+    assert none is None and np.array_equal(plain_weights, weights)
+
+
+def test_diagonal_rows_take_the_basis_states(consts):
+    # B0 = 0 at every angle, theta = 0 (through both level crossings,
+    # gamma B0 = D and 2D) and 1e-300 T, where the off-diagonal is far below
+    # rounding: the eigenvectors are basis states, also where levels tie
+    gamma, d = consts.gyro_hz_per_t, consts.d_hz
+    theta = np.linspace(0.0, math.pi / 2, 7)
+    for b in (0.0, 1e-300):
+        nu1, nu2 = transition_table(np.full_like(theta, b), theta, consts)
+        assert np.all(nu1 == 2 * d) and np.all(nu2 == 2 * d)
+    b0 = np.array([1e-300, 1e-9, d / gamma, 2 * d / gamma, 60 * GAUSS, 100 * GAUSS])
+    nu1, nu2, jac = transition_table(b0, np.zeros_like(b0), consts, jacobian=True)
+    for k, b in enumerate(b0):
+        ref = closed_form_axial(b, consts)
+        assert nu1[k] == pytest.approx(ref.nu1_hz, abs=1e-6)
+        assert nu2[k] == pytest.approx(ref.nu2_hz, abs=1e-6)
+    # each line joins adjacent m, so its slope is gamma * (+/-1) exactly;
+    # the lower one falls below the gamma B0 = 2D crossing and rises above
+    # it (the first row and the crossing itself are ties)
+    assert np.all(np.abs(jac[:, :, 0]) == gamma)
+    assert np.array_equal(jac[[1, 2, 4, 5], :, 0] / gamma, [[-1, 1], [-1, 1], [1, 1], [1, 1]])
+    assert np.all(jac[:, :, 1] == 0.0)
+
+
+def test_theta_column_vanishes_at_the_right_angle(consts):
+    # at theta = pi/2 the +/-3/2 pair is degenerate to rounding below about
+    # 1e-7 T; the lines are still even in theta about pi/2, and the slope of
+    # each along theta is zero
+    gamma = consts.gyro_hz_per_t
+    b0 = np.array([1e-9, 1e-8, 1e-7, 1e-6])
+    *_, jac = transition_table(b0, np.full_like(b0, math.pi / 2), consts, jacobian=True)
+    assert np.all(np.abs(jac[:, :, 1]) <= 1e-12 * gamma * b0[:, None])
+    # just off pi/2 the pair stays degenerate to rounding at these fields:
+    # the slopes are noise, but no larger than unit vectors' can be, where
+    # each <Sz> and <Sx> lies in [-3/2, 3/2]
+    b0 = np.array([3.966060170831465e-15, 1.671952536901142e-13,
+                   2.961998247604565e-11, 6.072455417884667e-09])
+    theta = np.array([1.5707696268051288, 1.5707956732578083,
+                      1.5707963235431524, 1.5707963267628666])
+    *_, jac = transition_table(b0, theta, consts, jacobian=True)
+    bound = 3.0 * math.sqrt(2.0)
+    assert np.all(np.abs(jac[:, :, 0]) <= bound * gamma)
+    assert np.all(np.abs(jac[:, :, 1]) <= bound * gamma * b0[:, None])
 
 
 def test_transition_table_input_validation(consts):
