@@ -109,6 +109,16 @@ def _damped_gauss_newton(
     stops unconverged at its last accepted point), and the products are
     per-problem BLAS calls, so each follows exactly the trajectory it
     follows alone.
+
+    Outside fun, a round on a small stack is mostly fixed numpy overhead,
+    so the common round does the least it can: the Marquardt diagonal is a
+    (k, n) vector added onto the diagonal of a copy of JtJ, a round whose
+    trials are all finite and all accepted skips the rejection
+    bookkeeping, and JtJ and Jt r are rebuilt from fun's new arrays only
+    for the problems that go on.  When every problem accepts, r and J
+    become the arrays fun returned, never copies: the 1-D form returns the
+    Jacobian buffer of its last accepted fun call, so a 92 001-point fit
+    does not copy its 5 MB Jacobian on every step.
     """
     if np.ndim(p0) == 1:
         one = fun
@@ -120,7 +130,7 @@ def _damped_gauss_newton(
 
     p = np.array(p0, dtype=float)
     scales = np.asarray(scales, dtype=float)
-    k = p.shape[0]
+    k, n = p.shape
     r, jac = fun(p, np.arange(k))
     ssr = _sq_norms(r)
     lam = np.full(k, 1e-3)
@@ -128,62 +138,69 @@ def _damped_gauss_newton(
     live = np.full(k, max_iter > 0)   # not yet exited
     iterations = live.astype(int)
     jtj, jtr, damp = _normal_equations(jac, r)
+    step_tol = STEP_RTOL * scales
     while True:
         live &= lam <= max_damping
-        rows = np.flatnonzero(live)
+        rows = live.nonzero()[0]
         if rows.size == 0:
             break
-        trial = p[rows] + _solve_rows(jtj[rows] + lam[rows, None, None] * damp[rows], -jtr[rows])
+        # jtj[rows] is a copy, whose diagonal is every (n + 1)-th entry of a row
+        a = jtj[rows]
+        a.reshape(rows.size, n * n)[:, :: n + 1] += lam[rows, None] * damp[rows]
+        trial = p[rows] + _solve_rows(a, -jtr[rows])
         if project is not None:
             trial = project(trial)
-        ok = np.all(np.isfinite(trial), axis=1)
-        lam[rows[~ok]] *= 10.0
-        rows, trial = rows[ok], trial[ok]
-        if rows.size == 0:
-            continue
+        ok = np.isfinite(trial).all(axis=1)
+        if not ok.all():
+            lam[rows[~ok]] *= 10.0
+            rows, trial = rows[ok], trial[ok]
+            if rows.size == 0:
+                continue
         r_try, jac_try = fun(trial, rows)
         ssr_try = _sq_norms(r_try)
         ok = ssr_try <= ssr[rows]
-        lam[rows[~ok]] *= 10.0
-        acc = rows[ok]
-        if acc.size == 0:
-            continue
-        step_small = np.all(np.abs(trial[ok] - p[acc]) <= STEP_RTOL * scales, axis=1)
-        ssr_flat = np.abs(ssr[acc] - ssr_try[ok]) <= SSR_RTOL * np.maximum(ssr[acc], 1e-300)
-        p[acc] = trial[ok]
-        if acc.size == k:
+        if not ok.all():
+            lam[rows[~ok]] *= 10.0
+            if not ok.any():
+                continue
+            rows, trial, ssr_try = rows[ok], trial[ok], ssr_try[ok]
+            r_try, jac_try = r_try[ok], jac_try[ok]
+        # every trial left is accepted
+        step_small = (np.abs(trial - p[rows]) <= step_tol).all(axis=1)
+        ssr_flat = np.abs(ssr[rows] - ssr_try) <= SSR_RTOL * np.maximum(ssr[rows], 1e-300)
+        p[rows] = trial
+        if rows.size == k:
             r, jac = r_try, jac_try
         else:
-            r[acc] = r_try[ok]
-            jac[acc] = jac_try[ok]
-        ssr[acc] = ssr_try[ok]
-        lam[acc] = np.maximum(lam[acc] / 10.0, 1e-12)
+            r[rows] = r_try
+            jac[rows] = jac_try
+        ssr[rows] = ssr_try
+        lam[rows] = np.maximum(lam[rows] / 10.0, 1e-12)
         done = step_small | ssr_flat
-        converged[acc] = done
-        live[acc] = ~done & (iterations[acc] < max_iter)
-        more = acc[live[acc]]
-        if more.size:
-            iterations[more] += 1
-            new_jtj, new_jtr, new_damp = _normal_equations(jac, r)
-            jtj[more], jtr[more], damp[more] = new_jtj[more], new_jtr[more], new_damp[more]
+        converged[rows] = done
+        more = ~done & (iterations[rows] < max_iter)
+        live[rows] = more
+        if more.any():
+            if not more.all():
+                rows, r_try, jac_try = rows[more], r_try[more], jac_try[more]
+            iterations[rows] += 1
+            jtj[rows], jtr[rows], damp[rows] = _normal_equations(jac_try, r_try)
     return p, r, jac, ssr, iterations, converged
 
 
 def _normal_equations(jac: np.ndarray, r: np.ndarray):
     """JtJ, Jt r and the zero-safe Marquardt diagonal of a stack of problems.
 
-    A zero diagonal entry of JtJ damps with the largest one (or 1), so that
-    a parameter the residuals do not see still takes bounded steps.
+    The diagonal is (k, n): a zero diagonal entry of JtJ damps with the
+    largest one (or 1), so that a parameter the residuals do not see still
+    takes bounded steps.
     """
     jac_t = jac.transpose(0, 2, 1)
-    jtj = np.matmul(jac_t, jac_t.transpose(0, 2, 1))
+    jtj = np.matmul(jac_t, jac)
     jtr = np.matmul(jac_t, r[:, :, None])[:, :, 0]
-    eye = np.arange(jtj.shape[1])
-    diag = jtj[:, eye, eye]
+    diag = np.diagonal(jtj, axis1=1, axis2=2)
     top = diag.max(axis=1, keepdims=True)
-    damp = np.zeros_like(jtj)
-    damp[:, eye, eye] = np.where(diag <= 0, np.where(top > 0, top, 1.0), diag)
-    return jtj, jtr, damp
+    return jtj, jtr, np.where(diag <= 0, np.where(top > 0, top, 1.0), diag)
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

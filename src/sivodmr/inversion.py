@@ -203,7 +203,10 @@ def _mesh_seeds(tri, lo, hi, t1: float, t2: float, sigma_hz: float) -> list:
     sign = 1 - 2 * upper
     seeds = []
     for u in zip((i + upper + sign * l1[hit]).tolist(), (j + upper + sign * l2[hit]).tolist()):
-        if all(max(abs(u[0] - s[0]), abs(u[1] - s[1])) > 0.25 for s in seeds):
+        for s in seeds:
+            if abs(u[0] - s[0]) <= 0.25 and abs(u[1] - s[1]) <= 0.25:
+                break
+        else:
             seeds.append(u)
     return seeds
 
@@ -226,36 +229,49 @@ def _refine(starts, targets, consts, b_max_t):
     that much damping is a jump of the forward map, and further damping
     only made its stack wait on it.  Returns (b0, theta, rms residual,
     Jacobian) per start.
+
+    A round is mostly fixed numpy overhead on stacks of 1-10 rows, so its
+    common case, every row at or above _ZERO_FIELD_T, makes the one table
+    call, writes its lines straight into the residual array and hands the
+    table's Jacobian to the core as it is; the theta column is zeroed only
+    when a row sits on an edge.  Every table call goes through the name
+    transition_table of this module, where perfbench counts and times it.
     """
     hi = np.array([b_max_t, math.pi / 2])
     targets = np.asarray(targets, dtype=float)
 
     def project(p):
-        return np.clip(p, 0.0, hi)
+        return p.clip(0.0, hi)
 
     def fun(p, rows):
-        nu = np.empty((len(p), 2))
-        jac = np.zeros((len(p), 2, 2))
+        r = np.empty((len(p), 2))
         low = p[:, 0] < _ZERO_FIELD_T
-        high = ~low
-        if high.any():
-            nu1, nu2, jac[high] = transition_table(
-                p[high, 0], p[high, 1], consts, jacobian=True, labelled=True
-            )
-            nu[high] = np.column_stack([nu1, nu2])
         if low.any():
+            jac = np.zeros((len(p), 2, 2))
+            high = ~low
+            if high.any():
+                r[high, 0], r[high, 1], jac[high] = transition_table(
+                    p[high, 0], p[high, 1], consts, jacobian=True, labelled=True
+                )
             b0, th = p[low, 0], p[low, 1]
             nu1, nu2 = transition_table(
                 np.concatenate([b0, b0 + _ZERO_FIELD_T]), np.concatenate([th, th]), consts,
                 labelled=True,
             )
             m = b0.size
-            nu[low] = np.column_stack([nu1[:m], nu2[:m]])
+            r[low, 0], r[low, 1] = nu1[:m], nu2[:m]
             jac[low, :, 0] = np.column_stack([nu1[m:] - nu1[:m], nu2[m:] - nu2[:m]]) / _ZERO_FIELD_T
+        else:
+            r[:, 0], r[:, 1], jac = transition_table(
+                p[:, 0], p[:, 1], consts, jacobian=True, labelled=True
+            )
         # the lines are even in theta about 0 and pi/2, so d(nu)/d(theta) is
         # zero there; Hellmann-Feynman gives rounding noise in its place
-        jac[(p[:, 1] == 0.0) | (p[:, 1] == hi[1]), :, 1] = 0.0
-        return nu - targets[rows], jac
+        edge = (p[:, 1] == 0.0) | (p[:, 1] == hi[1])
+        if edge.any():
+            jac[edge, :, 1] = 0.0
+        r -= targets[rows]
+        return r, jac
 
     p, _, jac, ssr, _, _ = _damped_gauss_newton(
         fun,

@@ -53,6 +53,15 @@ _SX_REAL, _SZ_REAL = _SX.real.copy(), _SZ.real.copy()
 _SZ2_TERM = _SZ_REAL @ _SZ_REAL - (5.0 / 4.0) * np.eye(4)  # S_z^2 - S(S+1)/3 for S = 3/2
 
 
+# Entry k of H/h (row-major) is gamma*B0 * _H_FACTOR[k] * row _H_TRIG_ROW[k] of
+# (cos(theta), sin(theta), 0), plus _H_D_TERM[k] * D: the products of
+# D*(Sz^2 - 5/4) + gamma*B0*(cos(theta) Sz + sin(theta) Sx) in that order.
+# Sz is diagonal and Sx has no diagonal, so no entry has both terms.
+_H_TRIG_ROW = np.where(_SZ_REAL != 0, 0, np.where(_SX_REAL != 0, 1, 2)).ravel()
+_H_FACTOR = (_SZ_REAL + _SX_REAL).reshape(16, 1)
+_H_D_TERM = _SZ2_TERM.reshape(16, 1)
+
+
 def spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (Sx, Sy, Sz) as 4x4 complex arrays in the m = +3/2..-3/2 basis."""
     return _SX.copy(), _SY.copy(), _SZ.copy()
@@ -163,18 +172,32 @@ def _hamiltonian_batch(
 ) -> np.ndarray:
     """H/h = D*(Sz^2 - S(S+1)/3) + g*muB/h*B0*(Sz cos(theta) + Sx sin(theta)),
     a real symmetric (n, 4, 4) float64 stack over matched field arrays.
-    Every caller passes finite fields, so the only way to a non-finite
-    entry is an overflow of gamma*B0, which raises ValueError naming b0_t."""
-    cos_t = np.cos(theta_rad)[:, None, None]
-    sin_t = np.sin(theta_rad)[:, None, None]
-    try:
-        with np.errstate(over="raise"):
-            zeeman = (consts.gyro_hz_per_t * b0_t)[:, None, None]
-            return consts.d_hz * _SZ2_TERM + zeeman * (cos_t * _SZ_REAL + sin_t * _SX_REAL)
-    except FloatingPointError:
-        raise ValueError(
-            f"b0_t too large: gyro_hz_per_t * b0_t overflows at {np.max(b0_t):g} T"
-        ) from None
+
+    The stack is the transpose view of a (16, n) array whose row k holds
+    entry k of every H, built by one operation per step for all 16 rows
+    (see _H_FACTOR).  Every caller passes finite fields, so the only way
+    to a non-finite entry is an overflow of gamma*B0 or of its product
+    with an entry of cos(theta) Sz + sin(theta) Sx, at most 3/2; that
+    raises ValueError naming b0_t.  A bound on gamma*max(B0) clears
+    almost every batch, and a batch it does not clear is tested exactly,
+    row by row, with no floating-point warning on the way.
+    """
+    b0_max = float(b0_t.max(initial=0.0))
+    trig = np.zeros((3, b0_t.size))
+    np.cos(theta_rad, out=trig[0])
+    np.sin(theta_rad, out=trig[1])
+    if consts.gyro_hz_per_t * b0_max * 1.5 == math.inf:
+        # scaled by 2**-64, which is exact for any B0 near overflow and cannot
+        # overflow, a product overflows exactly when it reaches 2**960
+        zeeman = consts.gyro_hz_per_t * (b0_t * 2.0**-64)
+        top = zeeman * np.maximum(np.abs(trig[0] * _SZ_REAL[0, 0]), np.abs(trig[1]))
+        if (zeeman >= 2.0**960).any() or (top >= 2.0**960).any():
+            raise ValueError(f"b0_t too large: gyro_hz_per_t * b0_t overflows at {b0_max:g} T")
+    h = trig.take(_H_TRIG_ROW, axis=0)
+    h *= _H_FACTOR
+    h *= consts.gyro_hz_per_t * b0_t
+    h += consts.d_hz * _H_D_TERM
+    return h.T.reshape(-1, 4, 4)
 
 
 def build_hamiltonian(fv: FieldVector, consts: PhysicalConstants) -> SpinMatrix:
@@ -205,10 +228,11 @@ def _state_terms(
 ):
     """Per-state terms of a batch of Hamiltonians, from eigenvalues alone.
 
-    Returns (energies, weights, s), each eigenvalue-major: energies is the
-    (4, n) ascending eigenvalues of one LAPACK eigvalsh call, weights the
-    m = +/-1/2 character |v_1|^2 + |v_2|^2 of each state, and s None or,
-    with expectations=True, the (2, 4, n) <Sz> and <Sx> of each state.
+    Returns (levels, weights), each eigenvalue-major: levels is the (4, n)
+    ascending eigenvalues of one LAPACK eigvalsh call or, with
+    expectations=True, the (4, 3, n) eigenvalue, <Sz> and <Sx> of each
+    state, and weights the m = +/-1/2 character |v_1|^2 + |v_2|^2 of each
+    state.
 
     No eigenvector is formed.  H is real symmetric tridiagonal, so at a
     simple eigenvalue lambda each product v_k v_l of its unit eigenvector
@@ -238,11 +262,14 @@ def _state_terms(
     zs2 = zs * zs
     tf = x[0::2] * x[1::2]
     tf -= 0.75 * zs2
-    s = None
+    levels = energies
     if expectations:
+        terms = np.empty((3, 4, n))
+        terms[0] = energies
+        s = terms[1:]  # <Sz> and <Sx>
+        levels = terms.transpose(1, 0, 2)
         # p' <Sx> = 2 sum_k Sx[k, k+1] times the off-diagonal cofactors
         # sqrt(3)/2 zs f, zs x0 x3 and sqrt(3)/2 zs t
-        s = np.empty((2, 4, n))
         np.add(tf[0], tf[1], out=s[1])
         s[1] *= 0.75
         s[1] += x[0] * x[3]
@@ -264,9 +291,8 @@ def _state_terms(
     if expectations:
         s[0] = (_M_ARRAY @ d.reshape(4, -1)).reshape(4, n)
         s /= p
-        np.minimum(s, 1.5, out=s)
-        np.maximum(s, -1.5, out=s)
-    return energies, weights, s
+        s.clip(-1.5, 1.5, out=s)
+    return levels, weights
 
 
 def _select_transitions_batch(weights: np.ndarray) -> np.ndarray:
@@ -296,7 +322,7 @@ def _select_transitions_batch(weights: np.ndarray) -> np.ndarray:
 
 
 def _line_gaps(levels: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """Lines (A, B), upper minus lower state, of a per-state quantity: (4, ...) -> (2, ...)."""
+    """Lines (A, B), upper minus lower state, of per-state quantities: (4, ...) -> (2, ...)."""
     lines = np.where(edge, levels[2:0:-1], levels[1:3])
     lines[0] -= levels[0]
     np.subtract(levels[3], lines[1], out=lines[1])
@@ -339,26 +365,27 @@ def transition_table(
     th = np.asarray(theta_rad, dtype=float).ravel()
     if b0.shape != th.shape:
         raise ValueError("b0_t and theta_rad must have matching shapes")
-    if not ((b0 >= 0).all() and np.isfinite(b0).all() and np.isfinite(th).all()):
+    b0_min = b0.min(initial=math.inf)
+    if not (b0_min >= 0 and b0.max(initial=0.0) < math.inf and np.isfinite(th).all()):
         raise ValueError("fields must be non-negative and angles finite")
-    if jacobian and (b0 == 0).any():
+    if jacobian and b0_min == 0:
         raise ValueError("the Jacobian needs B0 > 0 (Kramers degeneracy at zero field)")
-    energies, weights, s = _state_terms(b0, th, consts, expectations=jacobian)
-    edge = _select_transitions_batch(weights)
-    nu = _line_gaps(energies, edge)
+    levels, weights = _state_terms(b0, th, consts, expectations=jacobian)
+    # (line, row), or with the Jacobian (line, energy/Sz/Sx, row)
+    lines = _line_gaps(levels, _select_transitions_batch(weights))
     if not labelled:
-        swap = nu[0] > nu[1]
-        nu = np.where(swap, nu[::-1], nu)
+        nu = lines[:, 0] if jacobian else lines
+        lines = np.where(nu[0] > nu[1], lines[::-1], lines)
     if not jacobian:
-        return nu[0], nu[1]
-    ds = _line_gaps(s.transpose(1, 0, 2), edge)  # (line, Sz/Sx, row)
-    if not labelled:
-        ds = np.where(swap, ds[::-1], ds)
-    cos_t, sin_t = np.cos(th), np.sin(th)
-    gamma = consts.gyro_hz_per_t
+        return lines[0], lines[1]
+    nu, ds = lines[:, 0], lines[:, 1:]
+    cos_ds, sin_ds = ds * np.cos(th), ds * np.sin(th)
     jac = np.empty((b0.size, 2, 2))
-    jac[:, :, 0] = (gamma * (cos_t * ds[:, 0] + sin_t * ds[:, 1])).T
-    jac[:, :, 1] = ((gamma * b0) * (cos_t * ds[:, 1] - sin_t * ds[:, 0])).T
+    jt = jac.transpose(2, 1, 0)  # (B0/theta, line, row)
+    np.add(cos_ds[:, 0], sin_ds[:, 1], out=jt[0])
+    jt[0] *= consts.gyro_hz_per_t
+    np.subtract(cos_ds[:, 1], sin_ds[:, 0], out=jt[1])
+    jt[1] *= consts.gyro_hz_per_t * b0
     return nu[0], nu[1], jac
 
 

@@ -265,6 +265,28 @@ def test_core_reports_non_convergence():
     assert iterations == 1
 
 
+def test_core_returns_the_last_accepted_jacobian_buffer():
+    # a fit's Jacobian is as large as its data (5 MB at 92 001 points): the
+    # 1-D core keeps the buffer fun returned for the last accepted point
+    # instead of copying it on every step
+    freq = np.linspace(50e6, 280e6, 2001)
+    signal = two_peak_signal(freq, 0.0, [(98e6, 13e6, 1.8e-3)])
+    calls = []
+
+    def fun(p):
+        model, jac = _lorentzian_model(freq, p, 1)
+        calls.append((model - signal, jac))
+        return calls[-1]
+
+    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
+        fun, np.array([0.0, 90e6, 20e6, 1e-3]), np.array([1e-3, 2.3e8, 2.3e8, 1e-3])
+    )
+    assert converged and len(calls) > 2
+    [last] = [k for k, (r_k, _) in enumerate(calls) if np.shares_memory(r, r_k)]
+    assert np.shares_memory(jac, calls[last][1])
+    assert not any(np.shares_memory(jac, j) for _, j in calls[:last] + calls[last + 1:])
+
+
 def test_core_stack_matches_solo_runs_bit_for_bit():
     # four problems, one per exit: converged, max_iter, every trial made
     # non-finite by project, and lam overflowing under a sign-flipped Jacobian.  The

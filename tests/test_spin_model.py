@@ -11,6 +11,7 @@ gamma = 2.0023 * 1.39962449e10 Hz/T = 2.802468116327e10 Hz/T.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -402,13 +403,13 @@ def test_cofactor_terms_match_eigh_eigenvectors(consts, rng):
     ref_w = v[:, 1] ** 2 + v[:, 2] ** 2
     ref_sz = np.einsum("nki,kl,nli->ni", v, sz.real, v)
     ref_sx = np.einsum("nki,kl,nli->ni", v, sx.real, v)
-    energies, weights, s = _state_terms(b0, theta, consts, expectations=True)
-    assert np.max(np.abs(energies.T - ref_energies)[apart]) <= 1e-5
-    for got, ref in ((weights, ref_w), (s[0], ref_sz), (s[1], ref_sx)):
+    levels, weights = _state_terms(b0, theta, consts, expectations=True)
+    assert np.max(np.abs(levels[:, 0].T - ref_energies)[apart]) <= 1e-5
+    for got, ref in ((weights, ref_w), (levels[:, 1], ref_sz), (levels[:, 2], ref_sx)):
         assert np.max(np.abs(got.T - ref)[apart]) <= 1e-9
-    # without expectations only the weights come back, the same ones
-    _, plain_weights, none = _state_terms(b0, theta, consts, expectations=False)
-    assert none is None and np.array_equal(plain_weights, weights)
+    # without expectations only the energies and weights come back, the same ones
+    energies, plain_weights = _state_terms(b0, theta, consts, expectations=False)
+    assert np.array_equal(energies, levels[:, 0]) and np.array_equal(plain_weights, weights)
 
 
 def test_diagonal_rows_take_the_basis_states(consts):
@@ -464,6 +465,32 @@ def test_transition_table_input_validation(consts):
     assert empty[0].size == 0 and empty[1].size == 0
     with pytest.raises(TypeError):  # jacobian is keyword-only
         transition_table(np.array([1e-3]), np.array([0.0]), consts, True)
+
+
+def test_overflowing_field_raises_value_error_without_warnings(consts):
+    # gamma * B0 overflows a float: both entry points name b0_t, and no
+    # numpy overflow warning reaches the caller on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="b0_t too large"):
+            transition_table(np.array([1e-3, 1e300]), np.array([0.0, 0.3]), consts)
+        with pytest.raises(ValueError, match="b0_t too large"):
+            build_hamiltonian(FieldVector(b0_t=1e300, theta_rad=0.3), consts)
+        # below the float range, an entry overflows only where its factor
+        # (at most 3/2 cos(theta) on the diagonal, sin(theta) off it) takes
+        # gamma B0 past it: at theta = 0 from 1/1.5 of the range, at pi/2
+        # only where gamma B0 itself overflows
+        gamma = consts.gyro_hz_per_t
+        edge = np.finfo(float).max / gamma / 1.5
+        for b0 in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), 1.2 * edge):
+            over = math.isinf(gamma * float(b0) * 1.5)
+            for theta, raises in ((0.0, over), (math.pi / 2, False)):
+                fields = np.array([b0]), np.array([theta])
+                if raises:
+                    with pytest.raises(ValueError, match="b0_t too large"):
+                        _hamiltonian_batch(*fields, consts)
+                else:
+                    assert np.isfinite(_hamiltonian_batch(*fields, consts)).all()
 
 
 def _random_grid_batch():

@@ -1,0 +1,205 @@
+"""Bit-identity digests of sivodmr's numerical outputs.
+
+Run from the root of a checkout, against the tree whose sources are on the
+path:
+
+    PYTHONPATH=<tree>/src python3 tools/parity.py
+
+It prints one JSON line with a sha256 digest and a count for each of three
+groups of outputs.  Two trees whose digests agree give bit-identical
+results on every input here, so a change meant to move no output bit can be
+checked by running this on the parent and on the change:
+
+- table: transition_table plain, labelled and with the Jacobian on 20 000
+  seeded fields (0-200 G, 0-90 deg) plus 40 edge rows (B0 = 0, 1e-300 T,
+  1 nT-1 uT, gamma B0 = D and 2D, 60 G and 200 G at theta = 0, pi/2, 0.3
+  and 1 rad; the Jacobian only where B0 > 0);
+- invert: every field of invert_field's InversionResult, or the raised
+  error, on 1 545 pairs: 300 random exact and 200 random 100 kHz-noisy
+  pairs over 0.5-150 G, 188 exact pairs at 89.5-89.99 deg, 200 in the
+  12.1-12.55 G x 0.5-10 deg level-crossing band, 25 sub-gauss pairs, the
+  500 clause A and 126 clause B pairs of acceptance criterion 11 and 6
+  noisy pairs off the nominal constants;
+- fits: values, sigmas, residual, iterations and converged of 8 two-line
+  ODMR fits (4 601 and 92 001 points) and 8 saturation fits.
+
+Every input is drawn from fixed seeds.  The numeric thread pools are held
+to one thread, as in perfbench, so the BLAS calls do not change with the
+host.  A run takes about 10 s on a 2-vCPU host.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from sivodmr.fitting import fit_lorentzian_multi, fit_saturation  # noqa: E402
+from sivodmr.inversion import NoSolutionError, invert_field  # noqa: E402
+from sivodmr.spectrum import (  # noqa: E402
+    AcquisitionConfig,
+    SaturationParams,
+    photon_rate,
+    synthesize_spectrum,
+)
+from sivodmr.spin_model import (  # noqa: E402
+    FieldVector,
+    PhysicalConstants,
+    transition_pair,
+    transition_table,
+)
+
+GAUSS = 1e-4
+
+
+class Digest:
+    """A sha256 over a sequence of float arrays and strings, with a count of items."""
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+        self.count = 0
+
+    def array(self, a) -> None:
+        a = np.ascontiguousarray(a, dtype=float)
+        self._hash.update(repr(a.shape).encode())
+        self._hash.update(a.tobytes())
+
+    def text(self, s: str) -> None:
+        self._hash.update(s.encode())
+        self._hash.update(b"\0")
+
+    def result(self) -> dict:
+        return {"sha256": self._hash.hexdigest(), "count": self.count}
+
+
+def _edge_rows(consts: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
+    gamma = consts.gyro_hz_per_t
+    b0s = [0.0, 1e-300, 1e-9, 1e-8, 1e-7, 1e-6,
+           consts.d_hz / gamma, 2.0 * consts.d_hz / gamma, 60 * GAUSS, 200 * GAUSS]
+    thetas = [0.0, math.pi / 2, 0.3, 1.0]
+    bb, tt = np.meshgrid(b0s, thetas, indexing="ij")
+    return bb.ravel(), tt.ravel()
+
+
+def table_digest(consts: PhysicalConstants) -> dict:
+    rng = np.random.default_rng(18_001)
+    b0 = rng.uniform(0.0, 200 * GAUSS, 20_000)
+    theta = rng.uniform(0.0, math.pi / 2, 20_000)
+    eb, et = _edge_rows(consts)
+    b0, theta = np.concatenate([b0, eb]), np.concatenate([theta, et])
+    d = Digest()
+    for labelled in (False, True):
+        d.array(np.stack(transition_table(b0, theta, consts, labelled=labelled)))
+        positive = b0 > 0
+        nu1, nu2, jac = transition_table(
+            b0[positive], theta[positive], consts, jacobian=True, labelled=labelled
+        )
+        d.array(np.stack([nu1, nu2]))
+        d.array(jac)
+    d.count = b0.size
+    return d.result()
+
+
+def _pair(b0_t: float, theta_rad: float, consts: PhysicalConstants) -> tuple[float, float]:
+    tp = transition_pair(FieldVector(b0_t=b0_t, theta_rad=theta_rad), consts)
+    return tp.nu1_hz, tp.nu2_hz
+
+
+def _inversion_cases(consts: PhysicalConstants):
+    """(nu1, nu2, consts, sigma_hz) for each pair of the verification set."""
+    rng = np.random.default_rng(18_002)
+    for b_g, th in zip(rng.uniform(0.5, 150.0, 300), rng.uniform(0.0, math.pi / 2, 300)):
+        yield (*_pair(b_g * GAUSS, th, consts), consts, 0.0)
+    for b_g, th in zip(rng.uniform(0.5, 150.0, 200), rng.uniform(0.0, math.pi / 2, 200)):
+        nu1, nu2 = _pair(b_g * GAUSS, th, consts)
+        n1, n2 = nu1 + rng.normal(0.0, 1e5), nu2 + rng.normal(0.0, 1e5)
+        yield (min(n1, n2), max(n1, n2), consts, 1e5)
+    for b_g, th_d in zip(rng.uniform(0.5, 150.0, 188), rng.uniform(89.5, 89.99, 188)):
+        yield (*_pair(b_g * GAUSS, math.radians(th_d), consts), consts, 0.0)
+    for b_g, th_d in zip(rng.uniform(12.1, 12.55, 200), rng.uniform(0.5, 10.0, 200)):
+        yield (*_pair(b_g * GAUSS, math.radians(th_d), consts), consts, 0.0)
+    for b_g in (0.1, 0.2, 0.3, 0.5, 0.8):
+        for th_d in (0.0, 15.0, 30.0, 60.0, 90.0):
+            yield (*_pair(b_g * GAUSS, math.radians(th_d), consts), consts, 0.0)
+    # acceptance criterion 11, clause A then clause B
+    crng = np.random.default_rng(11_2026)
+    b_true = crng.uniform(5.0, 120.0, 500) * GAUSS
+    u = crng.uniform(0.0, 80.0, 500)
+    for b0, th in zip(b_true, np.radians(np.where(u < 50.0, u, u + 10.0))):
+        yield (*_pair(b0, th, consts), consts, 0.0)
+    for b_g in (5.0, 10.0, 20.0, 40.0, 60.0, 90.0, 120.0):
+        for th_d in (52.5, 53.5, 54.5, 54.74, 55.5, 56.5):
+            nu1, nu2 = _pair(b_g * GAUSS, math.radians(th_d), consts)
+            for seed in (1, 2, 3):
+                nrng = np.random.default_rng(seed * 7919 + int(b_g))
+                n1, n2 = nu1 + nrng.normal(0.0, 1e5), nu2 + nrng.normal(0.0, 1e5)
+                yield (min(n1, n2), max(n1, n2), consts, 1e5)
+    # off-nominal constants, noisy
+    for d_hz, g, b_g, th_d in ((34.0e6, 2.0, 30.0, 20.0), (36.0e6, 2.01, 80.0, 70.0),
+                               (35.0e6, 1.99, 8.0, 45.0), (30.0e6, 2.0023, 140.0, 10.0),
+                               (40.0e6, 2.0023, 50.0, 85.0), (35.5e6, 2.005, 100.0, 60.0)):
+        other = PhysicalConstants(d_hz=d_hz, g_factor=g)
+        nu1, nu2 = _pair(b_g * GAUSS, math.radians(th_d), other)
+        n1, n2 = nu1 + rng.normal(0.0, 1e5), nu2 + rng.normal(0.0, 1e5)
+        yield (min(n1, n2), max(n1, n2), other, 1e5)
+
+
+def inversion_digest(consts: PhysicalConstants) -> dict:
+    d = Digest()
+    for nu1, nu2, cs, sigma in _inversion_cases(consts):
+        try:
+            res = invert_field(nu1, nu2, cs, sigma_hz=sigma)
+        except NoSolutionError as exc:
+            d.text(f"NoSolutionError {exc.best_residual_hz!r}")
+        else:
+            d.text(repr(res))
+        d.count += 1
+    return d.result()
+
+
+def _fit_record(d: Digest, res) -> None:
+    d.array(res.values)
+    d.array(res.sigmas)
+    d.text(f"{res.residual_rms!r} {res.iterations} {res.converged}")
+    d.count += 1
+
+
+def fit_digest(consts: PhysicalConstants) -> dict:
+    d = Digest()
+    fields = (FieldVector(60 * GAUSS, 0.0), FieldVector(40 * GAUSS, 0.6))
+    for n_points in (4_601, 92_001):
+        for field in fields:
+            for seed in (3, 4):
+                cfg = AcquisitionConfig(
+                    f_start_hz=50e6, f_stop_hz=280e6, n_points=n_points,
+                    dwell_s=10e-3, laser_mw=85.0, mw_dbm=18.0, seed=seed,
+                )
+                _fit_record(d, fit_lorentzian_multi(synthesize_spectrum(cfg, field, consts), 2))
+    powers = np.geomspace(1.0, 300.0, 61)
+    counts = np.array([photon_rate(p, SaturationParams()) for p in powers])
+    _fit_record(d, fit_saturation(powers, counts))
+    rng = np.random.default_rng(18_003)
+    for _ in range(7):
+        noisy = counts * (1.0 + 0.01 * rng.standard_normal(counts.size))
+        _fit_record(d, fit_saturation(powers, noisy))
+    return d.result()
+
+
+def main() -> None:
+    consts = PhysicalConstants()
+    out = {
+        "table": table_digest(consts),
+        "invert": inversion_digest(consts),
+        "fits": fit_digest(consts),
+    }
+    print(json.dumps(out, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
