@@ -16,6 +16,25 @@ The Lorentzian Jacobian is built parameter-major, one contiguous row per
 parameter handed to the core as its (n, n_params) transpose view, because
 writing strided columns of an (n, n_params) array cost more than the
 model's arithmetic.
+
+A Lorentzian fit of N >= 2 * COARSE_POINTS points runs coarse to fine.
+The core first fits binned data: N // COARSE_POINTS consecutive points per
+bin, the remainder in a short last bin, each bin at its mean frequency and
+mean signal.  It starts from the same seed or init, with the same model,
+scales and projection.  The full-resolution stage then starts from that
+result, with its own convergence test and the covariance of the full
+Jacobian, so the binned stage changes only where the fit starts, and
+FitResult.iterations counts full-resolution rounds only.  Bins are safe
+because a bin is narrow against any line that the full-resolution fit
+could resolve: the binned trace keeps at least COARSE_POINTS points over
+the same sweep, as many as an unbinned fit of COARSE_POINTS points has.
+On a uniform grid a bin spans at most 1/COARSE_POINTS of the sweep,
+56 kHz of a 230 MHz sweep, against synthesised lines at least 7.5 MHz
+wide.  Averaging a Lorentzian of FWHM w over a bin of width h changes it
+by at most (h/w)^2 / 3 of its depth, and the bin's mean frequency cancels
+the linear term, so the binned optimum lies a small fraction of a sigma
+from the full one.  A fit of 92 001 points then takes about 3 full-size
+model calls instead of 6.
 """
 
 from __future__ import annotations
@@ -32,6 +51,7 @@ STEP_RTOL = 1e-8      # per-parameter relative step for convergence
 SSR_RTOL = 1e-10      # relative residual-change for convergence
 COND_LIMIT = 1e12     # correlation-matrix condition beyond which a fit is degenerate
 SEED_FWHM_HZ = 10e6   # initial linewidth guess when no init is given
+COARSE_POINTS = 4096  # fits of at least twice this many points start on binned data
 
 
 class IllConditionedFitError(RuntimeError):
@@ -417,13 +437,20 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
     scales = np.array([sig_scale] + [span, span, sig_scale] * n_peaks)
     width_slots = [2 + 3 * k for k in range(n_peaks)]
 
-    def fun(p):
-        model, jac = _lorentzian_model(freq, p, n_peaks)
-        return model - signal, jac
+    def fun(p, f=freq, s=signal):
+        model, jac = _lorentzian_model(f, p, n_peaks)
+        return model - s, jac
 
     def project(p):
         return np.where(np.all(p[:, width_slots] > 0, axis=1, keepdims=True), p, np.nan)
 
+    if freq.size >= 2 * COARSE_POINTS:
+        # bin means of a strictly increasing grid are strictly increasing
+        starts = np.arange(0, freq.size, freq.size // COARSE_POINTS)
+        counts = np.diff(starts, append=freq.size)
+        f_bin = np.add.reduceat(freq, starts) / counts
+        s_bin = np.add.reduceat(signal, starts) / counts
+        p0 = _damped_gauss_newton(lambda p: fun(p, f_bin, s_bin), p0, scales, project)[0]
     p, r, jac, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
     residual_rms = math.sqrt(ssr / freq.size)
     sigmas = _covariance_sigmas(jac, residual_rms, names)

@@ -246,6 +246,84 @@ def test_residual_never_increases_vs_seed():
     assert res.residual_rms <= start_rms
 
 
+def single_stage_fit(spec):
+    """A two-line fit with no binned stage: the core run on the full trace
+    from the fit's own seed, scales and projection."""
+    freq, signal = spec.freq_hz, spec.signal
+    baseline = float(np.median(signal))
+    p0 = fitting._seed_lorentzian(freq, signal, 2, baseline)
+    span = float(freq[-1] - freq[0])
+    sig_scale = max(float(np.max(np.abs(signal - baseline))), 1e-12)
+
+    def fun(p):
+        model, jac = _lorentzian_model(freq, p, 2)
+        return model - signal, jac
+
+    def project(p):
+        return np.where(np.all(p[:, [2, 5]] > 0, axis=1, keepdims=True), p, np.nan)
+
+    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
+        fun, p0, np.array([sig_scale] + [span, span, sig_scale] * 2), project
+    )
+    names = ("baseline", "center1_hz", "fwhm1_hz", "amp1", "center2_hz", "fwhm2_hz", "amp2")
+    residual_rms = math.sqrt(ssr / freq.size)
+    sigmas = _covariance_sigmas(jac, residual_rms, names)
+    return FitResult(names, p, sigmas, residual_rms, iterations, converged)
+
+
+def model_sizes(monkeypatch):
+    """Record the length of every _lorentzian_model call the fits make."""
+    sizes = []
+
+    def spy(freq, params, n_peaks):
+        sizes.append(freq.size)
+        return _lorentzian_model(freq, params, n_peaks)
+
+    monkeypatch.setattr(fitting, "_lorentzian_model", spy)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "n, bins",
+    [
+        (92_001, 4182),  # 22 points per bin and 19 in the last
+        (2 * fitting.COARSE_POINTS + 3, 4098),  # 2 per bin and 1 in the last
+    ],
+)
+def test_binned_stage_agrees_with_the_single_stage_fit(monkeypatch, n, bins):
+    spec = make_spectrum(n=n, seed=19)
+    ref = single_stage_fit(spec)
+    sizes = model_sizes(monkeypatch)
+    res = fit_lorentzian_multi(spec, 2)
+    assert set(sizes) == {bins, n}
+    assert ref.converged and res.converged
+    assert np.all(np.abs(res.values - ref.values) <= 1e-3 * ref.sigmas)
+    assert np.all(np.abs(res.sigmas - ref.sigmas) <= 1e-4 * ref.sigmas)
+
+
+def test_binned_stage_leaves_at_most_four_full_size_model_calls(monkeypatch):
+    spec = make_spectrum(n=92_001, seed=19)
+    sizes = model_sizes(monkeypatch)
+    res = fit_lorentzian_multi(spec, 2)
+    assert res.converged
+    assert sizes.count(92_001) <= 4
+    # iterations counts full-resolution rounds only
+    assert res.iterations <= sizes.count(92_001) - 1
+
+
+def test_fit_below_the_binning_threshold_is_the_single_stage_fit(monkeypatch):
+    spec = make_spectrum(n=4601, seed=19)
+    ref = single_stage_fit(spec)
+    sizes = model_sizes(monkeypatch)
+    res = fit_lorentzian_multi(spec, 2)
+    assert set(sizes) == {4601}
+    assert np.array_equal(res.values, ref.values)
+    assert np.array_equal(res.sigmas, ref.sigmas)
+    assert (res.residual_rms, res.iterations, res.converged) == (
+        ref.residual_rms, ref.iterations, ref.converged
+    )
+
+
 def test_core_reports_non_convergence():
     # one iteration cannot reach the minimum from a bad start
     freq = np.linspace(50e6, 280e6, 201)

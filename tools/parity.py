@@ -5,7 +5,7 @@ path:
 
     PYTHONPATH=<tree>/src python3 tools/parity.py
 
-It prints one JSON line with a sha256 digest and a count for each of three
+It prints one JSON line with a sha256 digest and a count for each of four
 groups of outputs.  Two trees whose digests agree give bit-identical
 results on every input here, so a change meant to move no output bit can be
 checked by running this on the parent and on the change:
@@ -20,8 +20,12 @@ checked by running this on the parent and on the change:
   12.1-12.55 G x 0.5-10 deg level-crossing band, 25 sub-gauss pairs, the
   500 clause A and 126 clause B pairs of acceptance criterion 11 and 6
   noisy pairs off the nominal constants;
-- fits: values, sigmas, residual, iterations and converged of 8 two-line
-  ODMR fits (4 601 and 92 001 points) and 8 saturation fits.
+- fits_unbinned: values, sigmas, residual, iterations and converged of 4
+  two-line ODMR fits of 4 601 points and 8 saturation fits, none of which
+  takes the binned first stage of fit_lorentzian_multi;
+- fits_binned: the same of 4 two-line ODMR fits of 92 001 points, which
+  start on binned data.  A change to the binned stage moves only this
+  digest.
 
 Every input is drawn from fixed seeds.  The numeric thread pools are held
 to one thread, as in perfbench, so the BLAS calls do not change with the
@@ -170,17 +174,19 @@ def _fit_record(d: Digest, res) -> None:
     d.count += 1
 
 
-def fit_digest(consts: PhysicalConstants) -> dict:
+def _odmr_fits(d: Digest, consts: PhysicalConstants, n_points: int) -> None:
+    for field in (FieldVector(60 * GAUSS, 0.0), FieldVector(40 * GAUSS, 0.6)):
+        for seed in (3, 4):
+            cfg = AcquisitionConfig(
+                f_start_hz=50e6, f_stop_hz=280e6, n_points=n_points,
+                dwell_s=10e-3, laser_mw=85.0, mw_dbm=18.0, seed=seed,
+            )
+            _fit_record(d, fit_lorentzian_multi(synthesize_spectrum(cfg, field, consts), 2))
+
+
+def unbinned_fit_digest(consts: PhysicalConstants) -> dict:
     d = Digest()
-    fields = (FieldVector(60 * GAUSS, 0.0), FieldVector(40 * GAUSS, 0.6))
-    for n_points in (4_601, 92_001):
-        for field in fields:
-            for seed in (3, 4):
-                cfg = AcquisitionConfig(
-                    f_start_hz=50e6, f_stop_hz=280e6, n_points=n_points,
-                    dwell_s=10e-3, laser_mw=85.0, mw_dbm=18.0, seed=seed,
-                )
-                _fit_record(d, fit_lorentzian_multi(synthesize_spectrum(cfg, field, consts), 2))
+    _odmr_fits(d, consts, 4_601)
     powers = np.geomspace(1.0, 300.0, 61)
     counts = np.array([photon_rate(p, SaturationParams()) for p in powers])
     _fit_record(d, fit_saturation(powers, counts))
@@ -191,12 +197,19 @@ def fit_digest(consts: PhysicalConstants) -> dict:
     return d.result()
 
 
+def binned_fit_digest(consts: PhysicalConstants) -> dict:
+    d = Digest()
+    _odmr_fits(d, consts, 92_001)
+    return d.result()
+
+
 def main() -> None:
     consts = PhysicalConstants()
     out = {
         "table": table_digest(consts),
         "invert": inversion_digest(consts),
-        "fits": fit_digest(consts),
+        "fits_unbinned": unbinned_fit_digest(consts),
+        "fits_binned": binned_fit_digest(consts),
     }
     print(json.dumps(out, sort_keys=True))
 
