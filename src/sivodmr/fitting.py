@@ -12,10 +12,8 @@ linearized covariance sigma^2 * inv(J^T J) with sigma^2 = residual_rms^2;
 residuals are assumed i.i.d. Gaussian, which is a documented
 simplification.  Lorentzian fits are seeded from the most prominent
 maxima of the smoothed trace, found by a monotone-stack prominence scan.
-The Lorentzian Jacobian is built parameter-major, one contiguous row per
-parameter handed to the core as its (n, n_params) transpose view, because
-writing strided columns of an (n, n_params) array cost more than the
-model's arithmetic.
+The Lorentzian line model and its Jacobian come from spectrum.py, the
+same formula that synthesises spectra.
 
 A Lorentzian fit of N >= 2 * COARSE_POINTS points runs coarse to fine.
 The core first fits binned data: N // COARSE_POINTS consecutive points per
@@ -44,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import OdmrSpectrum
+from .spectrum import OdmrSpectrum, _lorentzian_model
 
 MAX_ITERATIONS = 200
 STEP_RTOL = 1e-8      # per-parameter relative step for convergence
@@ -257,38 +255,6 @@ def _covariance_sigmas(jac: np.ndarray, residual_rms: float, names) -> np.ndarra
         raise IllConditionedFitError(names[i], names[j], "singular normal equations")
     cov = np.linalg.inv(jtj) * residual_rms**2
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
-
-
-def _lorentzian_model(freq: np.ndarray, params: np.ndarray, n_peaks: int):
-    """Residual-ready model and Jacobian: baseline + sum of Lorentzians.
-
-    Parameter layout: [baseline, center1, fwhm1, amp1, (center2, fwhm2, amp2)].
-    The Jacobian is the transpose view of a C-contiguous (n_params, n)
-    buffer whose rows are written in place.
-    """
-    model = np.full(freq.size, params[0])
-    rows = np.empty((1 + 3 * n_peaks, freq.size))
-    rows[0] = 1.0
-    for k in range(n_peaks):
-        f0, w, a = params[1 + 3 * k : 4 + 3 * k]
-        d_center, d_fwhm, d_amp = rows[1 + 3 * k : 4 + 3 * k]
-        # den lives in the amp row and w * den * den in the center row until
-        # each is overwritten last; every product keeps the order of
-        # 4a u / (w den den), 2a u u / (w den den) and 1 / den.
-        u = freq - f0
-        u /= w / 2.0
-        den = np.multiply(u, u, out=d_amp)
-        den += 1.0
-        model += a / den
-        wden2 = np.multiply(den, w, out=d_center)
-        wden2 *= den
-        np.multiply(u, 2.0 * a, out=d_fwhm)
-        d_fwhm *= u
-        d_fwhm /= wden2
-        np.divide(1.0, den, out=d_amp)
-        u *= 4.0 * a
-        np.divide(u, wden2, out=d_center)
-    return model, rows.T
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:

@@ -52,6 +52,7 @@ GRID_N_THETA = 91               # coarse-grid nodes in theta
 COND_THRESHOLD = 1e4            # condition above this marks a degenerate inversion
 NO_SOLUTION_RMS_HZ = 1e6        # best residual above this means "unreachable"
 NUMERIC_FLOOR_HZ = 1.0          # residuals below this are numerically "exact"
+AXIAL_TOL_HZ = 2e6              # axial_invert's limit on |nu2 - nu1 - 4D|
 RESOLUTION_B_T = 1e-5           # 0.1 G: instrument-scale field resolution
 RESOLUTION_THETA_RAD = math.radians(0.5)  # instrument-scale angle resolution
 _COND_CAP = 1e12
@@ -429,13 +430,12 @@ def axial_invert(
     nu1_hz: float,
     nu2_hz: float,
     consts: PhysicalConstants = PhysicalConstants(),
-    tol_hz: float = 2e6,
 ) -> AxialInversion:
     """Closed-form inversion assuming theta = 0: B0 = (nu1 + nu2) / (2 gamma).
 
     Valid above the level crossing (gamma B0 > 2D), where nu2 - nu1 = 4D;
     the reported consistency residual |nu2 - nu1 - 4D| measures how axial
-    the field really is, and beyond tol_hz an AxialModelError is raised
+    the field really is, and beyond AXIAL_TOL_HZ an AxialModelError is raised
     (e.g. the zero-field pair (2D, 2D) maps to gamma B0 = 2D but violates
     the 4D split by the full 4D).
     """
@@ -448,6 +448,6 @@ def axial_invert(
         raise ValueError("frequencies must be positive")
     b0 = (nu1_hz + nu2_hz) / (2.0 * consts.gyro_hz_per_t)
     consistency = abs((nu2_hz - nu1_hz) - 4.0 * consts.d_hz)
-    if consistency > tol_hz:
-        raise AxialModelError(b0, consistency, tol_hz)
+    if consistency > AXIAL_TOL_HZ:
+        raise AxialModelError(b0, consistency, AXIAL_TOL_HZ)
     return AxialInversion(b0, consistency)

@@ -10,6 +10,12 @@ on a zero baseline; plotting layers may invert for display.
 The per-point noise model sigma = 1/sqrt(R * dwell) folds all detection
 electronics into one effective Gaussian floor; the true noise budget of a
 real instrument (lock-in time constant, detector gain) is not modeled.
+
+The line shape is written once, in _lorentzian_model: synthesis evaluates
+it and fitting.py fits it.  Its Jacobian is built parameter-major, one
+contiguous row per parameter handed to the fit as its (n, n_params)
+transpose view, because writing strided columns of an (n, n_params) array
+cost more than the model's arithmetic.  Synthesis discards the Jacobian.
 """
 
 from __future__ import annotations
@@ -29,23 +35,6 @@ DEFAULT_P_SAT_DBM = 16.0    # MW saturation power (dBm)
 DEFAULT_LASER_MW = 60.0     # acquisition laser power (mW)
 DEFAULT_MW_DBM = 18.0       # acquisition MW power (dBm)
 DEFAULT_DWELL_S = 10e-3     # dwell per frequency point (s)
-
-
-@dataclass(frozen=True)
-class LorentzianPeak:
-    """One resonance line: center and FWHM in Hz, amplitude as signal depth."""
-
-    center_hz: float
-    fwhm_hz: float
-    amplitude: float
-
-    def __post_init__(self) -> None:
-        if not (self.fwhm_hz > 0 and math.isfinite(self.fwhm_hz)):
-            raise ValueError(f"fwhm_hz must be positive and finite, got {self.fwhm_hz}")
-        if not math.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
-        if not math.isfinite(self.center_hz):
-            raise ValueError(f"center_hz must be finite, got {self.center_hz}")
 
 
 @dataclass(frozen=True)
@@ -146,15 +135,36 @@ class OdmrSpectrum:
         object.__setattr__(self, "signal", s)
 
 
-def lorentzian_value(peak: LorentzianPeak, f_hz):
-    """Single Lorentzian evaluated at f_hz (scalar or array).
+def _lorentzian_model(freq: np.ndarray, params: np.ndarray, n_peaks: int):
+    """Residual-ready model and Jacobian: baseline + sum of Lorentzians.
 
-    amplitude / (1 + ((f - center) / (fwhm/2))^2): equals the amplitude at
-    the center and half of it one half-width away.
+    Parameter layout: [baseline, center1, fwhm1, amp1, (center2, fwhm2, amp2)].
+    The Jacobian is the transpose view of a C-contiguous (n_params, n)
+    buffer whose rows are written in place.
     """
-    u = (np.asarray(f_hz, dtype=float) - peak.center_hz) / (peak.fwhm_hz / 2.0)
-    out = peak.amplitude / (1.0 + u * u)
-    return float(out) if out.ndim == 0 else out
+    model = np.full(freq.size, params[0])
+    rows = np.empty((1 + 3 * n_peaks, freq.size))
+    rows[0] = 1.0
+    for k in range(n_peaks):
+        f0, w, a = params[1 + 3 * k : 4 + 3 * k]
+        d_center, d_fwhm, d_amp = rows[1 + 3 * k : 4 + 3 * k]
+        # den lives in the amp row and w * den * den in the center row until
+        # each is overwritten last; every product keeps the order of
+        # 4a u / (w den den), 2a u u / (w den den) and 1 / den.
+        u = freq - f0
+        u /= w / 2.0
+        den = np.multiply(u, u, out=d_amp)
+        den += 1.0
+        model += a / den
+        wden2 = np.multiply(den, w, out=d_center)
+        wden2 *= den
+        np.multiply(u, 2.0 * a, out=d_fwhm)
+        d_fwhm *= u
+        d_fwhm /= wden2
+        np.divide(1.0, den, out=d_amp)
+        u *= 4.0 * a
+        np.divide(u, wden2, out=d_center)
+    return model, rows.T
 
 
 def photon_rate(laser_mw, sat: SaturationParams = SaturationParams()):
@@ -213,9 +223,8 @@ def synthesize_spectrum(
     pair = transition_pair(field, consts)
     contrast, fwhm_hz = mw_response(cfg.mw_dbm, mwparams)
     freq = np.linspace(cfg.f_start_hz, cfg.f_stop_hz, int(cfg.n_points))
-    signal = np.zeros_like(freq)
-    for center in (pair.nu1_hz, pair.nu2_hz):
-        signal += lorentzian_value(LorentzianPeak(center, fwhm_hz, contrast), freq)
+    lines = [0.0, pair.nu1_hz, fwhm_hz, contrast, pair.nu2_hz, fwhm_hz, contrast]
+    signal = _lorentzian_model(freq, np.array(lines), 2)[0]
     if cfg.seed is not None:
         rate = photon_rate(cfg.laser_mw, sat)
         sigma = shot_noise_sigma(rate, cfg.dwell_s)

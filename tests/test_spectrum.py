@@ -17,50 +17,48 @@ import math
 import numpy as np
 import pytest
 
+import sivodmr.spectrum
+from sivodmr.fitting import COARSE_POINTS, fit_lorentzian_multi
 from sivodmr.spectrum import (
     AcquisitionConfig,
-    LorentzianPeak,
     MwResponseParams,
     OdmrSpectrum,
     SaturationParams,
-    lorentzian_value,
+    _lorentzian_model,
     mw_response,
     photon_rate,
     shot_noise_sigma,
     synthesize_spectrum,
 )
-from sivodmr.spin_model import FieldVector
+from sivodmr.spin_model import FieldVector, transition_pair
 
 GAUSS = 1e-4
 
 
+def _lines(f_hz, *peaks):
+    """The shared line model on zero baseline: one (center, fwhm, amp) per peak."""
+    params = np.array([0.0] + [x for peak in peaks for x in peak])
+    return _lorentzian_model(np.array(f_hz, dtype=float, ndmin=1), params, len(peaks))[0]
+
+
 def test_lorentzian_center_and_half_width():
-    peak = LorentzianPeak(1.0e8, 13e6, 1.8e-3)
-    assert lorentzian_value(peak, 1.0e8) == pytest.approx(1.8e-3, rel=1e-12)
-    assert lorentzian_value(peak, 1.0e8 + 6.5e6) == pytest.approx(0.9e-3, rel=1e-12)
-    assert lorentzian_value(peak, 1.0e8 - 6.5e6) == pytest.approx(0.9e-3, rel=1e-12)
+    peak = (1.0e8, 13e6, 1.8e-3)
+    assert _lines(1.0e8, peak)[0] == pytest.approx(1.8e-3, rel=1e-12)
+    assert _lines(1.0e8 + 6.5e6, peak)[0] == pytest.approx(0.9e-3, rel=1e-12)
+    assert _lines(1.0e8 - 6.5e6, peak)[0] == pytest.approx(0.9e-3, rel=1e-12)
 
 
 def test_lorentzian_two_peak_sum_anchor():
-    p1 = LorentzianPeak(98.148e6, 13e6, 1.8e-3)
-    p2 = LorentzianPeak(238.148e6, 13e6, 1.8e-3)
-    total = lorentzian_value(p1, 98.148e6) + lorentzian_value(p2, 98.148e6)
+    total = _lines(98.148e6, (98.148e6, 13e6, 1.8e-3), (238.148e6, 13e6, 1.8e-3))[0]
     assert total == pytest.approx(1.803872e-3, rel=1e-5)
 
 
 def test_lorentzian_vectorized_and_validated():
-    peak = LorentzianPeak(1.0e8, 10e6, 2e-3)
     f = np.array([0.9e8, 1.0e8, 1.1e8])
-    vals = lorentzian_value(peak, f)
+    vals = _lines(f, (1.0e8, 10e6, 2e-3))
     assert vals.shape == (3,)
     assert vals[1] == pytest.approx(2e-3)
     assert vals[0] == vals[2]
-    with pytest.raises(ValueError):
-        LorentzianPeak(1.0e8, 0.0, 1e-3)
-    with pytest.raises(ValueError):
-        LorentzianPeak(1.0e8, 1e6, math.inf)
-    with pytest.raises(ValueError, match="center_hz"):
-        LorentzianPeak(math.nan, 1e6, 1e-3)
 
 
 def test_photon_rate_anchors():
@@ -158,12 +156,12 @@ def test_noiseless_spectrum_is_exact_lorentzian_sum(consts):
     field = FieldVector(60 * GAUSS, 0.0)
     spec = synthesize_spectrum(cfg, field, consts)
     contrast, fwhm = mw_response(18.0)
-    from sivodmr.spin_model import transition_pair
-
     pair = transition_pair(field, consts)
-    expect = lorentzian_value(
-        LorentzianPeak(pair.nu1_hz, fwhm, contrast), spec.freq_hz
-    ) + lorentzian_value(LorentzianPeak(pair.nu2_hz, fwhm, contrast), spec.freq_hz)
+    # the closed form written out, not the model that synthesis calls
+    f = spec.freq_hz
+    expect = contrast / (1.0 + ((f - pair.nu1_hz) / (fwhm / 2.0)) ** 2) + contrast / (
+        1.0 + ((f - pair.nu2_hz) / (fwhm / 2.0)) ** 2
+    )
     assert np.max(np.abs(spec.signal - expect)) <= 1e-12
     assert spec.meta is not None and spec.meta.off_grid_warning is False
 
@@ -227,3 +225,40 @@ def test_off_grid_warning(consts):
     cfg_wide = AcquisitionConfig(50e6, 280e6, 81)
     spec_wide = synthesize_spectrum(cfg_wide, FieldVector(60 * GAUSS, 0.0), consts)
     assert spec_wide.meta.off_grid_warning is False
+
+
+@pytest.mark.parametrize("n_points", [461, 4_601, 92_001])
+def test_noiseless_spectrum_is_a_fixed_point_of_the_fit(consts, n_points):
+    # synthesis and the fit evaluate one line model, so a fit started at the
+    # synthesis vector has nothing to move; 92 001 points first fit binned
+    # data, which starts the full-resolution stage a little off that vector
+    cfg = AcquisitionConfig(50e6, 280e6, n_points, mw_dbm=18.0)
+    field = FieldVector(40 * GAUSS, 0.6)
+    contrast, fwhm = mw_response(18.0)
+    pair = transition_pair(field, consts)
+    truth = np.array([0.0, pair.nu1_hz, fwhm, contrast, pair.nu2_hz, fwhm, contrast])
+    res = fit_lorentzian_multi(synthesize_spectrum(cfg, field, consts), 2, init=truth)
+    assert res.converged
+    if n_points < 2 * COARSE_POINTS:
+        assert np.array_equal(res.values, truth)
+        assert res.residual_rms == 0.0
+        assert res.iterations == 1
+    else:
+        lines = [1, 2, 4, 5]
+        assert np.max(np.abs(res.values[lines] - truth[lines])) <= 1e-6
+
+
+def test_synthesis_reaches_the_lines_through_the_module_name(consts, monkeypatch):
+    # the benchmark times the line pair of each synthesis by replacing
+    # sivodmr.spectrum.transition_pair, so synthesis must call that name
+    calls = []
+
+    def recorder(field, *args, **kwargs):
+        calls.append(field)
+        return transition_pair(field, *args, **kwargs)
+
+    monkeypatch.setattr(sivodmr.spectrum, "transition_pair", recorder)
+    field = FieldVector(60 * GAUSS, 0.3)
+    synthesize_spectrum(AcquisitionConfig(50e6, 280e6, 461), field, consts)
+    synthesize_spectrum(AcquisitionConfig(50e6, 280e6, 461, seed=1), field, consts)
+    assert calls == [field, field]

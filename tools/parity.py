@@ -5,7 +5,7 @@ path:
 
     PYTHONPATH=<tree>/src python3 tools/parity.py
 
-It prints one JSON line with a sha256 digest and a count for each of four
+It prints one JSON line with a sha256 digest and a count for each of five
 groups of outputs.  Two trees whose digests agree give bit-identical
 results on every input here, so a change meant to move no output bit can be
 checked by running this on the parent and on the change:
@@ -20,6 +20,10 @@ checked by running this on the parent and on the change:
   12.1-12.55 G x 0.5-10 deg level-crossing band, 25 sub-gauss pairs, the
   500 clause A and 126 clause B pairs of acceptance criterion 11 and 6
   noisy pairs off the nominal constants;
+- synth: the frequency grid, signal and off-grid flag of
+  synthesize_spectrum, noiseless and seeded, at 461, 4 601 and 92 001
+  points, at 60 G and 0 rad, 40 G and 0.6 rad, zero field, and 80 G and
+  0.2 rad, whose upper line lies off the 50-280 MHz grid (24 spectra);
 - fits_unbinned: values, sigmas, residual, iterations and converged of 4
   two-line ODMR fits of 4 601 points and 8 saturation fits, none of which
   takes the binned first stage of fit_lorentzian_multi;
@@ -167,6 +171,25 @@ def inversion_digest(consts: PhysicalConstants) -> dict:
     return d.result()
 
 
+def synth_digest(consts: PhysicalConstants) -> dict:
+    d = Digest()
+    fields = (FieldVector(60 * GAUSS, 0.0), FieldVector(40 * GAUSS, 0.6),
+              FieldVector(0.0, 0.0), FieldVector(80 * GAUSS, 0.2))
+    for n_points in (461, 4_601, 92_001):
+        for field in fields:
+            for seed in (None, 5):
+                cfg = AcquisitionConfig(
+                    f_start_hz=50e6, f_stop_hz=280e6, n_points=n_points,
+                    laser_mw=85.0, mw_dbm=18.0, seed=seed,
+                )
+                spec = synthesize_spectrum(cfg, field, consts)
+                d.array(spec.freq_hz)
+                d.array(spec.signal)
+                d.text(repr(spec.meta.off_grid_warning))
+                d.count += 1
+    return d.result()
+
+
 def _fit_record(d: Digest, res) -> None:
     d.array(res.values)
     d.array(res.sigmas)
@@ -208,6 +231,7 @@ def main() -> None:
     out = {
         "table": table_digest(consts),
         "invert": inversion_digest(consts),
+        "synth": synth_digest(consts),
         "fits_unbinned": unbinned_fit_digest(consts),
         "fits_binned": binned_fit_digest(consts),
     }
