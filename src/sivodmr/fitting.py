@@ -16,13 +16,16 @@ The Lorentzian line model and its Jacobian come from spectrum.py, the
 same formula that synthesises spectra.
 
 A Lorentzian fit of N >= 2 * COARSE_POINTS points runs coarse to fine.
-The core first fits binned data: N // COARSE_POINTS consecutive points per
-bin, the remainder in a short last bin, each bin at its mean frequency and
-mean signal.  It starts from the same seed or init, with the same model,
-scales and projection.  The full-resolution stage then starts from that
-result, with its own convergence test and the covariance of the full
-Jacobian, so the binned stage changes only where the fit starts, and
-FitResult.iterations counts full-resolution rounds only.  Bins are safe
+It bins the data first: N // COARSE_POINTS consecutive points per bin, the
+remainder in a short last bin, each bin at its mean frequency and mean
+signal.  The baseline median and the prominence seed come from the bin
+means, not the N points; the signal scale stays max|signal - baseline|
+over the full trace.  The core fits the bins from that seed or the init,
+with the same model, scales and projection, for at most COARSE_ROUNDS
+accepted rounds.  The full-resolution stage then starts from that result,
+with its own convergence test and the covariance of the full Jacobian, so
+the binned stage changes only where the fit starts and need not converge,
+and FitResult.iterations counts full-resolution rounds only.  Bins are safe
 because a bin is narrow against any line that the full-resolution fit
 could resolve: the binned trace keeps at least COARSE_POINTS points over
 the same sweep, as many as an unbinned fit of COARSE_POINTS points has.
@@ -31,8 +34,8 @@ On a uniform grid a bin spans at most 1/COARSE_POINTS of the sweep,
 wide.  Averaging a Lorentzian of FWHM w over a bin of width h changes it
 by at most (h/w)^2 / 3 of its depth, and the bin's mean frequency cancels
 the linear term, so the binned optimum lies a small fraction of a sigma
-from the full one.  A fit of 92 001 points then takes about 3 full-size
-model calls instead of 6.
+from the full one.  A fit of 92 001 points then takes 3 full-size model
+calls instead of 6, after 4 binned ones.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ SSR_RTOL = 1e-10      # relative residual-change for convergence
 COND_LIMIT = 1e12     # correlation-matrix condition beyond which a fit is degenerate
 SEED_FWHM_HZ = 10e6   # initial linewidth guess when no init is given
 COARSE_POINTS = 4096  # fits of at least twice this many points start on binned data
+COARSE_ROUNDS = 3     # accepted rounds of the binned stage before the full-resolution one
 
 
 class IllConditionedFitError(RuntimeError):
@@ -388,15 +392,26 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
     names = ["baseline"]
     for k in range(n_peaks):
         names += [f"center{k + 1}_hz", f"fwhm{k + 1}_hz", f"amp{k + 1}"]
-    baseline = float(np.median(signal))
-    if init is None:
-        p0 = _seed_lorentzian(freq, signal, n_peaks, baseline)
-    else:
-        p0 = np.array(init, dtype=float)
-        if p0.shape != (1 + 3 * n_peaks,):
+    if init is not None:
+        init = np.array(init, dtype=float)
+        if init.shape != (1 + 3 * n_peaks,):
             raise ValueError(f"init must have {1 + 3 * n_peaks} entries: {names}")
-        if np.any(p0[2::3][:n_peaks] <= 0):
+        if not np.all(np.isfinite(init)):
+            raise ValueError(f"init must be finite, got {init.tolist()}")
+        if np.any(init[2::3][:n_peaks] <= 0):
             raise ValueError("initial widths must be positive")
+
+    binned = freq.size >= 2 * COARSE_POINTS
+    if binned:
+        # bin means of a strictly increasing grid are strictly increasing
+        starts = np.arange(0, freq.size, freq.size // COARSE_POINTS)
+        counts = np.diff(starts, append=freq.size)
+        f_seed = np.add.reduceat(freq, starts) / counts
+        s_seed = np.add.reduceat(signal, starts) / counts
+    else:
+        f_seed, s_seed = freq, signal
+    baseline = float(np.median(s_seed))
+    p0 = _seed_lorentzian(f_seed, s_seed, n_peaks, baseline) if init is None else init
 
     span = float(freq[-1] - freq[0])
     sig_scale = max(float(np.max(np.abs(signal - baseline))), 1e-12)
@@ -410,13 +425,10 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
     def project(p):
         return np.where(np.all(p[:, width_slots] > 0, axis=1, keepdims=True), p, np.nan)
 
-    if freq.size >= 2 * COARSE_POINTS:
-        # bin means of a strictly increasing grid are strictly increasing
-        starts = np.arange(0, freq.size, freq.size // COARSE_POINTS)
-        counts = np.diff(starts, append=freq.size)
-        f_bin = np.add.reduceat(freq, starts) / counts
-        s_bin = np.add.reduceat(signal, starts) / counts
-        p0 = _damped_gauss_newton(lambda p: fun(p, f_bin, s_bin), p0, scales, project)[0]
+    if binned:
+        p0 = _damped_gauss_newton(
+            lambda p: fun(p, f_seed, s_seed), p0, scales, project, COARSE_ROUNDS
+        )[0]
     p, r, jac, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
     residual_rms = math.sqrt(ssr / freq.size)
     sigmas = _covariance_sigmas(jac, residual_rms, names)
@@ -446,8 +458,8 @@ def fit_saturation(powers_mw, counts_cps) -> FitResult:
         raise ValueError("powers and counts must be matching 1-D arrays")
     if np.unique(powers).size < 3:
         raise ValueError("need at least 3 distinct powers")
-    if np.any(powers <= 0) or not np.all(np.isfinite(counts)):
-        raise ValueError("powers must be positive and counts finite")
+    if not (np.all(powers > 0) and np.all(np.isfinite([powers, counts]))):
+        raise ValueError("powers must be positive and finite, and counts finite")
     names = ("i_s_cps", "p0_mw")
     if float(np.ptp(counts)) <= 1e-9 * max(float(np.max(np.abs(counts))), 1e-300):
         raise IllConditionedFitError(*names, "count rate does not vary with power")

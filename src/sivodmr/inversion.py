@@ -47,6 +47,9 @@ from .fitting import _covariance_sigmas, _damped_gauss_newton
 from .spin_model import PhysicalConstants, transition_table
 
 DEFAULT_B_MAX_T = 0.02          # 200 G search cap
+# perfbench/probe.py --grid reads GRID_N_B * GRID_N_THETA and waits for one
+# transition_table call of that size, so the grid can go only after that
+# probe has changed: without such a call every traced benchmark run fails.
 GRID_N_B = 201                  # coarse-grid nodes in B0
 GRID_N_THETA = 91               # coarse-grid nodes in theta
 COND_THRESHOLD = 1e4            # condition above this marks a degenerate inversion

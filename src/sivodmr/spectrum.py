@@ -15,7 +15,9 @@ The line shape is written once, in _lorentzian_model: synthesis evaluates
 it and fitting.py fits it.  Its Jacobian is built parameter-major, one
 contiguous row per parameter handed to the fit as its (n, n_params)
 transpose view, because writing strided columns of an (n, n_params) array
-cost more than the model's arithmetic.  Synthesis discards the Jacobian.
+cost more than the model's arithmetic.  Synthesis asks for the values
+only (jacobian=False), which keep the Jacobian path's operation order, so
+a synthesised spectrum is bit-equal to the fit's model at the true lines.
 """
 
 from __future__ import annotations
@@ -135,14 +137,27 @@ class OdmrSpectrum:
         object.__setattr__(self, "signal", s)
 
 
-def _lorentzian_model(freq: np.ndarray, params: np.ndarray, n_peaks: int):
+def _lorentzian_model(
+    freq: np.ndarray, params: np.ndarray, n_peaks: int, *, jacobian: bool = True
+):
     """Residual-ready model and Jacobian: baseline + sum of Lorentzians.
 
     Parameter layout: [baseline, center1, fwhm1, amp1, (center2, fwhm2, amp2)].
     The Jacobian is the transpose view of a C-contiguous (n_params, n)
-    buffer whose rows are written in place.
+    buffer whose rows are written in place.  With jacobian=False the
+    Jacobian is None and the model is bit-equal to the Jacobian path's:
+    both compute u = f - f0, u /= w/2, den = u*u + 1 and a/den in that order.
     """
     model = np.full(freq.size, params[0])
+    if not jacobian:
+        for k in range(n_peaks):
+            f0, w, a = params[1 + 3 * k : 4 + 3 * k]
+            u = freq - f0
+            u /= w / 2.0
+            den = np.multiply(u, u, out=u)
+            den += 1.0
+            model += np.divide(a, den, out=den)
+        return model, None
     rows = np.empty((1 + 3 * n_peaks, freq.size))
     rows[0] = 1.0
     for k in range(n_peaks):
@@ -224,7 +239,7 @@ def synthesize_spectrum(
     contrast, fwhm_hz = mw_response(cfg.mw_dbm, mwparams)
     freq = np.linspace(cfg.f_start_hz, cfg.f_stop_hz, int(cfg.n_points))
     lines = [0.0, pair.nu1_hz, fwhm_hz, contrast, pair.nu2_hz, fwhm_hz, contrast]
-    signal = _lorentzian_model(freq, np.array(lines), 2)[0]
+    signal = _lorentzian_model(freq, np.array(lines), 2, jacobian=False)[0]
     if cfg.seed is not None:
         rate = photon_rate(cfg.laser_mw, sat)
         sigma = shot_noise_sigma(rate, cfg.dwell_s)

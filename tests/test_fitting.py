@@ -206,6 +206,18 @@ def test_fit_rejects_bad_inputs():
         fit_lorentzian_multi(tiny, 2)
 
 
+@pytest.mark.parametrize(
+    "slot, bad",
+    [(2, math.nan), (1, math.inf), (0, math.nan)],
+    ids=["nan_width", "inf_center", "nan_baseline"],
+)
+def test_fit_rejects_a_non_finite_init(slot, bad):
+    init = [0.0, 98.148e6, 13e6, 1.8e-3, 238.148e6, 13e6, 1.8e-3]
+    init[slot] = bad
+    with pytest.raises(ValueError, match="init must be finite"):
+        fit_lorentzian_multi(make_spectrum(n=461), 2, init=init)
+
+
 def test_fit_result_validation():
     with pytest.raises(ValueError):
         FitResult(("a",), np.array([1.0, 2.0]), np.array([0.1, 0.1]), 0.0, 1, True)
@@ -294,8 +306,19 @@ def test_binned_stage_agrees_with_the_single_stage_fit(monkeypatch, n, bins):
     spec = make_spectrum(n=n, seed=19)
     ref = single_stage_fit(spec)
     sizes = model_sizes(monkeypatch)
+    seed_sizes = []
+
+    def seed_spy(freq, signal, n_peaks, baseline):
+        seed_sizes.append((freq.size, signal.size))
+        return seed(freq, signal, n_peaks, baseline)
+
+    seed = fitting._seed_lorentzian
+    monkeypatch.setattr(fitting, "_seed_lorentzian", seed_spy)
     res = fit_lorentzian_multi(spec, 2)
+    # the seed and baseline come from the bins, and the binned stage is capped
+    assert seed_sizes == [(bins, bins)]
     assert set(sizes) == {bins, n}
+    assert sizes.count(bins) <= 1 + fitting.COARSE_ROUNDS
     assert ref.converged and res.converged
     assert np.all(np.abs(res.values - ref.values) <= 1e-3 * ref.sigmas)
     assert np.all(np.abs(res.sigmas - ref.sigmas) <= 1e-4 * ref.sigmas)
@@ -520,6 +543,12 @@ def test_saturation_input_validation():
         fit_saturation([1.0, 2.0], [1e8, 2e8])
     with pytest.raises(ValueError, match="matching"):
         fit_saturation([1.0, 2.0, 3.0], [1e8, 2e8])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_saturation_rejects_non_finite_powers(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        fit_saturation([1.0, 10.0, bad, 100.0], [1e8, 3e8, 4e8, 5e8])
 
 
 def test_zfs_series_flat(consts):

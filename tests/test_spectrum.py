@@ -262,3 +262,30 @@ def test_synthesis_reaches_the_lines_through_the_module_name(consts, monkeypatch
     synthesize_spectrum(AcquisitionConfig(50e6, 280e6, 461), field, consts)
     synthesize_spectrum(AcquisitionConfig(50e6, 280e6, 461, seed=1), field, consts)
     assert calls == [field, field]
+
+
+@pytest.mark.parametrize("n_peaks", [1, 2])
+def test_lorentzian_values_only_path_is_bit_equal(rng, n_peaks):
+    freq = np.linspace(50e6, 280e6, 4601)
+    for _ in range(10):
+        params = [rng.normal(0, 1e-3)]
+        for _ in range(n_peaks):
+            params += [rng.uniform(60e6, 270e6), rng.uniform(1e6, 30e6), rng.uniform(-3e-3, 3e-3)]
+        params = np.array(params)
+        model, jac = _lorentzian_model(freq, params, n_peaks, jacobian=False)
+        assert jac is None
+        assert np.array_equal(model, _lorentzian_model(freq, params, n_peaks)[0])
+
+
+def test_synthesis_asks_for_no_jacobian(consts, monkeypatch):
+    jacobian_flags = []
+
+    def spy(freq, params, n_peaks, **kwargs):
+        jacobian_flags.append(kwargs.get("jacobian", True))
+        return _lorentzian_model(freq, params, n_peaks, **kwargs)
+
+    monkeypatch.setattr(sivodmr.spectrum, "_lorentzian_model", spy)
+    field = FieldVector(60 * GAUSS, 0.3)
+    synthesize_spectrum(AcquisitionConfig(50e6, 280e6, 461), field, consts)
+    synthesize_spectrum(AcquisitionConfig(50e6, 280e6, 461, seed=1), field, consts)
+    assert jacobian_flags == [False, False]

@@ -3,7 +3,7 @@
 Run from the root of a checkout, against the tree whose sources are on the
 path:
 
-    PYTHONPATH=<tree>/src python3 tools/parity.py
+    PYTHONPATH=<tree>/src python3 tools/parity.py [--dump PATH]
 
 It prints one JSON line with a sha256 digest and a count for each of five
 groups of outputs.  Two trees whose digests agree give bit-identical
@@ -27,9 +27,15 @@ checked by running this on the parent and on the change:
 - fits_unbinned: values, sigmas, residual, iterations and converged of 4
   two-line ODMR fits of 4 601 points and 8 saturation fits, none of which
   takes the binned first stage of fit_lorentzian_multi;
-- fits_binned: the same of 4 two-line ODMR fits of 92 001 points, which
-  start on binned data.  A change to the binned stage moves only this
-  digest.
+- fits_binned: the same of 6 ODMR fits of 92 001 points, which start on
+  binned data: the 4 two-line fits above, a one-line fit of the merged
+  zero-field line and a two-line fit from an explicit init, so that the
+  seeded and the init= starts are both covered.  A change to the binned
+  stage moves only this digest.
+
+With --dump PATH it also writes the names, values and sigmas of every fit
+of the two fit groups to PATH as JSON, so that a change meant to move a fit
+digest can be bounded in sigma units against the parent's dump.
 
 Every input is drawn from fixed seeds.  The numeric thread pools are held
 to one thread, as in perfbench, so the BLAS calls do not change with the
@@ -38,6 +44,7 @@ host.  A run takes about 10 s on a 2-vCPU host.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -72,6 +79,7 @@ class Digest:
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
         self.count = 0
+        self.fits: list[dict] = []
 
     def array(self, a) -> None:
         a = np.ascontiguousarray(a, dtype=float)
@@ -191,23 +199,29 @@ def synth_digest(consts: PhysicalConstants) -> dict:
 
 
 def _fit_record(d: Digest, res) -> None:
+    d.fits.append({"names": list(res.names), "values": res.values.tolist(),
+                   "sigmas": res.sigmas.tolist()})
     d.array(res.values)
     d.array(res.sigmas)
     d.text(f"{res.residual_rms!r} {res.iterations} {res.converged}")
     d.count += 1
 
 
+def _odmr_spectrum(consts: PhysicalConstants, n_points: int, field: FieldVector, seed: int):
+    cfg = AcquisitionConfig(
+        f_start_hz=50e6, f_stop_hz=280e6, n_points=n_points,
+        dwell_s=10e-3, laser_mw=85.0, mw_dbm=18.0, seed=seed,
+    )
+    return synthesize_spectrum(cfg, field, consts)
+
+
 def _odmr_fits(d: Digest, consts: PhysicalConstants, n_points: int) -> None:
     for field in (FieldVector(60 * GAUSS, 0.0), FieldVector(40 * GAUSS, 0.6)):
         for seed in (3, 4):
-            cfg = AcquisitionConfig(
-                f_start_hz=50e6, f_stop_hz=280e6, n_points=n_points,
-                dwell_s=10e-3, laser_mw=85.0, mw_dbm=18.0, seed=seed,
-            )
-            _fit_record(d, fit_lorentzian_multi(synthesize_spectrum(cfg, field, consts), 2))
+            _fit_record(d, fit_lorentzian_multi(_odmr_spectrum(consts, n_points, field, seed), 2))
 
 
-def unbinned_fit_digest(consts: PhysicalConstants) -> dict:
+def unbinned_fit_digest(consts: PhysicalConstants) -> Digest:
     d = Digest()
     _odmr_fits(d, consts, 4_601)
     powers = np.geomspace(1.0, 300.0, 61)
@@ -217,25 +231,40 @@ def unbinned_fit_digest(consts: PhysicalConstants) -> dict:
     for _ in range(7):
         noisy = counts * (1.0 + 0.01 * rng.standard_normal(counts.size))
         _fit_record(d, fit_saturation(powers, noisy))
-    return d.result()
+    return d
 
 
-def binned_fit_digest(consts: PhysicalConstants) -> dict:
+def binned_fit_digest(consts: PhysicalConstants) -> Digest:
     d = Digest()
     _odmr_fits(d, consts, 92_001)
-    return d.result()
+    zero_field = _odmr_spectrum(consts, 92_001, FieldVector(0.0, 0.0), 6)
+    _fit_record(d, fit_lorentzian_multi(zero_field, 1))
+    axial = _odmr_spectrum(consts, 92_001, FieldVector(60 * GAUSS, 0.0), 7)
+    init = [0.0, 95e6, 12e6, 1.5e-3, 240e6, 12e6, 1.5e-3]
+    _fit_record(d, fit_lorentzian_multi(axial, 2, init=init))
+    return d
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Bit-identity digests of sivodmr's outputs.")
+    parser.add_argument("--dump", metavar="PATH",
+                        help="also write the names, values and sigmas of the fits as JSON")
+    args = parser.parse_args()
     consts = PhysicalConstants()
     out = {
         "table": table_digest(consts),
         "invert": inversion_digest(consts),
         "synth": synth_digest(consts),
+    }
+    fits = {
         "fits_unbinned": unbinned_fit_digest(consts),
         "fits_binned": binned_fit_digest(consts),
     }
+    out.update((name, d.result()) for name, d in fits.items())
     print(json.dumps(out, sort_keys=True))
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            json.dump({name: d.fits for name, d in fits.items()}, fh, indent=1)
 
 
 if __name__ == "__main__":
