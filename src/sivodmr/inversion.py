@@ -7,30 +7,32 @@ both orderings, (nu1, nu2) and (nu2, nu1), are sought as (A, B).  The
 labelled map has no fold at A = B; a mirror field that reproduces the
 sorted pair is a solution of the other ordering.  Away from the angle
 edges, a second parameter point can still reproduce the pair exactly.
-The inverter therefore refines every candidate basin it can find and
-reduces them in one pass: duplicates collapse to the lowest residual, one
-floor rule keeps the solutions that reproduce the pair, the smallest B0
-(then theta) among them is reported and the rest are its rivals.
-Diagnostics: a local Jacobian condition estimate, a secant condition over
-rival basins, the noise-mapped parameter sigmas of the fitting layer's
-covariance rule, and a degenerate flag with the reason that raised it.
+The inverter therefore collects every candidate field and reduces them in
+one pass: duplicates collapse to the lowest residual, one floor rule keeps
+the solutions that reproduce the pair, the smallest B0 (then theta) among
+them is reported and the rest are its rivals.  Diagnostics: a local
+Jacobian condition estimate, a secant condition over rival basins, the
+noise-mapped parameter sigmas of the fitting layer's covariance rule, and
+a degenerate flag with the reason that raised it.
 
-The candidates come from one mesh-containment rule: the cached coarse grid
-of labelled lines is split into triangles, and every triangle whose (A, B)
-image holds an ordering of the pair, within a padding of its barycentric
-coordinates, seeds the linear preimage of that ordering.  An exact pair
-tests only the B0 rows whose cached bounds hold it.  Only a pair that no
-triangle holds starts from the best grid node, in its better ordering.
+The candidates are the roots of one quartic (_quartic_starts): H/h's
+characteristic polynomial depends on the field only through (gamma B0)^2
+and (gamma B0 cos(theta))^2, so every field whose levels hold the pair
+comes from a real root, and the root's sign names the ordering.  One
+transition_table call (eigenvalues and tridiagonal cofactors, no
+eigenvectors) verifies every root of an exact pair; when one reproduces
+the pair within NUMERIC_FLOOR_HZ, the roots hold all its preimages and
+nothing is refined.  Otherwise (a noisy pair, which also starts from the
+closed-form theta = 0 edge fit, or a pair that no root reproduces) every
+start is refined by the shared Gauss-Newton core, as one lock-step stack
+with one table call per trial; each start still follows the path it would
+follow alone.  A row whose damping climbs past _REFINE_MAX_DAMPING stops
+where it is: such rows sit on a jump of the forward map (a flip of the
+pumped-pair line selection) that no step can cross.
 
-The candidates of one inversion, each with its own ordering, are refined
-as one lock-step stack of the shared Gauss-Newton core, so each trial
-costs one transition_table call (eigenvalues and tridiagonal cofactors,
-no eigenvectors) for the whole stack; each candidate still follows the
-path it would follow alone.  A row whose damping climbs past
-_REFINE_MAX_DAMPING stops where it is: such rows sit on a jump of the
-forward map (a flip of the pumped-pair line selection) that no step can
-cross, and without the cap they held their whole stack for up to ~90
-trials.
+The coarse grid of labelled lines is still built, once per constants, at
+the first inversion; it gives the finite best residual of a pair beyond
+every line the domain holds.
 
 All quantities SI: Hz, tesla, radians.
 """
@@ -47,9 +49,11 @@ from .fitting import _covariance_sigmas, _damped_gauss_newton
 from .spin_model import PhysicalConstants, transition_table
 
 DEFAULT_B_MAX_T = 0.02          # 200 G search cap
-# perfbench/probe.py --grid reads GRID_N_B * GRID_N_THETA and waits for one
-# transition_table call of that size, so the grid can go only after that
-# probe has changed: without such a call every traced benchmark run fails.
+# the coarse grid is built at the first inversion and serves only a pair
+# beyond every line; perfbench/probe.py --grid reads GRID_N_B * GRID_N_THETA
+# and waits for its one transition_table call of that size, so the grid can
+# go only after that probe has changed: without such a call every traced
+# benchmark run fails.
 GRID_N_B = 201                  # coarse-grid nodes in B0
 GRID_N_THETA = 91               # coarse-grid nodes in theta
 COND_THRESHOLD = 1e4            # condition above this marks a degenerate inversion
@@ -120,102 +124,49 @@ class InversionResult:
 
 
 @lru_cache(maxsize=8)
-def _forward_grid(d_hz: float, g_factor: float, b_max_t: float):
-    """The coarse grid's labelled lines and the affine maps of its triangles.
-
-    Returns (g, tri, lo, hi).  g is the (2, GRID_N_B, GRID_N_THETA) array of
-    the lines (A, B) at the nodes.  tri holds nine (2, GRID_N_B - 1,
-    GRID_N_THETA - 1) rows over the triangles, lower ones first, then upper,
-    each indexed by its cell (i, j).  Each cell splits along its
-    anti-diagonal into a lower triangle, nodes (i, j), (i+1, j), (i, j+1),
-    and an upper one, nodes (i+1, j+1), (i, j+1), (i+1, j).  The rows hold
-    the (A, B) image of the first node, then the inverse of the 2x2 edge
-    matrix, which maps (A, B) minus that image to the barycentric
-    coordinates of the second and third nodes, then the norms that scale
-    noise into each of the three coordinates.  A triangle whose image has
-    no area (two nodes at B0 = 0) gets NaN rows and never matches.  lo and
-    hi are (2, GRID_N_B - 1): per line and B0 row, the bounds of the images
-    of the row's triangles padded by 0.5 in each barycentric coordinate.
-    """
+def _forward_grid(d_hz: float, g_factor: float, b_max_t: float) -> np.ndarray:
+    """The (2, GRID_N_B, GRID_N_THETA) labelled lines (A, B) at the coarse grid's nodes."""
     consts = PhysicalConstants(d_hz=d_hz, g_factor=g_factor)
     b_nodes = np.linspace(0.0, b_max_t, GRID_N_B)
     th_nodes = np.linspace(0.0, math.pi / 2, GRID_N_THETA)
     bb, tt = np.meshgrid(b_nodes, th_nodes, indexing="ij")
     g = np.stack(transition_table(bb.ravel(), tt.ravel(), consts, labelled=True))
-    g = g.reshape(2, *bb.shape)
-    nodes = (
-        (g[:, :-1, :-1], g[:, 1:, :-1], g[:, :-1, 1:]),  # lower triangles
-        (g[:, 1:, 1:], g[:, :-1, 1:], g[:, 1:, :-1]),  # upper triangles
-    )
-    # nine rows over (lower/upper, i, j); the first node of each triangle and
-    # its two edges are (line, lower/upper, i, j)
-    tri = np.empty((9, 2, GRID_N_B - 1, GRID_N_THETA - 1))
-    v0, e1, e2 = tri[:2], np.empty_like(tri[:2]), np.empty_like(tri[:2])
-    for k, (p, q, r) in enumerate(nodes):
-        v0[:, k] = p
-        np.subtract(q, p, out=e1[:, k])
-        np.subtract(r, p, out=e2[:, k])
-    det = e1[0] * e2[1] - e2[0] * e1[1]
-    # inverse of the edge matrix [e1 e2]: [[e2[1], -e2[0]], [-e1[1], e1[0]]] / det
-    tri[2], tri[3], tri[4], tri[5] = e2[1], -e2[0], -e1[1], e1[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tri[2:6] /= det
-    tri[2:6, det == 0] = np.nan
-    m11, m12, m21, m22 = tri[2:6]
-    np.hypot(m11, m12, out=tri[6])
-    np.hypot(m21, m22, out=tri[7])
-    np.hypot(m11 + m21, m12 + m22, out=tri[8])
-    # corner k of a triangle padded by 0.5 is 2.5 X_k - 0.5 (X_0 + X_1 + X_2)
-    lo = np.full((2, GRID_N_B - 1), np.inf)
-    hi = -lo
-    for corners in nodes:
-        half_sum = 0.5 * (corners[0] + corners[1] + corners[2])
-        for x in corners:
-            padded = 2.5 * x - half_sum
-            np.minimum(lo, padded.min(axis=2), out=lo)
-            np.maximum(hi, padded.max(axis=2), out=hi)
-    return g, tri, lo, hi
+    return g.reshape(2, *bb.shape)
 
 
-def _mesh_seeds(tri, lo, hi, t1: float, t2: float, sigma_hz: float) -> list:
-    """Linear preimages, in grid units, of every triangle whose image holds (t1, t2) as (A, B).
+def _quartic_starts(t1: float, t2: float, consts: PhysicalConstants, b_max_t: float):
+    """The fields whose four levels hold the lines (t1, t2), clipped into the domain.
 
-    Each barycentric coordinate may fall 0.5 below zero, and with noise a
-    further 3 sigma mapped through the triangle's map, so that a pair just
-    beyond a fold edge (theta = 0 or pi/2) still finds its cell.  An exact
-    pair tests only the B0 rows from the first to the last whose bounds
-    (lo, hi) hold it; a noisy pair, whose pads have no such bound, tests
-    every row.  Preimages within a quarter cell of a kept one collapse into
-    it.
+    H/h's characteristic polynomial depends on the field only through
+    u = (gamma B0 / D)^2 and v = (gamma B0 cos(theta) / D)^2.  In units of
+    D, with a = t1/D and b = t2/D, both line layouts put the levels at
+    s +/- a/2 and -s +/- b/2 for one unknown s; matching the polynomial's
+    coefficients gives u and v from s and leaves one quartic in s.  Line
+    A's level pair lies below line B's, so a root s < 0 makes t1 line A and
+    a root s > 0 makes t1 line B.  A complex pair of roots contributes its
+    real part once: noise or rounding near a double root splits a real pair
+    into a complex one, whose real part still seeds the nearest minimum.
+    Returns the (k, 2) starts (B0, theta) and the (k, 2) targets (A, B).
     """
-    start, stop = 0, GRID_N_B - 1
-    if sigma_hz == 0:
-        held = np.flatnonzero((lo[0] <= t1) & (t1 <= hi[0]) & (lo[1] <= t2) & (t2 <= hi[1]))
-        if held.size == 0:
-            return []
-        start, stop = held[0], held[-1] + 1
-    v1, v2, m11, m12, m21, m22, n1, n2, n3 = tri[:, :, start:stop]
-    d1, d2 = t1 - v1, t2 - v2
-    l1 = m11 * d1 + m12 * d2
-    l2 = m21 * d1 + m22 * d2
-    pads = (0.5, 0.5, 0.5)
-    if sigma_hz > 0:
-        pads = [0.5 + 3.0 * sigma_hz * n for n in (n1, n2, n3)]
-    hit = (l1 >= -pads[0]) & (l2 >= -pads[1]) & (l1 + l2 <= 1.0 + pads[2])
-    upper, i, j = np.nonzero(hit)
-    i += start
-    sign = 1 - 2 * upper
-    seeds = []
-    for u in zip((i + upper + sign * l1[hit]).tolist(), (j + upper + sign * l2[hit]).tolist()):
-        for s in seeds:
-            if abs(u[0] - s[0]) <= 0.25 and abs(u[1] - s[1]) <= 0.25:
-                break
-        else:
-            seeds.append(u)
-    return seeds
+    a2, b2 = (t1 / consts.d_hz) ** 2, (t2 / consts.d_hz) ** 2
+    s = np.unique(np.roots([
+        16.0 / 25.0,
+        0.0,
+        -(17.0 * (a2 + b2) - 56.0) / 50.0,
+        (a2 - b2) / 4.0,
+        -(9.0 * a2 * a2 - 82.0 * a2 * b2 - 224.0 * a2 + 9.0 * b2 * b2 - 224.0 * b2 + 2816.0)
+        / 1600.0,
+    ]).real)
+    u = (4.0 * s * s + (a2 + b2) / 2.0 - 4.0) / 5.0
+    v = (u + s * (a2 - b2) / 4.0) / 3.0
+    b0 = np.sqrt(np.maximum(u, 0.0)) * (consts.d_hz / consts.gyro_hz_per_t)
+    cos2 = np.divide(v, u, out=np.ones_like(u), where=u > 0.0).clip(0.0, 1.0)
+    starts = np.column_stack([np.minimum(b0, b_max_t), np.arccos(np.sqrt(cos2))])
+    targets = np.where((s < 0.0)[:, None], [t1, t2], [t2, t1])
+    return starts, targets
 
 
-def _refine(starts, targets, consts, b_max_t):
+def _refine(starts, targets, consts, b_max_t, max_iter=_REFINE_MAX_ITER):
     """Damped Gauss-Newton on the 2x2 systems of a (k, 2) stack of starts.
 
     Row k fits the labelled lines (A, B) to targets[k], one ordering of the
@@ -231,8 +182,9 @@ def _refine(starts, targets, consts, b_max_t):
     lambda passes _REFINE_MAX_DAMPING exits unconverged at its last
     accepted point: a step that the local linear model cannot take after
     that much damping is a jump of the forward map, and further damping
-    only made its stack wait on it.  Returns (b0, theta, rms residual,
-    Jacobian) per start.
+    only made its stack wait on it.  max_iter=0 takes no step: one table
+    call verifies the starts.  Returns (b0, theta, rms residual, Jacobian)
+    per start.
 
     A round is mostly fixed numpy overhead on stacks of 1-10 rows, so its
     common case, every row at or above _ZERO_FIELD_T, makes the one table
@@ -282,7 +234,7 @@ def _refine(starts, targets, consts, b_max_t):
         project(np.asarray(starts, dtype=float)),
         np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]),
         project,
-        _REFINE_MAX_ITER,
+        max_iter,
         _REFINE_MAX_DAMPING,
     )
     return list(zip(p[:, 0], p[:, 1], np.sqrt(ssr / 2.0), jac))
@@ -295,15 +247,17 @@ def invert_field(
     b_max_t: float = DEFAULT_B_MAX_T,
     sigma_hz: float = 0.0,
 ) -> InversionResult:
-    """Recover (B0, theta) from a resonance pair by mesh-seeded Gauss-Newton.
+    """Recover (B0, theta) from a resonance pair from the roots of one quartic.
 
     Minimizes (nu1 - model1)^2 + (nu2 - model2)^2 over B0 in [0, b_max_t]
     and theta in [0, pi/2], with either ordering of the pair taken as the
-    labelled lines (A, B): every triangle of a 201 x 91 coarse grid (cached
-    per constants) whose image holds an ordering seeds a damped
-    Gauss-Newton refinement at that ordering's linear preimage; among the
-    solutions that reproduce the pair the smallest B0, then the smallest
-    theta, is reported and the rest are its rivals.  sigma_hz is the 1-sigma
+    labelled lines (A, B).  Each real root of the quartic is a field whose
+    levels hold the pair; an exact pair that some root reproduces within
+    NUMERIC_FLOOR_HZ takes the roots as its solutions, and any other pair
+    refines every root, plus for a noisy pair the theta = 0 edge fit, by
+    damped Gauss-Newton.  Among the solutions that reproduce the pair the
+    smallest B0, then the smallest theta, is reported and the rest are its
+    rivals.  sigma_hz is the 1-sigma
     frequency uncertainty of the inputs (e.g. the fitted line-center sigma)
     and drives the degeneracy diagnostics; rival parameter points that
     reproduce the pair within max(3 sigma, the numeric floor) are counted
@@ -326,32 +280,33 @@ def invert_field(
         raise ValueError("sigma_hz must be non-negative")
     t1, t2 = sorted((float(nu1_hz), float(nu2_hz)))
 
-    grid, tri, lo, hi = _forward_grid(consts.d_hz, consts.g_factor, b_max_t)
-    # each grid node takes the better of the two orderings as (A, B)
-    orderings = np.array([[t1, t2], [t2, t1]])
+    grid = _forward_grid(consts.d_hz, consts.g_factor, b_max_t)
     # |E| <= ||H|| <= D + 3/2 gamma B0, so no line exceeds 2D + 3 gamma b_max;
     # past that by sqrt(2) NO_SOLUTION_RMS_HZ the larger line alone puts the
-    # RMS residual out of reach.  The best node's RMS is taken as the larger
-    # miss times a factor <= 1, which stays finite where squares overflow.
+    # RMS residual out of reach.  The best node, in the better ordering of
+    # the pair, gives the RMS as the larger miss times a factor <= 1, which
+    # stays finite where squares overflow.
     top_hz = 2.0 * consts.d_hz + 3.0 * consts.gyro_hz_per_t * b_max_t
     if t2 - top_hz > math.sqrt(2.0) * NO_SOLUTION_RMS_HZ:
-        miss = np.abs(grid - orderings[:, :, None, None])
+        miss = np.abs(grid - np.array([[t1, t2], [t2, t1]])[:, :, None, None])
         big = miss.max(axis=1)
         rms = big * np.sqrt(0.5 + 0.5 * (miss.min(axis=1) / big) ** 2)
         raise NoSolutionError(float(rms.min()))
-    seeds, targets = [], []
-    for pair in orderings:
-        found = _mesh_seeds(tri, lo, hi, *pair, sigma_hz)
-        seeds += found
-        targets += [pair] * len(found)
-    if not seeds:
-        # no triangle holds the pair: refine from the best node, which
-        # raises NoSolutionError below for a pair out of reach
-        ssr = ((grid - orderings[:, :, None, None]) ** 2).sum(axis=1)
-        k, i, j = np.unravel_index(np.argmin(ssr), ssr.shape)
-        seeds, targets = [(i, j)], [orderings[k]]
-    step = [b_max_t / (GRID_N_B - 1), math.pi / 2 / (GRID_N_THETA - 1)]
-    solutions = _refine(np.array(seeds, dtype=float) * step, targets, consts, b_max_t)
+    starts, targets = _quartic_starts(t1, t2, consts, b_max_t)
+    solutions = []
+    if sigma_hz == 0:
+        # one table call verifies every root; if one reproduces the pair,
+        # the roots hold all of its exact preimages
+        solutions = _refine(starts, targets, consts, b_max_t, max_iter=0)
+    else:
+        # a noisy pair near theta = 0 can have its best fit on that edge,
+        # where no root lies; B0 = (nu1 + nu2) / 2 gamma starts it there, as
+        # in axial_invert
+        b0_axial = min((t1 + t2) / (2.0 * consts.gyro_hz_per_t), b_max_t)
+        starts = np.vstack([starts, [b0_axial, 0.0]])
+        targets = np.vstack([targets, [t1, t2]])
+    if not any(s[2] <= NUMERIC_FLOOR_HZ for s in solutions):
+        solutions = _refine(starts, targets, consts, b_max_t)
 
     # one reduction: collapse duplicates (same basin reached twice) to the
     # lowest residual, keep what lies inside the floor (the best always

@@ -33,9 +33,12 @@ checked by running this on the parent and on the change:
   seeded and the init= starts are both covered.  A change to the binned
   stage moves only this digest.
 
-With --dump PATH it also writes the names, values and sigmas of every fit
-of the two fit groups to PATH as JSON, so that a change meant to move a fit
-digest can be bounded in sigma units against the parent's dump.
+With --dump PATH it also writes records to PATH as JSON: for the invert
+group, each pair's case group, inputs and every InversionResult field or
+the raised error; for the two fit groups, the names, values and sigmas of
+every fit.  A change meant to move an invert digest can then be counted,
+group by group, against the parent's dump, and one meant to move a fit
+digest bounded in sigma units.
 
 Every input is drawn from fixed seeds.  The numeric thread pools are held
 to one thread, as in perfbench, so the BLAS calls do not change with the
@@ -45,6 +48,7 @@ host.  A run takes about 10 s on a 2-vCPU host.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -79,7 +83,7 @@ class Digest:
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
         self.count = 0
-        self.fits: list[dict] = []
+        self.records: list[dict] = []
 
     def array(self, a) -> None:
         a = np.ascontiguousarray(a, dtype=float)
@@ -128,34 +132,34 @@ def _pair(b0_t: float, theta_rad: float, consts: PhysicalConstants) -> tuple[flo
 
 
 def _inversion_cases(consts: PhysicalConstants):
-    """(nu1, nu2, consts, sigma_hz) for each pair of the verification set."""
+    """(group, nu1, nu2, consts, sigma_hz) for each pair of the verification set."""
     rng = np.random.default_rng(18_002)
     for b_g, th in zip(rng.uniform(0.5, 150.0, 300), rng.uniform(0.0, math.pi / 2, 300)):
-        yield (*_pair(b_g * GAUSS, th, consts), consts, 0.0)
+        yield ("random_exact", *_pair(b_g * GAUSS, th, consts), consts, 0.0)
     for b_g, th in zip(rng.uniform(0.5, 150.0, 200), rng.uniform(0.0, math.pi / 2, 200)):
         nu1, nu2 = _pair(b_g * GAUSS, th, consts)
         n1, n2 = nu1 + rng.normal(0.0, 1e5), nu2 + rng.normal(0.0, 1e5)
-        yield (min(n1, n2), max(n1, n2), consts, 1e5)
+        yield ("random_noisy", min(n1, n2), max(n1, n2), consts, 1e5)
     for b_g, th_d in zip(rng.uniform(0.5, 150.0, 188), rng.uniform(89.5, 89.99, 188)):
-        yield (*_pair(b_g * GAUSS, math.radians(th_d), consts), consts, 0.0)
+        yield ("near_90", *_pair(b_g * GAUSS, math.radians(th_d), consts), consts, 0.0)
     for b_g, th_d in zip(rng.uniform(12.1, 12.55, 200), rng.uniform(0.5, 10.0, 200)):
-        yield (*_pair(b_g * GAUSS, math.radians(th_d), consts), consts, 0.0)
+        yield ("crossing_band", *_pair(b_g * GAUSS, math.radians(th_d), consts), consts, 0.0)
     for b_g in (0.1, 0.2, 0.3, 0.5, 0.8):
         for th_d in (0.0, 15.0, 30.0, 60.0, 90.0):
-            yield (*_pair(b_g * GAUSS, math.radians(th_d), consts), consts, 0.0)
+            yield ("sub_gauss", *_pair(b_g * GAUSS, math.radians(th_d), consts), consts, 0.0)
     # acceptance criterion 11, clause A then clause B
     crng = np.random.default_rng(11_2026)
     b_true = crng.uniform(5.0, 120.0, 500) * GAUSS
     u = crng.uniform(0.0, 80.0, 500)
     for b0, th in zip(b_true, np.radians(np.where(u < 50.0, u, u + 10.0))):
-        yield (*_pair(b0, th, consts), consts, 0.0)
+        yield ("criterion_11_a", *_pair(b0, th, consts), consts, 0.0)
     for b_g in (5.0, 10.0, 20.0, 40.0, 60.0, 90.0, 120.0):
         for th_d in (52.5, 53.5, 54.5, 54.74, 55.5, 56.5):
             nu1, nu2 = _pair(b_g * GAUSS, math.radians(th_d), consts)
             for seed in (1, 2, 3):
                 nrng = np.random.default_rng(seed * 7919 + int(b_g))
                 n1, n2 = nu1 + nrng.normal(0.0, 1e5), nu2 + nrng.normal(0.0, 1e5)
-                yield (min(n1, n2), max(n1, n2), consts, 1e5)
+                yield ("criterion_11_b", min(n1, n2), max(n1, n2), consts, 1e5)
     # off-nominal constants, noisy
     for d_hz, g, b_g, th_d in ((34.0e6, 2.0, 30.0, 20.0), (36.0e6, 2.01, 80.0, 70.0),
                                (35.0e6, 1.99, 8.0, 45.0), (30.0e6, 2.0023, 140.0, 10.0),
@@ -163,20 +167,24 @@ def _inversion_cases(consts: PhysicalConstants):
         other = PhysicalConstants(d_hz=d_hz, g_factor=g)
         nu1, nu2 = _pair(b_g * GAUSS, math.radians(th_d), other)
         n1, n2 = nu1 + rng.normal(0.0, 1e5), nu2 + rng.normal(0.0, 1e5)
-        yield (min(n1, n2), max(n1, n2), other, 1e5)
+        yield ("off_nominal", min(n1, n2), max(n1, n2), other, 1e5)
 
 
-def inversion_digest(consts: PhysicalConstants) -> dict:
+def inversion_digest(consts: PhysicalConstants) -> Digest:
     d = Digest()
-    for nu1, nu2, cs, sigma in _inversion_cases(consts):
+    for group, nu1, nu2, cs, sigma in _inversion_cases(consts):
+        record = {"group": group, "nu1_hz": nu1, "nu2_hz": nu2, "sigma_hz": sigma}
         try:
             res = invert_field(nu1, nu2, cs, sigma_hz=sigma)
         except NoSolutionError as exc:
             d.text(f"NoSolutionError {exc.best_residual_hz!r}")
+            record["error"] = {"NoSolutionError": exc.best_residual_hz}
         else:
             d.text(repr(res))
+            record["result"] = dataclasses.asdict(res)
+        d.records.append(record)
         d.count += 1
-    return d.result()
+    return d
 
 
 def synth_digest(consts: PhysicalConstants) -> dict:
@@ -199,7 +207,7 @@ def synth_digest(consts: PhysicalConstants) -> dict:
 
 
 def _fit_record(d: Digest, res) -> None:
-    d.fits.append({"names": list(res.names), "values": res.values.tolist(),
+    d.records.append({"names": list(res.names), "values": res.values.tolist(),
                    "sigmas": res.sigmas.tolist()})
     d.array(res.values)
     d.array(res.sigmas)
@@ -248,23 +256,20 @@ def binned_fit_digest(consts: PhysicalConstants) -> Digest:
 def main() -> None:
     parser = argparse.ArgumentParser(description="Bit-identity digests of sivodmr's outputs.")
     parser.add_argument("--dump", metavar="PATH",
-                        help="also write the names, values and sigmas of the fits as JSON")
+                        help="also write every inversion and fit record as JSON")
     args = parser.parse_args()
     consts = PhysicalConstants()
-    out = {
-        "table": table_digest(consts),
+    out = {"table": table_digest(consts), "synth": synth_digest(consts)}
+    dumped = {
         "invert": inversion_digest(consts),
-        "synth": synth_digest(consts),
-    }
-    fits = {
         "fits_unbinned": unbinned_fit_digest(consts),
         "fits_binned": binned_fit_digest(consts),
     }
-    out.update((name, d.result()) for name, d in fits.items())
+    out.update((name, d.result()) for name, d in dumped.items())
     print(json.dumps(out, sort_keys=True))
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
-            json.dump({name: d.fits for name, d in fits.items()}, fh, indent=1)
+            json.dump({name: d.records for name, d in dumped.items()}, fh, indent=1)
 
 
 if __name__ == "__main__":
