@@ -3,17 +3,15 @@
 One damped Gauss-Newton core drives both model families (multi-Lorentzian
 spectra and photon-rate saturation) and the field refinement of
 inversion.py, with analytic Jacobians, Marquardt diagonal damping and
-monotone step acceptance.  The core runs a stack of independent problems
-in lock step (one model call per round for every live problem, each with
-its own damping and exit); a fit is a stack of one.  Callers constrain it
-through a projection of the trial stack, and every trial that is not
-finite is rejected by one rule.  Parameter uncertainties come from the
-linearized covariance sigma^2 * inv(J^T J) with sigma^2 = residual_rms^2;
-residuals are assumed i.i.d. Gaussian, which is a documented
-simplification.  Lorentzian fits are seeded from the most prominent
-maxima of the smoothed trace, found by a monotone-stack prominence scan.
-The Lorentzian line model and its Jacobian come from spectrum.py, the
-same formula that synthesises spectra.
+monotone step acceptance.  It solves one problem at a time; callers
+constrain it through a projection of each trial point, and every trial
+that is not finite is rejected by one rule.  Parameter uncertainties come
+from the linearized covariance sigma^2 * inv(J^T J) with
+sigma^2 = residual_rms^2; residuals are assumed i.i.d. Gaussian, which is a
+documented simplification.  Lorentzian fits are seeded from the most
+prominent maxima of the smoothed trace, found by a monotone-stack
+prominence scan.  The Lorentzian line model and its Jacobian come from
+spectrum.py, the same formula that synthesises spectra.
 
 A Lorentzian fit of N >= 2 * COARSE_POINTS points runs coarse to fine.
 It bins the data first: N // COARSE_POINTS consecutive points per bin, the
@@ -99,14 +97,7 @@ class FitResult:
         return float(self.sigmas[self.names.index(name)])
 
 
-def _sq_norms(v: np.ndarray) -> np.ndarray:
-    """Row-wise v @ v of an (k, m) stack, each a BLAS dot as for one row alone."""
-    return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
-
-
-def _damped_gauss_newton(
-    fun, p0, scales, project=None, max_iter=MAX_ITERATIONS, max_damping=1e12
-):
+def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS):
     """Minimize sum(r^2) for r, J = fun(p) starting from p0.
 
     Marquardt damping on the normal equations, (JtJ + lam*diag(JtJ)) d = -Jt r;
@@ -116,127 +107,65 @@ def _damped_gauss_newton(
     below SSR_RTOL.  scales are fixed, data-derived magnitudes so that the
     iteration is exactly equivariant under axis shifts and rescalings.
 
-    A 1-D p0 is one problem: fun maps a point to (r, J) and the return
-    values are p, r, J, ssr, iterations, converged.  A (k, n) p0
-    is a stack of k independent problems run in lock step: fun(trial, rows)
-    maps a (k', n) stack of trial points to (k', m) residuals and (k', m, n)
-    Jacobians in one call, where rows holds the stack indices of the trial
-    rows, so that each problem can look up its own data; every return value
-    gains a leading axis of k.  In both forms project maps a (k', n) stack
-    of trial points to the feasible points that replace them.  A trial row that is not finite,
-    because project marked it NaN or because its system was singular, is
-    rejected like a rise in SSR: lam grows tenfold and the problem retries
-    next round.  Each problem keeps its own lam, acceptance, iteration count
-    and exit (converged, max_iter, or its lam past max_damping, where it
-    stops unconverged at its last accepted point), and the products are
-    per-problem BLAS calls, so each follows exactly the trajectory it
-    follows alone.
-
-    Outside fun, a round on a small stack is mostly fixed numpy overhead,
-    so the common round does the least it can: the Marquardt diagonal is a
-    (k, n) vector added onto the diagonal of a copy of JtJ, a round whose
-    trials are all finite and all accepted skips the rejection
-    bookkeeping, and JtJ and Jt r are rebuilt from fun's new arrays only
-    for the problems that go on.  When every problem accepts, r and J
-    become the arrays fun returned, never copies: the 1-D form returns the
-    Jacobian buffer of its last accepted fun call, so a 92 001-point fit
-    does not copy its 5 MB Jacobian on every step.
+    fun maps a point to its residuals r and Jacobian J, and project maps a
+    trial point to the feasible point that replaces it.  A trial that is not
+    finite, because project marked it NaN or because the damped system was
+    singular, is rejected like a rise in SSR: lam grows tenfold and the
+    next round retries.  The run ends converged, after max_iter rounds, or
+    unconverged at its last accepted point once lam passes 1e12.  Returns
+    p, r, J, ssr, iterations, converged, where r and J are the arrays fun
+    returned for the last accepted point, never copies, so a 92 001-point
+    fit does not copy its 5 MB Jacobian on every step.
     """
-    if np.ndim(p0) == 1:
-        one = fun
-        p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
-            lambda q, rows: tuple(a[None] for a in one(q[0])), [p0], scales, project, max_iter,
-            max_damping,
-        )
-        return p[0], r[0], jac[0], float(ssr[0]), int(iterations[0]), bool(converged[0])
-
     p = np.array(p0, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    k, n = p.shape
-    r, jac = fun(p, np.arange(k))
-    ssr = _sq_norms(r)
-    lam = np.full(k, 1e-3)
-    converged = np.zeros(k, dtype=bool)
-    live = np.full(k, max_iter > 0)   # not yet exited
-    iterations = live.astype(int)
+    step_tol = STEP_RTOL * np.asarray(scales, dtype=float)
+    r, jac = fun(p)
+    ssr = float(r @ r)
+    lam = 1e-3
+    converged = False
+    iterations = min(max_iter, 1)
     jtj, jtr, damp = _normal_equations(jac, r)
-    step_tol = STEP_RTOL * scales
-    while True:
-        live &= lam <= max_damping
-        rows = live.nonzero()[0]
-        if rows.size == 0:
-            break
-        # jtj[rows] is a copy, whose diagonal is every (n + 1)-th entry of a row
-        a = jtj[rows]
-        a.reshape(rows.size, n * n)[:, :: n + 1] += lam[rows, None] * damp[rows]
-        trial = p[rows] + _solve_rows(a, -jtr[rows])
+    diag = np.diag_indices(p.size)
+    while iterations and lam <= 1e12:
+        a = jtj.copy()
+        a[diag] += lam * damp
+        try:
+            trial = p + np.linalg.solve(a, -jtr)
+        except np.linalg.LinAlgError:
+            trial = np.full_like(p, np.nan)
         if project is not None:
             trial = project(trial)
-        ok = np.isfinite(trial).all(axis=1)
-        if not ok.all():
-            lam[rows[~ok]] *= 10.0
-            rows, trial = rows[ok], trial[ok]
-            if rows.size == 0:
-                continue
-        r_try, jac_try = fun(trial, rows)
-        ssr_try = _sq_norms(r_try)
-        ok = ssr_try <= ssr[rows]
-        if not ok.all():
-            lam[rows[~ok]] *= 10.0
-            if not ok.any():
-                continue
-            rows, trial, ssr_try = rows[ok], trial[ok], ssr_try[ok]
-            r_try, jac_try = r_try[ok], jac_try[ok]
-        # every trial left is accepted
-        step_small = (np.abs(trial - p[rows]) <= step_tol).all(axis=1)
-        ssr_flat = np.abs(ssr[rows] - ssr_try) <= SSR_RTOL * np.maximum(ssr[rows], 1e-300)
-        p[rows] = trial
-        if rows.size == k:
-            r, jac = r_try, jac_try
-        else:
-            r[rows] = r_try
-            jac[rows] = jac_try
-        ssr[rows] = ssr_try
-        lam[rows] = np.maximum(lam[rows] / 10.0, 1e-12)
-        done = step_small | ssr_flat
-        converged[rows] = done
-        more = ~done & (iterations[rows] < max_iter)
-        live[rows] = more
-        if more.any():
-            if not more.all():
-                rows, r_try, jac_try = rows[more], r_try[more], jac_try[more]
-            iterations[rows] += 1
-            jtj[rows], jtr[rows], damp[rows] = _normal_equations(jac_try, r_try)
+        if not np.isfinite(trial).all():
+            lam *= 10.0
+            continue
+        r_try, jac_try = fun(trial)
+        ssr_try = float(r_try @ r_try)
+        if not ssr_try <= ssr:
+            lam *= 10.0
+            continue
+        converged = bool(
+            (np.abs(trial - p) <= step_tol).all()
+            or abs(ssr - ssr_try) <= SSR_RTOL * max(ssr, 1e-300)
+        )
+        p, r, jac, ssr = trial, r_try, jac_try, ssr_try
+        lam = max(lam / 10.0, 1e-12)
+        if converged or iterations >= max_iter:
+            break
+        iterations += 1
+        jtj, jtr, damp = _normal_equations(jac, r)
     return p, r, jac, ssr, iterations, converged
 
 
 def _normal_equations(jac: np.ndarray, r: np.ndarray):
-    """JtJ, Jt r and the zero-safe Marquardt diagonal of a stack of problems.
+    """JtJ, Jt r and the zero-safe Marquardt diagonal of one problem.
 
-    The diagonal is (k, n): a zero diagonal entry of JtJ damps with the
-    largest one (or 1), so that a parameter the residuals do not see still
-    takes bounded steps.
+    A zero diagonal entry of JtJ damps with the largest one (or 1), so that
+    a parameter the residuals do not see still takes bounded steps.
     """
-    jac_t = jac.transpose(0, 2, 1)
-    jtj = np.matmul(jac_t, jac)
-    jtr = np.matmul(jac_t, r[:, :, None])[:, :, 0]
-    diag = np.diagonal(jtj, axis1=1, axis2=2)
-    top = diag.max(axis=1, keepdims=True)
-    return jtj, jtr, np.where(diag <= 0, np.where(top > 0, top, 1.0), diag)
-
-
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row solutions of a stack of linear systems, NaN rows where singular."""
-    try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for i, (ai, bi) in enumerate(zip(a, b)):
-            try:
-                out[i] = np.linalg.solve(ai, bi)
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    jtj = jac.T @ jac
+    diag = np.diagonal(jtj)
+    top = diag.max()
+    return jtj, jac.T @ r, np.where(diag <= 0, top if top > 0 else 1.0, diag)
 
 
 def _covariance_sigmas(jac: np.ndarray, residual_rms: float, names) -> np.ndarray:
@@ -423,7 +352,7 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
         return model - s, jac
 
     def project(p):
-        return np.where(np.all(p[:, width_slots] > 0, axis=1, keepdims=True), p, np.nan)
+        return np.where(np.all(p[width_slots] > 0), p, np.nan)
 
     if binned:
         p0 = _damped_gauss_newton(
@@ -471,7 +400,7 @@ def fit_saturation(powers_mw, counts_cps) -> FitResult:
         return model - counts, jac
 
     def project(p):
-        return np.where(np.all(p > 0, axis=1, keepdims=True), p, np.nan)
+        return np.where(np.all(p > 0), p, np.nan)
 
     p, r, jac, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
     if p[1] < 1e-6 * float(np.min(powers)):

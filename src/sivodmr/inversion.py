@@ -18,17 +18,20 @@ a degenerate flag with the reason that raised it.
 The candidates are the roots of one quartic (_quartic_starts): H/h's
 characteristic polynomial depends on the field only through (gamma B0)^2
 and (gamma B0 cos(theta))^2, so every field whose levels hold the pair
-comes from a real root, and the root's sign names the ordering.  One
-transition_table call (eigenvalues and tridiagonal cofactors, no
-eigenvectors) verifies every root of an exact pair; when one reproduces
-the pair within NUMERIC_FLOOR_HZ, the roots hold all its preimages and
-nothing is refined.  Otherwise (a noisy pair, which also starts from the
-closed-form theta = 0 edge fit, or a pair that no root reproduces) every
-start is refined by the shared Gauss-Newton core, as one lock-step stack
-with one table call per trial; each start still follows the path it would
-follow alone.  A row whose damping climbs past _REFINE_MAX_DAMPING stops
-where it is: such rows sit on a jump of the forward map (a flip of the
-pumped-pair line selection) that no step can cross.
+comes from a real root, and the root's sign names the ordering.  A noisy
+pair adds the two closed-form least-squares fits on the theta = 0 edge,
+one on each side of the level crossing.  One transition_table call
+(eigenvalues and tridiagonal cofactors, no eigenvectors) evaluates every
+candidate.  A candidate within NUMERIC_FLOOR_HZ of the pair is a solution
+as it stands, and so is an edge fit.  A placed root (real, and inside the
+domain without clipping) that misses is dropped: its levels hold the
+pair, but the line selection there pumps other lines.  Only the other
+roots, the real part of a complex pair or a root clipped into the domain,
+are refined, one at a time, by the shared Gauss-Newton core; for a noisy
+pair a root clipped onto theta = 0 is not, because the edge fits cover
+that edge.  An exact pair that some root reproduces has all its preimages
+among the roots and refines nothing; one that no root reproduces refines
+every root.
 
 The coarse grid of labelled lines is still built, once per constants, at
 the first inversion; it gives the finite best residual of a pair beyond
@@ -66,8 +69,6 @@ _COND_CAP = 1e12
 _DEDUPE_B_T = 2e-8              # refinement floor: closer solutions are one basin
 _DEDUPE_THETA_RAD = 2e-5
 _ZERO_FIELD_T = 1e-7            # below this B0 the Kramers pairs count as degenerate
-_REFINE_MAX_ITER = 40           # Gauss-Newton iterations per candidate refinement
-_REFINE_MAX_DAMPING = 1e3       # Marquardt lambda past which a refinement row gives up
 
 
 class NoSolutionError(RuntimeError):
@@ -146,98 +147,91 @@ def _quartic_starts(t1: float, t2: float, consts: PhysicalConstants, b_max_t: fl
     a root s > 0 makes t1 line B.  A complex pair of roots contributes its
     real part once: noise or rounding near a double root splits a real pair
     into a complex one, whose real part still seeds the nearest minimum.
-    Returns the (k, 2) starts (B0, theta) and the (k, 2) targets (A, B).
+    Returns the (k, 2) starts (B0, theta), the (k, 2) targets (A, B) and
+    the (k,) mask of placed starts: real roots with 0 <= v <= u and
+    B0 <= b_max_t, which the clip leaves where they are.
     """
     a2, b2 = (t1 / consts.d_hz) ** 2, (t2 / consts.d_hz) ** 2
-    s = np.unique(np.roots([
+    roots = np.roots([
         16.0 / 25.0,
         0.0,
         -(17.0 * (a2 + b2) - 56.0) / 50.0,
         (a2 - b2) / 4.0,
         -(9.0 * a2 * a2 - 82.0 * a2 * b2 - 224.0 * a2 + 9.0 * b2 * b2 - 224.0 * b2 + 2816.0)
         / 1600.0,
-    ]).real)
+    ])
+    s, first = np.unique(roots.real, return_index=True)
     u = (4.0 * s * s + (a2 + b2) / 2.0 - 4.0) / 5.0
     v = (u + s * (a2 - b2) / 4.0) / 3.0
     b0 = np.sqrt(np.maximum(u, 0.0)) * (consts.d_hz / consts.gyro_hz_per_t)
     cos2 = np.divide(v, u, out=np.ones_like(u), where=u > 0.0).clip(0.0, 1.0)
     starts = np.column_stack([np.minimum(b0, b_max_t), np.arccos(np.sqrt(cos2))])
     targets = np.where((s < 0.0)[:, None], [t1, t2], [t2, t1])
-    return starts, targets
+    placed = (roots.imag[first] == 0.0) & (0.0 <= v) & (v <= u) & (b0 <= b_max_t)
+    return starts, targets, placed
 
 
-def _refine(starts, targets, consts, b_max_t, max_iter=_REFINE_MAX_ITER):
-    """Damped Gauss-Newton on the 2x2 systems of a (k, 2) stack of starts.
+def _lines(p: np.ndarray, consts: PhysicalConstants):
+    """The labelled lines (A, B) and their Jacobian at a (k, 2) stack of fields.
 
-    Row k fits the labelled lines (A, B) to targets[k], one ordering of the
-    measured pair.  The k refinements run in lock step, with one
-    transition_table call per trial for all of them; each follows the
-    trajectory it follows alone.  The Jacobian is Hellmann-Feynman.  Trial
-    points are clipped into [0, b_max_t] x [0, pi/2]; steps are judged
-    small against the instrument resolution.  Below _ZERO_FIELD_T, where
-    the degenerate Kramers pairs leave Hellmann-Feynman undefined, the B0
-    column is a forward difference and the theta column is zero; rounds
-    holding such a row make a second table call for them.  On the angle
-    edges theta = 0 and pi/2 the theta column is zero too.  A row whose
-    lambda passes _REFINE_MAX_DAMPING exits unconverged at its last
-    accepted point: a step that the local linear model cannot take after
-    that much damping is a jump of the forward map, and further damping
-    only made its stack wait on it.  max_iter=0 takes no step: one table
-    call verifies the starts.  Returns (b0, theta, rms residual, Jacobian)
-    per start.
+    One transition_table call with the Hellmann-Feynman Jacobian.  Below
+    _ZERO_FIELD_T, where the degenerate Kramers pairs leave Hellmann-Feynman
+    undefined, the B0 column is a forward difference and the theta column
+    is zero, from a second table call for those rows only.  On the angle
+    edges theta = 0 and pi/2 the theta column is zero too.  Every table
+    call goes through the name transition_table of this module, where
+    perfbench counts and times it.  Returns the (k, 2) lines and the
+    (k, 2, 2) Jacobian.
+    """
+    lines = np.empty((len(p), 2))
+    low = p[:, 0] < _ZERO_FIELD_T
+    if low.any():
+        jac = np.zeros((len(p), 2, 2))
+        high = ~low
+        if high.any():
+            lines[high, 0], lines[high, 1], jac[high] = transition_table(
+                p[high, 0], p[high, 1], consts, jacobian=True, labelled=True
+            )
+        b0, th = p[low, 0], p[low, 1]
+        nu1, nu2 = transition_table(
+            np.concatenate([b0, b0 + _ZERO_FIELD_T]), np.concatenate([th, th]), consts,
+            labelled=True,
+        )
+        m = b0.size
+        lines[low, 0], lines[low, 1] = nu1[:m], nu2[:m]
+        jac[low, :, 0] = np.column_stack([nu1[m:] - nu1[:m], nu2[m:] - nu2[:m]]) / _ZERO_FIELD_T
+    else:
+        lines[:, 0], lines[:, 1], jac = transition_table(
+            p[:, 0], p[:, 1], consts, jacobian=True, labelled=True
+        )
+    # the lines are even in theta about 0 and pi/2, so d(nu)/d(theta) is
+    # zero there; Hellmann-Feynman gives rounding noise in its place
+    edge = (p[:, 1] == 0.0) | (p[:, 1] == math.pi / 2)
+    if edge.any():
+        jac[edge, :, 1] = 0.0
+    return lines, jac
 
-    A round is mostly fixed numpy overhead on stacks of 1-10 rows, so its
-    common case, every row at or above _ZERO_FIELD_T, makes the one table
-    call, writes its lines straight into the residual array and hands the
-    table's Jacobian to the core as it is; the theta column is zeroed only
-    when a row sits on an edge.  Every table call goes through the name
-    transition_table of this module, where perfbench counts and times it.
+
+def _refine(start, target, consts: PhysicalConstants, b_max_t: float):
+    """Damped Gauss-Newton from one start in the domain toward the lines target (A, B).
+
+    Trial points are clipped into [0, b_max_t] x [0, pi/2], and steps are
+    judged small against the instrument resolution.  Each round is one
+    _lines call.  Returns (b0, theta, rms residual, Jacobian).
     """
     hi = np.array([b_max_t, math.pi / 2])
-    targets = np.asarray(targets, dtype=float)
 
     def project(p):
         return p.clip(0.0, hi)
 
-    def fun(p, rows):
-        r = np.empty((len(p), 2))
-        low = p[:, 0] < _ZERO_FIELD_T
-        if low.any():
-            jac = np.zeros((len(p), 2, 2))
-            high = ~low
-            if high.any():
-                r[high, 0], r[high, 1], jac[high] = transition_table(
-                    p[high, 0], p[high, 1], consts, jacobian=True, labelled=True
-                )
-            b0, th = p[low, 0], p[low, 1]
-            nu1, nu2 = transition_table(
-                np.concatenate([b0, b0 + _ZERO_FIELD_T]), np.concatenate([th, th]), consts,
-                labelled=True,
-            )
-            m = b0.size
-            r[low, 0], r[low, 1] = nu1[:m], nu2[:m]
-            jac[low, :, 0] = np.column_stack([nu1[m:] - nu1[:m], nu2[m:] - nu2[:m]]) / _ZERO_FIELD_T
-        else:
-            r[:, 0], r[:, 1], jac = transition_table(
-                p[:, 0], p[:, 1], consts, jacobian=True, labelled=True
-            )
-        # the lines are even in theta about 0 and pi/2, so d(nu)/d(theta) is
-        # zero there; Hellmann-Feynman gives rounding noise in its place
-        edge = (p[:, 1] == 0.0) | (p[:, 1] == hi[1])
-        if edge.any():
-            jac[edge, :, 1] = 0.0
-        r -= targets[rows]
-        return r, jac
+    def fun(p):
+        lines, jac = _lines(p[None], consts)
+        return lines[0] - target, jac[0]
 
     p, _, jac, ssr, _, _ = _damped_gauss_newton(
-        fun,
-        project(np.asarray(starts, dtype=float)),
-        np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]),
-        project,
-        max_iter,
-        _REFINE_MAX_DAMPING,
+        fun, start, np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]), project
     )
-    return list(zip(p[:, 0], p[:, 1], np.sqrt(ssr / 2.0), jac))
+    return p[0], p[1], math.sqrt(ssr / 2.0), jac
 
 
 def invert_field(
@@ -251,22 +245,27 @@ def invert_field(
 
     Minimizes (nu1 - model1)^2 + (nu2 - model2)^2 over B0 in [0, b_max_t]
     and theta in [0, pi/2], with either ordering of the pair taken as the
-    labelled lines (A, B).  Each real root of the quartic is a field whose
-    levels hold the pair; an exact pair that some root reproduces within
-    NUMERIC_FLOOR_HZ takes the roots as its solutions, and any other pair
-    refines every root, plus for a noisy pair the theta = 0 edge fit, by
-    damped Gauss-Newton.  Among the solutions that reproduce the pair the
-    smallest B0, then the smallest theta, is reported and the rest are its
-    rivals.  sigma_hz is the 1-sigma
-    frequency uncertainty of the inputs (e.g. the fitted line-center sigma)
-    and drives the degeneracy diagnostics; rival parameter points that
-    reproduce the pair within max(3 sigma, the numeric floor) are counted
-    in n_compatible and flag the result as ambiguous.
+    labelled lines (A, B).  The candidates are the quartic's roots and, for
+    a noisy pair, the two theta = 0 edge fits: there A = |gamma B0 - 2D| and
+    B = gamma B0 + 2D, so gamma B0 = (nu1 + nu2)/2 above the crossing and
+    (nu2 - nu1)/2 below it.  One table call evaluates them all.  A candidate
+    that reproduces the pair within NUMERIC_FLOOR_HZ, and every edge fit,
+    is a solution as it stands; a placed root that misses is dropped; only
+    the unplaced roots (a complex pair's real part, or a root clipped into
+    the domain, except onto theta = 0 for a noisy pair) are refined by
+    damped Gauss-Newton, one at a time.  An exact pair that no root
+    reproduces refines every root.  Among the solutions that reproduce the
+    pair the smallest B0, then the smallest theta, is reported and the rest
+    are its rivals.  sigma_hz is the 1-sigma frequency uncertainty of the
+    inputs (e.g. the fitted line-center sigma) and drives the degeneracy
+    diagnostics; rival parameter points that reproduce the pair within
+    max(3 sigma, the numeric floor), capped at NO_SOLUTION_RMS_HZ, are
+    counted in n_compatible and flag the result as ambiguous.
 
-    Raises NoSolutionError when no field in the domain comes within
-    NO_SOLUTION_RMS_HZ of the requested pair (before any refinement when the
-    larger line is beyond every line the domain holds), and ValueError for
-    an argument that is not finite or out of range.
+    Raises NoSolutionError when the best solution misses the requested pair
+    by more than NO_SOLUTION_RMS_HZ (before any candidate is evaluated when
+    the larger line is beyond every line the domain holds), and ValueError
+    for an argument that is not finite or out of range.
     """
     for name, value in (("nu1_hz", nu1_hz), ("nu2_hz", nu2_hz), ("sigma_hz", sigma_hz),
                         ("b_max_t", b_max_t)):
@@ -292,21 +291,36 @@ def invert_field(
         big = miss.max(axis=1)
         rms = big * np.sqrt(0.5 + 0.5 * (miss.min(axis=1) / big) ** 2)
         raise NoSolutionError(float(rms.min()))
-    starts, targets = _quartic_starts(t1, t2, consts, b_max_t)
-    solutions = []
-    if sigma_hz == 0:
-        # one table call verifies every root; if one reproduces the pair,
-        # the roots hold all of its exact preimages
-        solutions = _refine(starts, targets, consts, b_max_t, max_iter=0)
-    else:
+    starts, targets, placed = _quartic_starts(t1, t2, consts, b_max_t)
+    n_roots = len(starts)
+    if sigma_hz > 0:
         # a noisy pair near theta = 0 can have its best fit on that edge,
-        # where no root lies; B0 = (nu1 + nu2) / 2 gamma starts it there, as
-        # in axial_invert
-        b0_axial = min((t1 + t2) / (2.0 * consts.gyro_hz_per_t), b_max_t)
-        starts = np.vstack([starts, [b0_axial, 0.0]])
-        targets = np.vstack([targets, [t1, t2]])
-    if not any(s[2] <= NUMERIC_FLOOR_HZ for s in solutions):
-        solutions = _refine(starts, targets, consts, b_max_t)
+        # where no root lies.  There A = |gamma B0 - 2D| and B = gamma B0 + 2D,
+        # so the least-squares fit is closed form on each side of the crossing
+        gamma_b0 = np.array([(t1 + t2) / 2.0, (t2 - t1) / 2.0])
+        edge = np.column_stack([np.minimum(gamma_b0 / consts.gyro_hz_per_t, b_max_t), [0.0, 0.0]])
+        starts = np.vstack([starts, edge])
+        targets = np.vstack([targets, [[t1, t2], [t1, t2]]])
+    # one table call evaluates every candidate
+    lines, jac = _lines(starts, consts)
+    miss = lines - targets
+    rms = np.sqrt((miss * miss).sum(axis=1) / 2.0)
+    exact = rms <= NUMERIC_FLOOR_HZ
+    # a candidate that reproduces the pair is a solution as it stands, and
+    # so are the edge fits.  A placed root that misses is dropped: its levels
+    # hold the pair, but the pumped pair there is other lines, which no step
+    # reaches.  An exact pair that some root reproduces has all its
+    # preimages among the roots; one that none reproduces refines them all
+    keep = exact.copy()
+    keep[n_roots:] = True
+    if sigma_hz == 0:
+        refine = np.arange(0 if exact.any() else n_roots)
+    else:
+        # the edge fits cover a root clipped onto theta = 0
+        skip = placed | exact[:n_roots] | (starts[:n_roots, 1] == 0.0)
+        refine = np.flatnonzero(~skip)
+    solutions = [(b0, th, e, j) for (b0, th), e, j, k in zip(starts, rms, jac, keep) if k]
+    solutions += [_refine(starts[i], targets[i], consts, b_max_t) for i in refine]
 
     # one reduction: collapse duplicates (same basin reached twice) to the
     # lowest residual, keep what lies inside the floor (the best always
@@ -321,13 +335,14 @@ def invert_field(
         ):
             distinct.append(s)
     # the largest residual that still reproduces the pair: the noise floor,
-    # the numeric floor or twice the best fit's residual (distinct[0])
-    floor = max(3.0 * sigma_hz, NUMERIC_FLOOR_HZ, 2.0 * distinct[0][2])
+    # the numeric floor or twice the best fit's residual (distinct[0]), but
+    # never beyond NO_SOLUTION_RMS_HZ
+    best = distinct[0][2]
+    if best > NO_SOLUTION_RMS_HZ:
+        raise NoSolutionError(best)
+    floor = min(max(3.0 * sigma_hz, NUMERIC_FLOOR_HZ, 2.0 * best), NO_SOLUTION_RMS_HZ)
     compatible = sorted((s for s in distinct if s[2] <= floor), key=lambda s: (s[0], s[1]))
     (b0, theta, rms, jac), rivals = compatible[0], compatible[1:]
-
-    if rms > NO_SOLUTION_RMS_HZ:
-        raise NoSolutionError(rms)
 
     svals = np.linalg.svd(jac @ np.diag([b_max_t, math.pi / 2]), compute_uv=False)
     if svals[-1] <= 0 or not np.all(np.isfinite(svals)):

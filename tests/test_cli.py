@@ -172,6 +172,19 @@ def test_invert_cli_full_and_axial(capsys):
     assert "axial" in err
 
 
+def test_invert_cli_megahertz_noise_reaches_the_exact_preimage(capsys):
+    # the pair has an exact preimage at (9.828 G, 30.23 deg); a rival fit
+    # beyond the 1 MHz no-solution bound but inside the 3 sigma floor must
+    # not turn it into "no field reproduces" (exit 1)
+    payload, _ = run_json(
+        capsys, "invert", "--nu1-mhz", "58.32800074873568", "--nu2-mhz", "91.50569939422719",
+        "--sigma-khz", "1000",
+    )
+    assert payload["residual_hz"] < 1.0
+    assert payload["b0_gauss_display"] == pytest.approx(9.8277, abs=1e-3)
+    assert payload["theta_deg_display"] == pytest.approx(30.229, abs=1e-2)
+
+
 def test_sweep_field_endpoints(tmp_path, capsys):
     out = tmp_path / "field.csv"
     code, _, _ = run(capsys, "sweep", "field", "--out", str(out))

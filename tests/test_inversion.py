@@ -20,6 +20,7 @@ from sivodmr.inversion import (
     _DEDUPE_B_T,
     _DEDUPE_THETA_RAD,
     _forward_grid,
+    _quartic_starts,
     _refine,
     axial_invert,
     invert_field,
@@ -47,6 +48,18 @@ def _labelled(b0_gauss, theta_deg, consts):
         np.array([b0_gauss * GAUSS]), np.radians([theta_deg]), consts, labelled=True
     )
     return a[0], b[0]
+
+
+def count_table_calls(monkeypatch):
+    """Record one entry per transition_table call the inverter makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return transition_table(*args, **kwargs)
+
+    monkeypatch.setattr("sivodmr.inversion.transition_table", counted)
+    return calls
 
 
 def test_zero_field_pair_degenerate(consts):
@@ -88,32 +101,21 @@ def test_sub_gauss_fields_reproduce_the_pair(consts, b0_gauss, theta_deg):
         assert math.degrees(res.theta_rad) == pytest.approx(theta_deg, abs=1e-3)
 
 
-def test_stacked_refinement_rows_match_solo_runs(consts):
-    # a result never depends on its batch mates: B0 = 0 and 5e-8 T starts
-    # (forward-difference Jacobian) share the stack with ordinary starts,
-    # and rows seeking the two orderings of the pair share one stack
-    a, b = _labelled(0.5, 30.0, consts)
-    starts = np.array(
-        [[0.0, 0.5], [5e-8, 1.0], [1e-4, 0.2], [50 * GAUSS, 0.8], [80 * GAUSS, 1.2]]
-    )
-    targets = np.array([[a, b], [b, a], [a, b], [b, a], [a, b]])
-    stacked = _refine(starts, targets, consts, DEFAULT_B_MAX_T)
-    for start, target, (b0, theta, rms, jac) in zip(starts, targets, stacked):
-        [(b0_solo, theta_solo, rms_solo, jac_solo)] = _refine(
-            start[None], target[None], consts, DEFAULT_B_MAX_T
-        )
-        assert (b0, theta, rms) == (b0_solo, theta_solo, rms_solo)
-        assert jac.tobytes() == jac_solo.tobytes()
-    assert stacked[0][2] < 1.0  # the B0 = 0 start climbs to the field
+def test_refine_climbs_from_zero_field(consts):
+    # at B0 = 0 the Kramers pairs leave Hellmann-Feynman undefined; the
+    # forward-difference B0 column still carries a start there to the field
+    target = np.array(_labelled(0.5, 30.0, consts))
+    _, _, rms, _ = _refine(np.array([0.0, 0.5]), target, consts, DEFAULT_B_MAX_T)
+    assert rms < 1.0
 
 
 @pytest.mark.parametrize("theta_rad", [0.0, math.pi / 2])
 def test_refine_zeroes_theta_column_on_the_angle_edges(consts, theta_rad):
     # the lines are even in theta about both edges, so d(nu)/d(theta) is
     # exactly zero there rather than Hellmann-Feynman rounding noise
-    target = _labelled(60.0, math.degrees(theta_rad), consts)
-    [(_, theta, _, jac)] = _refine(
-        np.array([[60.0 * GAUSS, theta_rad]]), [target], consts, DEFAULT_B_MAX_T
+    target = np.array(_labelled(60.0, math.degrees(theta_rad), consts))
+    _, theta, _, jac = _refine(
+        np.array([60.0 * GAUSS, theta_rad]), target, consts, DEFAULT_B_MAX_T
     )
     assert theta == theta_rad
     assert jac[:, 1].tolist() == [0.0, 0.0]
@@ -302,17 +304,43 @@ def test_every_exact_preimage_matches_an_independent_oracle(consts):
     assert not wrong, f"{len(wrong)}/{len(fields)} disagree with the oracle: {wrong}"
 
 
+def test_quartic_starts_place_only_real_roots_inside_the_domain(consts):
+    # a placed start is a real root that the clip leaves where it is; only
+    # the others are ever refined
+    pair = _forward(60.0, 30.0, consts)
+    starts, _, placed = _quartic_starts(*pair, consts, DEFAULT_B_MAX_T)
+    # the truth, the (31.4 G, 26.5 deg) preimage of the other ordering, and
+    # two roots with v < 0 clipped onto theta = pi/2
+    assert placed.tolist() == [True, True, False, False]
+    assert starts[0] / [GAUSS, math.radians(1.0)] == pytest.approx([60.0, 30.0], abs=1e-9)
+    assert starts[2:, 1].tolist() == [math.pi / 2, math.pi / 2]
+    # a search cap below 60 G clips the truth onto the cap
+    starts, _, placed = _quartic_starts(*pair, consts, 50.0 * GAUSS)
+    assert placed.tolist() == [False, True, False, False]
+    assert starts[0, 0] == 50.0 * GAUSS
+    # 1 MHz of noise on (4.07 G, 5.9 deg) splits a real pair of roots into
+    # a complex one, which gives one start, at its real part
+    starts, _, placed = _quartic_starts(
+        57_413_493.74117136, 81_029_365.31477349, consts, DEFAULT_B_MAX_T
+    )
+    assert placed.tolist() == [True, False, True]
+
+
 def test_megahertz_noisy_pairs_reach_an_exact_preimage(consts):
-    # each pair has an exact preimage in the domain, (61.188 G, 46.14 deg)
-    # and (3.948 G, 55.32 deg); mesh seeds missed both and raised
-    # NoSolutionError with best residuals of 2.71 and 1.81 MHz
+    # each pair has an exact preimage in the domain, (61.188 G, 46.14 deg),
+    # (3.948 G, 55.32 deg) and (9.828 G, 30.23 deg).  Mesh seeds missed the
+    # first two and raised NoSolutionError with best residuals of 2.71 and
+    # 1.81 MHz.  The third raised it with 1.63 MHz: the 3 sigma floor let a
+    # smaller-B0 fit beyond NO_SOLUTION_RMS_HZ be reported, and that
+    # residual was then tested
     for pair in ((167_339_267.73275846, 196_291_801.46579912),
-                 (71_615_570.28514194, 71_977_024.54737374)):
+                 (71_615_570.28514194, 71_977_024.54737374),
+                 (58_328_000.74873568, 91_505_699.39422719)):
         res = invert_field(*pair, consts, sigma_hz=1e6)
         assert res.residual_hz < 1.0
 
 
-def test_noisy_axial_pairs_come_back_on_axis_or_flagged(consts):
+def test_noisy_axial_pairs_come_back_on_axis_or_flagged(consts, monkeypatch):
     # 100 kHz of noise on the 60 G and 20 G axial pairs: the best fit of the
     # first sits off-axis at 2.4 deg with a rival on the theta = 0 edge that
     # must be reported, and the second has no fit off the edge at all
@@ -322,6 +350,25 @@ def test_noisy_axial_pairs_come_back_on_axis_or_flagged(consts):
     )
     res = invert_field(13_758_131.223649612, 125_747_482.8034788, consts, sigma_hz=1e5)
     assert abs(res.b0_t / GAUSS - 20.0) <= 0.1 and math.degrees(res.theta_rad) <= 0.5
+    # below the crossing gamma B0 = 2D the theta = 0 edge fit is
+    # gamma B0 = (nu2 - nu1) / 2, and it stands without refinement
+    rng = np.random.default_rng(24)
+    calls = count_table_calls(monkeypatch)
+    wrong, costly = [], []
+    for b0_gauss in (3.0, 5.0, 8.0, 10.0):
+        nu1, nu2 = _forward(b0_gauss, 0.0, consts)
+        for _ in range(3):
+            pair = sorted((nu1 + rng.normal(0.0, 1e5), nu2 + rng.normal(0.0, 1e5)))
+            calls.clear()
+            res = invert_field(*pair, consts, sigma_hz=1e5)
+            if len(calls) > 10:
+                costly.append((b0_gauss, len(calls)))
+            if not res.degenerate and not (
+                abs(res.b0_t / GAUSS - b0_gauss) <= 0.1 and math.degrees(res.theta_rad) <= 0.5
+            ):
+                wrong.append((b0_gauss, res.b0_t / GAUSS, math.degrees(res.theta_rad)))
+    assert not wrong
+    assert not costly
 
 
 def test_rounded_axial_pair_recovers_sixty_gauss(consts):
@@ -442,21 +489,15 @@ def test_pair_beyond_every_line_raises_without_overflow(consts):
     assert err.value.best_residual_hz > 1e305
 
 
-def test_damping_cap_stops_rows_stranded_on_a_line_selection_jump(consts, monkeypatch):
+def test_pair_on_a_line_selection_jump_takes_one_table_call(consts, monkeypatch):
     # at (70 G, 40 deg) refinement rows used to land on jumps of the
-    # pumped-pair selection that no damped step can cross, until the damping
-    # cap stopped them (36 table calls, 93 uncapped); the quartic's roots now
-    # hold both exact preimages, so one table call verifies them and no row
-    # is refined, and the reduction keeps the same answer
+    # pumped-pair selection that no damped step can cross (36 table calls
+    # under a damping cap, 93 without); the quartic's roots hold both exact
+    # preimages, so one table call verifies them and no root is refined, and
+    # the reduction keeps the same answer
     nu1, nu2 = _forward(70.0, 40.0, consts)
     invert_field(nu1, nu2, consts)  # warm the grid cache
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return transition_table(*args, **kwargs)
-
-    monkeypatch.setattr("sivodmr.inversion.transition_table", counted)
+    calls = count_table_calls(monkeypatch)
     res = invert_field(nu1, nu2, consts)
     assert len(calls) == 1
     assert res.b0_t == pytest.approx(70.0 * GAUSS, abs=1e-12)
@@ -464,6 +505,25 @@ def test_damping_cap_stops_rows_stranded_on_a_line_selection_jump(consts, monkey
     assert res.reason == "ambiguous"
     assert res.n_compatible == 2
     assert res.alt_b0_t == pytest.approx(0.0072205, abs=1e-7)
+
+
+def test_noisy_pair_with_placed_roots_takes_one_table_call(consts, monkeypatch):
+    # the same pair with (30, -20) kHz of noise at sigma = 100 kHz: both
+    # exact preimages are placed roots and stand as they are, the roots
+    # whose pumped pair is other lines are dropped, and the two theta = 0
+    # edge fits miss by more than the 3 sigma floor.  Refining every root
+    # took 16 table calls for the same answer
+    nu1, nu2 = _forward(70.0, 40.0, consts)
+    invert_field(nu1, nu2, consts)  # warm the grid cache
+    calls = count_table_calls(monkeypatch)
+    res = invert_field(nu1 + 3e4, nu2 - 2e4, consts, sigma_hz=1e5)
+    assert len(calls) == 1
+    assert res.b0_t == pytest.approx(0.00700014181459242, abs=1e-12)
+    assert res.theta_rad == pytest.approx(0.6983833789233223, abs=1e-9)
+    assert res.residual_hz < NUMERIC_FLOOR_HZ
+    assert res.reason == "ambiguous"
+    assert res.n_compatible == 2
+    assert res.alt_b0_t == pytest.approx(0.0072204015, abs=1e-9)
 
 
 def test_invert_input_validation(consts):

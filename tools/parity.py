@@ -38,7 +38,15 @@ group, each pair's case group, inputs and every InversionResult field or
 the raised error; for the two fit groups, the names, values and sigmas of
 every fit.  A change meant to move an invert digest can then be counted,
 group by group, against the parent's dump, and one meant to move a fit
-digest bounded in sigma units.
+digest bounded in sigma units:
+
+    PYTHONPATH=src python3 tools/parity.py --compare PARENT.json CHANGE.json
+
+reads two such dumps and prints, for each invert case group, how many
+records moved in field (beyond the inverter's dedupe tolerance, 2e-8 T or
+2e-5 rad), in reason or in n_compatible, or changed between a result and an
+error, with each moved record; and for each fit group the largest shift of
+a fitted value in units of the first dump's sigma.
 
 Every input is drawn from fixed seeds.  The numeric thread pools are held
 to one thread, as in perfbench, so the BLAS calls do not change with the
@@ -253,11 +261,78 @@ def binned_fit_digest(consts: PhysicalConstants) -> Digest:
     return d
 
 
+# closer fields are one basin to the inverter (inversion._DEDUPE_B_T and
+# _DEDUPE_THETA_RAD), so a smaller shift is not a move
+MOVE_B_T = 2e-8
+MOVE_THETA_RAD = 2e-5
+
+
+def _moves(old: dict, new: dict) -> list[str]:
+    """What moved between two invert records of one pair: field, reason, n_compatible, error."""
+    if ("result" in old) != ("result" in new):
+        return ["error"]
+    if "result" not in old:
+        return []
+    a, b = old["result"], new["result"]
+    moved = []
+    if (abs(a["b0_t"] - b["b0_t"]) > MOVE_B_T
+            or abs(a["theta_rad"] - b["theta_rad"]) > MOVE_THETA_RAD):
+        moved.append("field")
+    moved += [key for key in ("reason", "n_compatible") if a[key] != b[key]]
+    return moved
+
+
+def _summary(record: dict) -> str:
+    if "result" not in record:
+        return f"error {record['error']}"
+    r = record["result"]
+    return (f"({r['b0_t'] / GAUSS:.4f} G, {math.degrees(r['theta_rad']):.3f} deg) "
+            f"{r['reason']} n={r['n_compatible']}")
+
+
+def compare(parent_path: str, change_path: str) -> None:
+    """Print what moved from the parent's --dump to the change's, group by group."""
+    with open(parent_path, encoding="utf-8") as fh:
+        parent = json.load(fh)
+    with open(change_path, encoding="utf-8") as fh:
+        change = json.load(fh)
+    groups: dict[str, list] = {}
+    for old, new in zip(parent["invert"], change["invert"], strict=True):
+        if (old["group"], old["nu1_hz"], old["nu2_hz"]) != (new["group"], new["nu1_hz"], new["nu2_hz"]):
+            raise ValueError("the two dumps hold different invert inputs")
+        groups.setdefault(old["group"], []).append((old, new, _moves(old, new)))
+    for group, rows in groups.items():
+        counts = {key: sum(key in m for _, _, m in rows)
+                  for key in ("field", "reason", "n_compatible", "error")}
+        moved = [(old, new, m) for old, new, m in rows if m]
+        detail = ", ".join(f"{key} {n}" for key, n in counts.items())
+        print(f"invert {group}: {len(moved)}/{len(rows)} moved ({detail})")
+        for old, new, m in moved:
+            print(f"  {old['nu1_hz']!r} {old['nu2_hz']!r} sigma {old['sigma_hz']:g}: "
+                  f"{_summary(old)} -> {_summary(new)} [{', '.join(m)}]")
+    for group in ("fits_unbinned", "fits_binned"):
+        shift = 0.0
+        for old, new in zip(parent[group], change[group], strict=True):
+            if old["names"] != new["names"]:
+                raise ValueError(f"the two dumps hold different {group} fits")
+            values, sigmas = np.array(old["values"]), np.array(old["sigmas"])
+            delta = np.abs(np.array(new["values"]) - values)
+            shift = max(shift, float(np.max(np.divide(
+                delta, sigmas, out=np.where(delta > 0, np.inf, 0.0), where=sigmas > 0
+            ))))
+        print(f"{group}: {len(parent[group])} fits, largest value shift {shift:.3g} sigma")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description="Bit-identity digests of sivodmr's outputs.")
     parser.add_argument("--dump", metavar="PATH",
                         help="also write every inversion and fit record as JSON")
+    parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="count what moved between two --dump files, and stop")
     args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
     consts = PhysicalConstants()
     out = {"table": table_digest(consts), "synth": synth_digest(consts)}
     dumped = {
