@@ -22,8 +22,9 @@ comes from a real root, and the root's sign names the ordering.  A noisy
 pair adds the two closed-form least-squares fits on the theta = 0 edge,
 one on each side of the level crossing.  One transition_table call
 (eigenvalues and tridiagonal cofactors, no eigenvectors) evaluates every
-candidate.  A candidate within NUMERIC_FLOOR_HZ of the pair is a solution
-as it stands, and so is an edge fit.  A placed root (real, and inside the
+candidate with its analytic Jacobian, at B0 = 0 as elsewhere.  A
+candidate within NUMERIC_FLOOR_HZ of the pair is a solution as it
+stands, and so is an edge fit.  A placed root (real, and inside the
 domain without clipping) that misses is dropped: its levels hold the
 pair, but the line selection there pumps other lines.  Only the other
 roots, the real part of a complex pair or a root clipped into the domain,
@@ -49,6 +50,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fitting import _covariance_sigmas, _damped_gauss_newton
+# every table call goes through this module's name transition_table,
+# where perfbench counts and times it
 from .spin_model import PhysicalConstants, transition_table
 
 DEFAULT_B_MAX_T = 0.02          # 200 G search cap
@@ -68,7 +71,6 @@ RESOLUTION_THETA_RAD = math.radians(0.5)  # instrument-scale angle resolution
 _COND_CAP = 1e12
 _DEDUPE_B_T = 2e-8              # refinement floor: closer solutions are one basin
 _DEDUPE_THETA_RAD = 2e-5
-_ZERO_FIELD_T = 1e-7            # below this B0 the Kramers pairs count as degenerate
 
 
 class NoSolutionError(RuntimeError):
@@ -171,53 +173,13 @@ def _quartic_starts(t1: float, t2: float, consts: PhysicalConstants, b_max_t: fl
     return starts, targets, placed
 
 
-def _lines(p: np.ndarray, consts: PhysicalConstants):
-    """The labelled lines (A, B) and their Jacobian at a (k, 2) stack of fields.
-
-    One transition_table call with the Hellmann-Feynman Jacobian.  Below
-    _ZERO_FIELD_T, where the degenerate Kramers pairs leave Hellmann-Feynman
-    undefined, the B0 column is a forward difference and the theta column
-    is zero, from a second table call for those rows only.  On the angle
-    edges theta = 0 and pi/2 the theta column is zero too.  Every table
-    call goes through the name transition_table of this module, where
-    perfbench counts and times it.  Returns the (k, 2) lines and the
-    (k, 2, 2) Jacobian.
-    """
-    lines = np.empty((len(p), 2))
-    low = p[:, 0] < _ZERO_FIELD_T
-    if low.any():
-        jac = np.zeros((len(p), 2, 2))
-        high = ~low
-        if high.any():
-            lines[high, 0], lines[high, 1], jac[high] = transition_table(
-                p[high, 0], p[high, 1], consts, jacobian=True, labelled=True
-            )
-        b0, th = p[low, 0], p[low, 1]
-        nu1, nu2 = transition_table(
-            np.concatenate([b0, b0 + _ZERO_FIELD_T]), np.concatenate([th, th]), consts,
-            labelled=True,
-        )
-        m = b0.size
-        lines[low, 0], lines[low, 1] = nu1[:m], nu2[:m]
-        jac[low, :, 0] = np.column_stack([nu1[m:] - nu1[:m], nu2[m:] - nu2[:m]]) / _ZERO_FIELD_T
-    else:
-        lines[:, 0], lines[:, 1], jac = transition_table(
-            p[:, 0], p[:, 1], consts, jacobian=True, labelled=True
-        )
-    # the lines are even in theta about 0 and pi/2, so d(nu)/d(theta) is
-    # zero there; Hellmann-Feynman gives rounding noise in its place
-    edge = (p[:, 1] == 0.0) | (p[:, 1] == math.pi / 2)
-    if edge.any():
-        jac[edge, :, 1] = 0.0
-    return lines, jac
-
-
 def _refine(start, target, consts: PhysicalConstants, b_max_t: float):
     """Damped Gauss-Newton from one start in the domain toward the lines target (A, B).
 
     Trial points are clipped into [0, b_max_t] x [0, pi/2], and steps are
     judged small against the instrument resolution.  Each round is one
-    _lines call.  Returns (b0, theta, rms residual, Jacobian).
+    transition_table call with the analytic Jacobian, which holds at B0 = 0
+    too.  Returns (b0, theta, rms residual, Jacobian).
     """
     hi = np.array([b_max_t, math.pi / 2])
 
@@ -225,8 +187,8 @@ def _refine(start, target, consts: PhysicalConstants, b_max_t: float):
         return p.clip(0.0, hi)
 
     def fun(p):
-        lines, jac = _lines(p[None], consts)
-        return lines[0] - target, jac[0]
+        a, b, jac = transition_table(p[:1], p[1:], consts, jacobian=True, labelled=True)
+        return np.concatenate([a, b]) - target, jac[0]
 
     p, _, jac, ssr, _, _ = _damped_gauss_newton(
         fun, start, np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]), project
@@ -302,8 +264,8 @@ def invert_field(
         starts = np.vstack([starts, edge])
         targets = np.vstack([targets, [[t1, t2], [t1, t2]]])
     # one table call evaluates every candidate
-    lines, jac = _lines(starts, consts)
-    miss = lines - targets
+    a, b, jac = transition_table(starts[:, 0], starts[:, 1], consts, jacobian=True, labelled=True)
+    miss = np.column_stack([a, b]) - targets
     rms = np.sqrt((miss * miss).sum(axis=1) / 2.0)
     exact = rms <= NUMERIC_FLOOR_HZ
     # a candidate that reproduces the pair is a solution as it stands, and

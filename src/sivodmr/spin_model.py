@@ -7,9 +7,11 @@ Hamiltonian is written once, as a real symmetric tridiagonal float64
 batch.  Every line comes from one real path (transition_table, and
 transition_pair as its one-row case): LAPACK eigvalsh gives the energies,
 and the cofactors of the tridiagonal H give each state's m = +/-1/2 weight
-and its <Sz> and <Sx> without forming an eigenvector.  Only diagonalize,
-the complex path for any Hermitian input, calls eigh and phases its
-eigenvectors.
+and its <Sz> and <Sx> without forming an eigenvector.  Below about a
+picotesla, B0 = 0 included, <Sz> and <Sx> take the Kramers doublets'
+B0 -> 0+ limit, so the line Jacobian is analytic at every field.  Only
+diagonalize, the complex path for any Hermitian input, calls eigh and
+phases its eigenvectors.
 
 Internal units are strict SI: energies and frequencies in Hz (the
 Hamiltonian is written as H/h), magnetic fields in tesla, angles in
@@ -246,6 +248,15 @@ def _state_terms(
     still degenerate to rounding (the +/-3/2 pair near theta = pi/2 at low
     field), p' is rounding noise and <Sz> and <Sx> are kept within the
     spectra of Sz and Sx.
+
+    With expectations=True, a row with gamma B0 <= 1e-9 D (about 1.2 pT at
+    the default constants, B0 = 0 included) takes the B0 -> 0+ limit for
+    <Sz> and <Sx>: the first-order states of the two Kramers doublets,
+    lower member first.  For the +/-1/2 doublet (positions 0 and 1)
+    <Sz> = -/+ cos(theta)/(2r) and <Sx> = -/+ 2 sin(theta)/r, with
+    r = sqrt(cos^2(theta) + 4 sin^2(theta)); for the +/-3/2 doublet
+    (positions 2 and 3) <Sz> = -/+ 3/2 sign(cos(theta)) and <Sx> = 0.  Its
+    levels and weights are those above, so line selection is unchanged.
     """
     h = _hamiltonian_batch(b0, th, consts)
     # of H only its diagonal a_k and zs = H[1, 2] = gamma B0 sin(theta) are
@@ -292,6 +303,17 @@ def _state_terms(
         s[0] = (_M_ARRAY @ d.reshape(4, -1)).reshape(4, n)
         s /= p
         s.clip(-1.5, 1.5, out=s)
+        low = b0 <= 1e-9 * consts.d_hz / consts.gyro_hz_per_t
+        if low.any():
+            # within +/-1/2, Sz and Sx act as sigma_z/2 and sigma_x; between
+            # +/-3/2, Sx has no element
+            cos, sin = np.cos(th[low]), np.sin(th[low])
+            r = np.hypot(cos, 2.0 * sin)
+            lower_first = np.array([[-1.0], [1.0]])
+            s[0][:2, low] = lower_first * (cos / (2.0 * r))
+            s[1][:2, low] = lower_first * (2.0 * sin / r)
+            s[0][2:, low] = lower_first * (1.5 * np.sign(cos))
+            s[1][2:, low] = 0.0
     return levels, weights
 
 
@@ -352,31 +374,32 @@ def transition_table(
     dE_k/dp = <k|dH/dp|k>, with dH/dB0 = gamma (cos(theta) Sz + sin(theta) Sx)
     and dH/dtheta = gamma B0 (cos(theta) Sx - sin(theta) Sz).  At B0 = 0 the
     Kramers pairs are degenerate and the lines have only one-sided
-    derivatives, which Hellmann-Feynman does not give, so jacobian=True
-    requires B0 > 0.  Near theta = pi/2 the +/-3/2 pair splits only by
-    3 gamma B0 cos(theta) and a term of third order in B0; below about
-    1e-7 T, where both fall to about 1e-5 Hz, the pair can be degenerate to
-    rounding, and the slopes of its lines are then rounding noise, bounded
-    as unit eigenvectors would bound them (|<Sz>|, |<Sx>| <= 3/2).  At
-    theta = pi/2 itself the m -> -m mirror symmetry holds exactly in the
-    cofactors, and the theta column is zero to rounding.
+    derivatives; below about a picotesla the expectations are the B0 -> 0+
+    limit (_state_terms), so the B0 column is that one-sided slope,
+    dA/dB0 = -dB/dB0 = gamma (r/2 - 3/2 |cos(theta)|), and the theta
+    column is zero at B0 = 0.  Where the sorted lines tie (B0 = 0), nu1
+    takes the smaller B0 slope, so the sorted Jacobian is the one-sided
+    derivative of the sorted pair.  Near theta = pi/2 the +/-3/2 pair
+    splits only by 3 gamma B0 cos(theta) and a term of third order in B0;
+    below about 1e-7 T, where both fall to about 1e-5 Hz, the pair can be
+    degenerate to rounding, and the slopes of its lines are then rounding
+    noise, bounded as unit eigenvectors would bound them
+    (|<Sz>|, |<Sx>| <= 3/2).  The lines are even in theta about 0 and
+    pi/2, so the theta column is exactly zero where theta is 0 or pi/2.
     """
     b0 = np.asarray(b0_t, dtype=float).ravel()
     th = np.asarray(theta_rad, dtype=float).ravel()
     if b0.shape != th.shape:
         raise ValueError("b0_t and theta_rad must have matching shapes")
-    b0_min = b0.min(initial=math.inf)
-    if not (b0_min >= 0 and b0.max(initial=0.0) < math.inf and np.isfinite(th).all()):
+    if not (b0.min(initial=math.inf) >= 0 and b0.max(initial=0.0) < math.inf
+            and np.isfinite(th).all()):
         raise ValueError("fields must be non-negative and angles finite")
-    if jacobian and b0_min == 0:
-        raise ValueError("the Jacobian needs B0 > 0 (Kramers degeneracy at zero field)")
     levels, weights = _state_terms(b0, th, consts, expectations=jacobian)
     # (line, row), or with the Jacobian (line, energy/Sz/Sx, row)
     lines = _line_gaps(levels, _select_transitions_batch(weights))
-    if not labelled:
-        nu = lines[:, 0] if jacobian else lines
-        lines = np.where(nu[0] > nu[1], lines[::-1], lines)
     if not jacobian:
+        if not labelled:
+            lines = np.where(lines[0] > lines[1], lines[::-1], lines)
         return lines[0], lines[1]
     nu, ds = lines[:, 0], lines[:, 1:]
     cos_ds, sin_ds = ds * np.cos(th), ds * np.sin(th)
@@ -386,6 +409,14 @@ def transition_table(
     jt[0] *= consts.gyro_hz_per_t
     np.subtract(cos_ds[:, 1], sin_ds[:, 0], out=jt[1])
     jt[1] *= consts.gyro_hz_per_t * b0
+    # the lines are even in theta about 0 and pi/2
+    jt[1][:, (th == 0.0) | (th == math.pi / 2)] = 0.0
+    if not labelled:
+        # at a tie (B0 = 0) nu1 takes the smaller B0 slope, so that the
+        # Jacobian is the one-sided derivative of the sorted pair
+        swap = (nu[0] > nu[1]) | ((nu[0] == nu[1]) & (jt[0][0] > jt[0][1]))
+        nu = np.where(swap, nu[::-1], nu)
+        jac = np.where(swap[:, None, None], jac[:, ::-1], jac)
     return nu[0], nu[1], jac
 
 

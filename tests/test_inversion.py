@@ -102,8 +102,8 @@ def test_sub_gauss_fields_reproduce_the_pair(consts, b0_gauss, theta_deg):
 
 
 def test_refine_climbs_from_zero_field(consts):
-    # at B0 = 0 the Kramers pairs leave Hellmann-Feynman undefined; the
-    # forward-difference B0 column still carries a start there to the field
+    # at B0 = 0 the Kramers pairs are degenerate; the table's one-sided
+    # B0 slopes, the doublets' B0 -> 0+ limit, carry a start there to the field
     target = np.array(_labelled(0.5, 30.0, consts))
     _, _, rms, _ = _refine(np.array([0.0, 0.5]), target, consts, DEFAULT_B_MAX_T)
     assert rms < 1.0
@@ -505,6 +505,20 @@ def test_pair_on_a_line_selection_jump_takes_one_table_call(consts, monkeypatch)
     assert res.reason == "ambiguous"
     assert res.n_compatible == 2
     assert res.alt_b0_t == pytest.approx(0.0072205, abs=1e-7)
+    # at and near zero field the table's Jacobian is analytic too, so these
+    # pairs take one call, not a second for a forward difference: the exact
+    # zero-field pair, and a pair 4 kHz apart, noisy and exact
+    for pair, sigma, b0, theta, reason in (
+        ((70e6, 70e6), 0.0, 0.0, 0.0, "sigma-overlap"),
+        ((70e6 - 2e3, 70e6 + 2e3), 1e3, 7.136566472774936e-08, 0.0, "zero-field"),
+        ((70e6 - 2e3, 70e6 + 2e3), 0.0, 7.13656680367032e-08, 1.485111805341741e-4, "zero-field"),
+    ):
+        calls.clear()
+        res = invert_field(*pair, consts, sigma_hz=sigma)
+        assert len(calls) == 1
+        assert res.b0_t == pytest.approx(b0, abs=_DEDUPE_B_T)
+        assert res.theta_rad == pytest.approx(theta, abs=_DEDUPE_THETA_RAD)
+        assert res.reason == reason
 
 
 def test_noisy_pair_with_placed_roots_takes_one_table_call(consts, monkeypatch):

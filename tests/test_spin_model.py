@@ -356,10 +356,16 @@ def test_sorted_table_is_the_row_sort_of_the_labelled_one(consts, rng):
     assert 0 < swap.sum() < swap.size
     assert np.array_equal(nu1, np.where(swap, line_b, line_a))
     assert np.array_equal(nu2, np.where(swap, line_a, line_b))
-    # the Jacobian needs B0 > 0: its rows swap with the lines
-    b0, theta, swap = b0[b0 > 0], theta[b0 > 0], swap[b0 > 0]
+    # the Jacobian rows swap with the lines, and where the lines tie (the
+    # B0 = 0 rows) nu1 carries the smaller B0 slope: the one-sided
+    # derivative of the sorted pair
     *_, jac = transition_table(b0, theta, consts, jacobian=True)
     *_, jac_labelled = transition_table(b0, theta, consts, jacobian=True, labelled=True)
+    zero = b0 == 0
+    assert np.all(line_a[zero] == line_b[zero])
+    swap[zero] = jac_labelled[zero, 0, 0] > jac_labelled[zero, 1, 0]
+    assert swap[zero].any()
+    assert np.all(jac[zero, 0, 0] < jac[zero, 1, 0])
     assert np.array_equal(jac, np.where(swap[:, None, None], jac_labelled[:, ::-1], jac_labelled))
 
 
@@ -438,11 +444,14 @@ def test_diagonal_rows_take_the_basis_states(consts):
 def test_theta_column_vanishes_at_the_right_angle(consts):
     # at theta = pi/2 the +/-3/2 pair is degenerate to rounding below about
     # 1e-7 T; the lines are still even in theta about pi/2, and the slope of
-    # each along theta is zero
+    # each along theta is exactly zero, down to B0 = 0
     gamma = consts.gyro_hz_per_t
-    b0 = np.array([1e-9, 1e-8, 1e-7, 1e-6])
-    *_, jac = transition_table(b0, np.full_like(b0, math.pi / 2), consts, jacobian=True)
-    assert np.all(np.abs(jac[:, :, 1]) <= 1e-12 * gamma * b0[:, None])
+    b0 = np.array([0.0, 1e-300, 1e-16, 1e-9, 1e-8, 1e-7, 1e-6])
+    for labelled in (False, True):
+        *_, jac = transition_table(
+            b0, np.full_like(b0, math.pi / 2), consts, jacobian=True, labelled=labelled
+        )
+        assert np.all(jac[:, :, 1] == 0.0)
     # just off pi/2 the pair stays degenerate to rounding at these fields:
     # the slopes are noise, but no larger than unit vectors' can be, where
     # each <Sz> and <Sx> lies in [-3/2, 3/2]
@@ -539,9 +548,39 @@ def test_transition_table_jacobian_matches_central_differences(consts):
     assert np.all(np.abs(jac[:, :, 1] - fd_t.T) <= 1e-7 * gamma * b0[:, None])
 
 
+def _zero_field_slope(theta, consts):
+    """Line A's B0 slope as B0 -> 0+, gamma (r/2 - 3/2 |cos(theta)|); line B's is its negative.
+
+    The +/-1/2 doublet splits by gamma B0 r with r = sqrt(cos^2 + 4 sin^2),
+    the +/-3/2 doublet by 3 gamma B0 |cos(theta)|, and line A joins the
+    lower member of the first to the lower member of the second.
+    """
+    r = np.hypot(np.cos(theta), 2.0 * np.sin(theta))
+    return consts.gyro_hz_per_t * (r / 2.0 - 1.5 * np.abs(np.cos(theta)))
+
+
+def test_jacobian_below_a_picotesla_is_the_doublet_limit(consts):
+    # at 1e-16 T and 1e-13 T the cofactors cannot resolve the Kramers
+    # doublets; the slopes are their first-order limit, not those of the
+    # basis states (which missed by up to gamma at 1e-16 T)
+    gamma = consts.gyro_hz_per_t
+    theta = np.array([0.5, 1.0, math.pi / 2 - 1e-3])
+    slope = _zero_field_slope(theta, consts)
+    for b in (1e-16, 1e-13, 1e-10):
+        b0 = np.full_like(theta, b)
+        *_, jac = transition_table(b0, theta, consts, jacobian=True, labelled=True)
+        assert np.all(np.abs(jac[:, 0, 0] - slope) <= 1e-6 * gamma)
+        assert np.all(np.abs(jac[:, 1, 0] + slope) <= 1e-6 * gamma)
+    # at 1e-10 T the rows take the cofactor path, which a central difference
+    # confirms (at 1e-12 T the difference would read rounding)
+    fd = (np.array(transition_table(1.5 * b0, theta, consts, labelled=True))
+          - np.array(transition_table(0.5 * b0, theta, consts, labelled=True))) / b
+    assert np.all(np.abs(jac[:, :, 0] - fd.T) <= 1e-6 * gamma)
+
+
 def test_transition_table_jacobian_near_zero_field(consts):
     # 2 nT: the Kramers pairs split by only ~50 Hz, yet the slopes are exact;
-    # at B0 = 0 they are one-sided and the Jacobian is refused
+    # at B0 = 0 they are the one-sided derivatives of the doublet limit
     theta = np.array([0.0, 0.5, 1.0, 1.5])
     b0 = np.full_like(theta, 2e-9)
     _, _, jac = transition_table(b0, theta, consts, jacobian=True)
@@ -553,5 +592,12 @@ def test_transition_table_jacobian_near_zero_field(consts):
     gamma = consts.gyro_hz_per_t
     assert np.all(np.abs(jac[:, :, 0] - fd_b.T) <= 1e-6 * gamma)
     assert np.all(np.abs(jac[:, :, 1] - fd_t.T) <= 1e-3 * gamma * b0[:, None])
-    with pytest.raises(ValueError):
-        transition_table(np.array([0.0]), np.array([0.3]), consts, jacobian=True)
+    zero = np.zeros_like(theta)
+    lines0 = np.array(transition_table(zero, theta, consts, labelled=True))
+    *_, jac = transition_table(zero, theta, consts, jacobian=True, labelled=True)
+    slope = _zero_field_slope(theta, consts)
+    assert np.all(np.abs(jac[:, :, 0] - np.column_stack([slope, -slope])) <= 1e-12 * gamma)
+    assert np.all(jac[:, :, 1] == 0.0)
+    db = 1e-10
+    fd_b = (np.array(transition_table(zero + db, theta, consts, labelled=True)) - lines0) / db
+    assert np.all(np.abs(jac[:, :, 0] - fd_b.T) <= 1e-6 * gamma)

@@ -13,7 +13,8 @@ checked by running this on the parent and on the change:
 - table: transition_table plain, labelled and with the Jacobian on 20 000
   seeded fields (0-200 G, 0-90 deg) plus 40 edge rows (B0 = 0, 1e-300 T,
   1 nT-1 uT, gamma B0 = D and 2D, 60 G and 200 G at theta = 0, pi/2, 0.3
-  and 1 rad; the Jacobian only where B0 > 0);
+  and 1 rad; the Jacobian of the B0 = 0 rows in a call of their own,
+  whose error text is recorded on a tree that refuses it);
 - invert: every field of invert_field's InversionResult, or the raised
   error, on 1 545 pairs: 300 random exact and 200 random 100 kHz-noisy
   pairs over 0.5-150 G, 188 exact pairs at 89.5-89.99 deg, 200 in the
@@ -122,14 +123,22 @@ def table_digest(consts: PhysicalConstants) -> dict:
     eb, et = _edge_rows(consts)
     b0, theta = np.concatenate([b0, eb]), np.concatenate([theta, et])
     d = Digest()
+    positive = b0 > 0
     for labelled in (False, True):
         d.array(np.stack(transition_table(b0, theta, consts, labelled=labelled)))
-        positive = b0 > 0
         nu1, nu2, jac = transition_table(
             b0[positive], theta[positive], consts, jacobian=True, labelled=labelled
         )
         d.array(np.stack([nu1, nu2]))
         d.array(jac)
+        try:
+            *_, jac = transition_table(
+                b0[~positive], theta[~positive], consts, jacobian=True, labelled=labelled
+            )
+        except ValueError as exc:
+            d.text(f"ValueError {exc}")
+        else:
+            d.array(jac)
     d.count = b0.size
     return d.result()
 
