@@ -17,11 +17,13 @@ from sivodmr.inversion import (
     AxialModelError,
     InversionResult,
     NoSolutionError,
+    _COND_CAP,
     _DEDUPE_B_T,
     _DEDUPE_THETA_RAD,
     _forward_grid,
     _quartic_starts,
     _refine,
+    _scaled_condition,
     axial_invert,
     invert_field,
 )
@@ -311,19 +313,110 @@ def test_quartic_starts_place_only_real_roots_inside_the_domain(consts):
     starts, _, placed = _quartic_starts(*pair, consts, DEFAULT_B_MAX_T)
     # the truth, the (31.4 G, 26.5 deg) preimage of the other ordering, and
     # two roots with v < 0 clipped onto theta = pi/2
-    assert placed.tolist() == [True, True, False, False]
-    assert starts[0] / [GAUSS, math.radians(1.0)] == pytest.approx([60.0, 30.0], abs=1e-9)
-    assert starts[2:, 1].tolist() == [math.pi / 2, math.pi / 2]
+    assert placed == [True, True, False, False]
+    assert starts[0][0] / GAUSS == pytest.approx(60.0, abs=1e-9)
+    assert starts[0][1] / math.radians(1.0) == pytest.approx(30.0, abs=1e-9)
+    assert [theta for _, theta in starts[2:]] == [math.pi / 2, math.pi / 2]
     # a search cap below 60 G clips the truth onto the cap
     starts, _, placed = _quartic_starts(*pair, consts, 50.0 * GAUSS)
-    assert placed.tolist() == [False, True, False, False]
-    assert starts[0, 0] == 50.0 * GAUSS
+    assert placed == [False, True, False, False]
+    assert starts[0][0] == 50.0 * GAUSS
     # 1 MHz of noise on (4.07 G, 5.9 deg) splits a real pair of roots into
     # a complex one, which gives one start, at its real part
     starts, _, placed = _quartic_starts(
         57_413_493.74117136, 81_029_365.31477349, consts, DEFAULT_B_MAX_T
     )
-    assert placed.tolist() == [True, False, True]
+    assert placed == [True, False, True]
+
+
+def _roots_reference(t1, t2, consts, b_max_t):
+    """_quartic_starts as numpy.roots and array bookkeeping give it."""
+    a2, b2 = (t1 / consts.d_hz) ** 2, (t2 / consts.d_hz) ** 2
+    roots = np.roots([
+        16.0 / 25.0,
+        0.0,
+        -(17.0 * (a2 + b2) - 56.0) / 50.0,
+        (a2 - b2) / 4.0,
+        -(9.0 * a2 * a2 - 82.0 * a2 * b2 - 224.0 * a2 + 9.0 * b2 * b2 - 224.0 * b2 + 2816.0)
+        / 1600.0,
+    ])
+    s, first = np.unique(roots.real, return_index=True)
+    u = (4.0 * s * s + (a2 + b2) / 2.0 - 4.0) / 5.0
+    v = (u + s * (a2 - b2) / 4.0) / 3.0
+    b0 = np.sqrt(np.maximum(u, 0.0)) * (consts.d_hz / consts.gyro_hz_per_t)
+    cos2 = np.divide(v, u, out=np.ones_like(u), where=u > 0.0).clip(0.0, 1.0)
+    starts = np.column_stack([np.minimum(b0, b_max_t), np.arccos(np.sqrt(cos2))])
+    targets = np.where((s < 0.0)[:, None], [t1, t2], [t2, t1])
+    placed = (roots.imag[first] == 0.0) & (0.0 <= v) & (v <= u) & (b0 <= b_max_t)
+    return starts, targets, placed, np.iscomplexobj(roots) and bool(roots.imag.any())
+
+
+def test_quartic_starts_match_the_numpy_roots_formulation(consts):
+    rng = np.random.default_rng(26_001)
+    pairs = [_forward(b, t, consts)
+             for b, t in zip(rng.uniform(0.5, 150.0, 200), rng.uniform(0.0, 90.0, 200))]
+    noisy = [tuple(sorted(np.add(pair, rng.normal(0.0, 1e6, 2)))) for pair in pairs[:100]]
+    # 1 MHz of noise on (4.07 G, 5.9 deg): a real pair of roots turns complex
+    noisy.append((57_413_493.74117136, 81_029_365.31477349))
+    # pairs no field need reproduce: some complex pairs have their real
+    # part inside the domain, where only the imaginary part leaves it unplaced
+    arbitrary = [tuple(sorted(rng.uniform(1e6, 600e6, 2))) for _ in range(50)]
+    # the quartic's constant term is exactly 0 here, which numpy.roots
+    # strips and the companion matrix keeps
+    zero_field = (2.0 * consts.d_hz, 2.0 * consts.d_hz)
+    complex_pairs = 0
+    for pair in pairs + noisy + arbitrary + [zero_field]:
+        starts, targets, placed = _quartic_starts(*pair, consts, DEFAULT_B_MAX_T)
+        ref_starts, ref_targets, ref_placed, split = _roots_reference(
+            *pair, consts, DEFAULT_B_MAX_T
+        )
+        np.testing.assert_array_max_ulp(np.array(starts), ref_starts, maxulp=4)
+        assert targets == [tuple(t) for t in ref_targets.tolist()]
+        assert placed == ref_placed.tolist()
+        complex_pairs += split
+    assert complex_pairs >= 1
+
+
+def test_closed_form_condition_matches_svd(consts):
+    # the inverter's condition is that of the Jacobian with its columns
+    # scaled to the domain, capped at _COND_CAP; LAPACK's SVD is the reference
+    scale = np.diag([DEFAULT_B_MAX_T, math.pi / 2])
+
+    def reference(jac):
+        s = np.linalg.svd(jac @ scale, compute_uv=False)
+        return s[0], min(s[0] / s[1], _COND_CAP)
+
+    rng = np.random.default_rng(26_002)
+    b0 = rng.uniform(0.5, 150.0, 100) * GAUSS
+    theta = rng.uniform(0.0, math.pi / 2, 100)
+    *_, table = transition_table(b0, theta, consts, jacobian=True, labelled=True)
+    jacobians = list(table)
+    # near rank-1: singular values 1e9 and 1e9 / ratio in the scaled space,
+    # between random rotations, up to and past the cap
+    for ratio in (1e2, 1e6, 1e9, 1e11, 5e11, 1e13, 1e15):
+        for _ in range(10):
+            u, _r = np.linalg.qr(rng.normal(size=(2, 2)))
+            v, _r = np.linalg.qr(rng.normal(size=(2, 2)))
+            scaled = u @ np.diag([1e9, 1e9 / ratio]) @ v.T
+            jacobians.append(scaled @ np.linalg.inv(scale))
+    for jac in jacobians:
+        s_max, condition = _scaled_condition(jac, DEFAULT_B_MAX_T)
+        ref_s_max, ref_condition = reference(jac)
+        assert s_max == pytest.approx(ref_s_max, rel=8 * np.finfo(float).eps)
+        tol = 8 * ref_condition * np.finfo(float).eps
+        if ref_condition * (1.0 - tol) >= _COND_CAP:
+            assert condition == _COND_CAP
+        else:
+            assert condition == pytest.approx(ref_condition, rel=tol)
+
+    # exactly singular, all zero or not finite: the cap
+    gamma = consts.gyro_hz_per_t
+    for jac in ([[gamma, 0.0], [-gamma, 0.0]],  # the theta column of B0 = 0
+                [[1.0, 2.0], [3.0, 6.0]],
+                [[0.0, 0.0], [0.0, 0.0]],
+                [[gamma, math.nan], [gamma, 1.0]],
+                [[math.inf, 1.0], [gamma, 1.0]]):
+        assert _scaled_condition(np.array(jac), DEFAULT_B_MAX_T)[1] == _COND_CAP
 
 
 def test_megahertz_noisy_pairs_reach_an_exact_preimage(consts):

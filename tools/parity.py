@@ -5,16 +5,19 @@ path:
 
     PYTHONPATH=<tree>/src python3 tools/parity.py [--dump PATH]
 
-It prints one JSON line with a sha256 digest and a count for each of five
+It prints one JSON line with a sha256 digest and a count for each of six
 groups of outputs.  Two trees whose digests agree give bit-identical
 results on every input here, so a change meant to move no output bit can be
 checked by running this on the parent and on the change:
 
-- table: transition_table plain, labelled and with the Jacobian on 20 000
-  seeded fields (0-200 G, 0-90 deg) plus 40 edge rows (B0 = 0, 1e-300 T,
-  1 nT-1 uT, gamma B0 = D and 2D, 60 G and 200 G at theta = 0, pi/2, 0.3
-  and 1 rad; the Jacobian of the B0 = 0 rows in a call of their own,
-  whose error text is recorded on a tree that refuses it);
+- lines and jacobian: transition_table plain, labelled and with the
+  Jacobian on 20 000 seeded fields (0-200 G, 0-90 deg) plus 40 edge rows
+  (B0 = 0, 1e-300 T, 1 nT-1 uT, gamma B0 = D and 2D, 60 G and 200 G at
+  theta = 0, pi/2, 0.3 and 1 rad; the Jacobian of the B0 = 0 rows in a
+  call of their own, whose error text is recorded on a tree that refuses
+  it).  lines hashes every line the calls return, jacobian every Jacobian,
+  so a change meant to move only Jacobian rows shows whether the lines
+  stayed bit-identical;
 - invert: every field of invert_field's InversionResult, or the raised
   error, on 1 545 pairs: 300 random exact and 200 random 100 kHz-noisy
   pairs over 0.5-150 G, 188 exact pairs at 89.5-89.99 deg, 200 in the
@@ -46,12 +49,14 @@ digest bounded in sigma units:
 reads two such dumps and prints, for each invert case group, how many
 records moved in field (beyond the inverter's dedupe tolerance, 2e-8 T or
 2e-5 rad), in reason or in n_compatible, or changed between a result and an
-error, with each moved record; and for each fit group the largest shift of
-a fitted value in units of the first dump's sigma.
+error, with each moved record; then, for each InversionResult field and
+for the error, how many records changed at any bit, moved or not, so that
+a change below the move tolerance shows too; and for each fit group the
+largest shift of a fitted value in units of the first dump's sigma.
 
 Every input is drawn from fixed seeds.  The numeric thread pools are held
 to one thread, as in perfbench, so the BLAS calls do not change with the
-host.  A run takes about 10 s on a 2-vCPU host.
+host.  A run takes a few seconds on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from sivodmr.fitting import fit_lorentzian_multi, fit_saturation  # noqa: E402
-from sivodmr.inversion import NoSolutionError, invert_field  # noqa: E402
+from sivodmr.inversion import InversionResult, NoSolutionError, invert_field  # noqa: E402
 from sivodmr.spectrum import (  # noqa: E402
     AcquisitionConfig,
     SaturationParams,
@@ -116,31 +121,32 @@ def _edge_rows(consts: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
     return bb.ravel(), tt.ravel()
 
 
-def table_digest(consts: PhysicalConstants) -> dict:
+def table_digests(consts: PhysicalConstants) -> tuple[dict, dict]:
+    """The lines digest and the Jacobian digest of the same transition_table calls."""
     rng = np.random.default_rng(18_001)
     b0 = rng.uniform(0.0, 200 * GAUSS, 20_000)
     theta = rng.uniform(0.0, math.pi / 2, 20_000)
     eb, et = _edge_rows(consts)
     b0, theta = np.concatenate([b0, eb]), np.concatenate([theta, et])
-    d = Digest()
+    lines, jacobian = Digest(), Digest()
     positive = b0 > 0
     for labelled in (False, True):
-        d.array(np.stack(transition_table(b0, theta, consts, labelled=labelled)))
+        lines.array(np.stack(transition_table(b0, theta, consts, labelled=labelled)))
         nu1, nu2, jac = transition_table(
             b0[positive], theta[positive], consts, jacobian=True, labelled=labelled
         )
-        d.array(np.stack([nu1, nu2]))
-        d.array(jac)
+        lines.array(np.stack([nu1, nu2]))
+        jacobian.array(jac)
         try:
             *_, jac = transition_table(
                 b0[~positive], theta[~positive], consts, jacobian=True, labelled=labelled
             )
         except ValueError as exc:
-            d.text(f"ValueError {exc}")
+            jacobian.text(f"ValueError {exc}")
         else:
-            d.array(jac)
-    d.count = b0.size
-    return d.result()
+            jacobian.array(jac)
+    lines.count = jacobian.count = b0.size
+    return lines.result(), jacobian.result()
 
 
 def _pair(b0_t: float, theta_rad: float, consts: PhysicalConstants) -> tuple[float, float]:
@@ -291,6 +297,16 @@ def _moves(old: dict, new: dict) -> list[str]:
     return moved
 
 
+def _changed_bits(old: dict, new: dict) -> list[str]:
+    """The InversionResult fields, or the error, whose value differs at any bit."""
+    if ("result" in old) != ("result" in new):
+        return []
+    if "result" not in old:
+        return [] if repr(old["error"]) == repr(new["error"]) else ["error"]
+    a, b = old["result"], new["result"]
+    return [key for key in a if repr(a[key]) != repr(b[key])]
+
+
 def _summary(record: dict) -> str:
     if "result" not in record:
         return f"error {record['error']}"
@@ -310,12 +326,16 @@ def compare(parent_path: str, change_path: str) -> None:
         if (old["group"], old["nu1_hz"], old["nu2_hz"]) != (new["group"], new["nu1_hz"], new["nu2_hz"]):
             raise ValueError("the two dumps hold different invert inputs")
         groups.setdefault(old["group"], []).append((old, new, _moves(old, new)))
+    fields = [f.name for f in dataclasses.fields(InversionResult)] + ["error"]
     for group, rows in groups.items():
         counts = {key: sum(key in m for _, _, m in rows)
                   for key in ("field", "reason", "n_compatible", "error")}
         moved = [(old, new, m) for old, new, m in rows if m]
         detail = ", ".join(f"{key} {n}" for key, n in counts.items())
         print(f"invert {group}: {len(moved)}/{len(rows)} moved ({detail})")
+        changed = [_changed_bits(old, new) for old, new, _ in rows]
+        bits = ", ".join(f"{key} {sum(key in c for c in changed)}" for key in fields)
+        print(f"  {sum(map(bool, changed))}/{len(rows)} changed at any bit ({bits})")
         for old, new, m in moved:
             print(f"  {old['nu1_hz']!r} {old['nu2_hz']!r} sigma {old['sigma_hz']:g}: "
                   f"{_summary(old)} -> {_summary(new)} [{', '.join(m)}]")
@@ -343,7 +363,8 @@ def main() -> None:
         compare(*args.compare)
         return
     consts = PhysicalConstants()
-    out = {"table": table_digest(consts), "synth": synth_digest(consts)}
+    lines, jacobian = table_digests(consts)
+    out = {"lines": lines, "jacobian": jacobian, "synth": synth_digest(consts)}
     dumped = {
         "invert": inversion_digest(consts),
         "fits_unbinned": unbinned_fit_digest(consts),
