@@ -112,10 +112,15 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
     finite, because project marked it NaN or because the damped system was
     singular, is rejected like a rise in SSR: lam grows tenfold and the
     next round retries.  The run ends converged, after max_iter rounds, or
-    unconverged at its last accepted point once lam passes 1e12.  Returns
-    p, r, J, ssr, iterations, converged, where r and J are the arrays fun
-    returned for the last accepted point, never copies, so a 92 001-point
-    fit does not copy its 5 MB Jacobian on every step.
+    unconverged at its last accepted point once lam passes 1e12.
+
+    The core forms JtJ as soon as it accepts a point, and Jt r too unless
+    the run ends there, so it never reads r or J after the next fun call:
+    fun may write every J into one buffer, as a 92 001-point fit does with
+    its 5 MB Jacobian.  Returns p, J, JtJ, ssr, iterations, converged.  J
+    is the array fun returned for the accepted point p, never a copy; a fun
+    that reuses a buffer must read only JtJ, because a trial evaluated and
+    rejected after p has overwritten J.
     """
     p = np.array(p0, dtype=float)
     step_tol = STEP_RTOL * np.asarray(scales, dtype=float)
@@ -150,10 +155,11 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
         p, r, jac, ssr = trial, r_try, jac_try, ssr_try
         lam = max(lam / 10.0, 1e-12)
         if converged or iterations >= max_iter:
+            jtj = jac.T @ jac
             break
         iterations += 1
         jtj, jtr, damp = _normal_equations(jac, r)
-    return p, r, jac, ssr, iterations, converged
+    return p, jac, jtj, ssr, iterations, converged
 
 
 def _normal_equations(jac: np.ndarray, r: np.ndarray):
@@ -168,13 +174,15 @@ def _normal_equations(jac: np.ndarray, r: np.ndarray):
     return jtj, jac.T @ r, np.where(diag <= 0, top if top > 0 else 1.0, diag)
 
 
-def _covariance_sigmas(jac: np.ndarray, residual_rms: float, names) -> np.ndarray:
+def _covariance_sigmas(jtj: np.ndarray, residual_rms: float, names) -> np.ndarray:
     """1-sigma uncertainties from the linearized covariance at the solution.
 
-    Raises IllConditionedFitError when the correlation matrix of J^T J is
-    numerically singular, naming the most degenerate parameter pair.
+    jtj is J^T J at the solution, as _damped_gauss_newton returns it, so a
+    fit forms no normal matrix of its own.  Raises IllConditionedFitError
+    when a Jacobian column vanished (a zero or non-finite diagonal entry)
+    or the correlation matrix of J^T J is numerically singular, naming the
+    most degenerate parameter pair.
     """
-    jtj = jac.T @ jac
     col = np.sqrt(np.diag(jtj))
     if np.any(col == 0) or not np.all(np.isfinite(col)):
         dead = [k for k in range(col.size) if not (np.isfinite(col[k]) and col[k] > 0)]
@@ -347,20 +355,24 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
     scales = np.array([sig_scale] + [span, span, sig_scale] * n_peaks)
     width_slots = [2 + 3 * k for k in range(n_peaks)]
 
-    def fun(p, f=freq, s=signal):
-        model, jac = _lorentzian_model(f, p, n_peaks)
-        return model - s, jac
+    # every full-resolution call writes its Jacobian rows here: the core
+    # reads them only before its next call, so one buffer serves the fit
+    rows = np.empty((1 + 3 * n_peaks, freq.size))
+
+    def fun(p, f=freq, s=signal, out=rows):
+        model, jac = _lorentzian_model(f, p, n_peaks, out=out)
+        return np.subtract(model, s, out=model), jac
 
     def project(p):
         return np.where(np.all(p[width_slots] > 0), p, np.nan)
 
     if binned:
         p0 = _damped_gauss_newton(
-            lambda p: fun(p, f_seed, s_seed), p0, scales, project, COARSE_ROUNDS
+            lambda p: fun(p, f_seed, s_seed, None), p0, scales, project, COARSE_ROUNDS
         )[0]
-    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
+    p, _, jtj, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
     residual_rms = math.sqrt(ssr / freq.size)
-    sigmas = _covariance_sigmas(jac, residual_rms, names)
+    sigmas = _covariance_sigmas(jtj, residual_rms, names)
     return FitResult(tuple(names), p, sigmas, residual_rms, iterations, converged)
 
 
@@ -402,11 +414,11 @@ def fit_saturation(powers_mw, counts_cps) -> FitResult:
     def project(p):
         return np.where(np.all(p > 0), p, np.nan)
 
-    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
+    p, _, jtj, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
     if p[1] < 1e-6 * float(np.min(powers)):
         raise IllConditionedFitError(*names, "saturation power collapsed to zero")
     residual_rms = math.sqrt(ssr / powers.size)
-    sigmas = _covariance_sigmas(jac, residual_rms, names)
+    sigmas = _covariance_sigmas(jtj, residual_rms, names)
     return FitResult(names, p, sigmas, residual_rms, iterations, converged)
 
 

@@ -222,7 +222,9 @@ def _refine(start, target, consts: PhysicalConstants, b_max_t: float):
     Trial points are clipped into [0, b_max_t] x [0, pi/2], and steps are
     judged small against the instrument resolution.  Each round is one
     transition_table call with the analytic Jacobian, which holds at B0 = 0
-    too.  Returns (b0, theta, rms residual, Jacobian).
+    too.  Returns (b0, theta, rms residual, Jacobian).  Every table call
+    returns fresh arrays, so the Jacobian the core hands back is the one at
+    the solution, not a rejected trial's.
     """
     hi = np.array([b_max_t, math.pi / 2])
 
@@ -233,7 +235,7 @@ def _refine(start, target, consts: PhysicalConstants, b_max_t: float):
         a, b, jac = transition_table(p[:1], p[1:], consts, jacobian=True, labelled=True)
         return np.concatenate([a, b]) - target, jac[0]
 
-    p, _, jac, ssr, _, _ = _damped_gauss_newton(
+    p, jac, _, ssr, _, _ = _damped_gauss_newton(
         fun, start, np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]), project
     )
     return p[0], p[1], math.sqrt(ssr / 2.0), jac
@@ -375,7 +377,7 @@ def invert_field(
     elif sigma_hz > 0 and np.any(
         # condition <= COND_THRESHOLD here, so no Jacobian column vanishes and
         # the column-scaled normal matrix is far from singular: cannot raise
-        _covariance_sigmas(jac, sigma_hz, ("b0_t", "theta_rad"))
+        _covariance_sigmas(jac.T @ jac, sigma_hz, ("b0_t", "theta_rad"))
         > [RESOLUTION_B_T, RESOLUTION_THETA_RAD]
     ):
         reason = "unresolved"

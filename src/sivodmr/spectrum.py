@@ -15,7 +15,8 @@ The line shape is written once, in _lorentzian_model: synthesis evaluates
 it and fitting.py fits it.  Its Jacobian is built parameter-major, one
 contiguous row per parameter handed to the fit as its (n, n_params)
 transpose view, because writing strided columns of an (n, n_params) array
-cost more than the model's arithmetic.  Synthesis asks for the values
+cost more than the model's arithmetic; a fit passes one such buffer in
+(out=) for every call at full resolution.  Synthesis asks for the values
 only (jacobian=False), which keep the Jacobian path's operation order, so
 a synthesised spectrum is bit-equal to the fit's model at the true lines.
 """
@@ -138,15 +139,23 @@ class OdmrSpectrum:
 
 
 def _lorentzian_model(
-    freq: np.ndarray, params: np.ndarray, n_peaks: int, *, jacobian: bool = True
+    freq: np.ndarray,
+    params: np.ndarray,
+    n_peaks: int,
+    *,
+    jacobian: bool = True,
+    out: np.ndarray | None = None,
 ):
     """Residual-ready model and Jacobian: baseline + sum of Lorentzians.
 
     Parameter layout: [baseline, center1, fwhm1, amp1, (center2, fwhm2, amp2)].
     The Jacobian is the transpose view of a C-contiguous (n_params, n)
-    buffer whose rows are written in place.  With jacobian=False the
-    Jacobian is None and the model is bit-equal to the Jacobian path's:
-    both compute u = f - f0, u /= w/2, den = u*u + 1 and a/den in that order.
+    buffer whose rows are written in place: out when given, which every
+    call overwrites whole, so a fit can keep one buffer for all its calls
+    at one size, else a fresh one.  The model is always a fresh array.
+    With jacobian=False the Jacobian is None and the model is bit-equal to
+    the Jacobian path's: both compute u = f - f0, u /= w/2, den = u*u + 1
+    and a/den in that order.
     """
     model = np.full(freq.size, params[0])
     if not jacobian:
@@ -158,7 +167,7 @@ def _lorentzian_model(
             den += 1.0
             model += np.divide(a, den, out=den)
         return model, None
-    rows = np.empty((1 + 3 * n_peaks, freq.size))
+    rows = np.empty((1 + 3 * n_peaks, freq.size)) if out is None else out
     rows[0] = 1.0
     for k in range(n_peaks):
         f0, w, a = params[1 + 3 * k : 4 + 3 * k]
@@ -244,7 +253,7 @@ def synthesize_spectrum(
         rate = photon_rate(cfg.laser_mw, sat)
         sigma = shot_noise_sigma(rate, cfg.dwell_s)
         rng = np.random.default_rng(cfg.seed)
-        signal = signal + rng.normal(0.0, sigma, freq.size)
+        signal += rng.normal(0.0, sigma, freq.size)
     covered = (
         cfg.f_start_hz <= pair.nu1_hz <= cfg.f_stop_hz
         and cfg.f_start_hz <= pair.nu2_hz <= cfg.f_stop_hz

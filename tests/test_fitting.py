@@ -273,12 +273,12 @@ def single_stage_fit(spec):
     def project(p):
         return np.where(np.all(p[[2, 5]] > 0), p, np.nan)
 
-    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
+    p, _, jtj, ssr, iterations, converged = _damped_gauss_newton(
         fun, p0, np.array([sig_scale] + [span, span, sig_scale] * 2), project
     )
     names = ("baseline", "center1_hz", "fwhm1_hz", "amp1", "center2_hz", "fwhm2_hz", "amp2")
     residual_rms = math.sqrt(ssr / freq.size)
-    sigmas = _covariance_sigmas(jac, residual_rms, names)
+    sigmas = _covariance_sigmas(jtj, residual_rms, names)
     return FitResult(names, p, sigmas, residual_rms, iterations, converged)
 
 
@@ -286,9 +286,9 @@ def model_sizes(monkeypatch):
     """Record the length of every _lorentzian_model call the fits make."""
     sizes = []
 
-    def spy(freq, params, n_peaks):
+    def spy(freq, params, n_peaks, **kwargs):
         sizes.append(freq.size)
-        return _lorentzian_model(freq, params, n_peaks)
+        return _lorentzian_model(freq, params, n_peaks, **kwargs)
 
     monkeypatch.setattr(fitting, "_lorentzian_model", spy)
     return sizes
@@ -333,6 +333,24 @@ def test_binned_stage_leaves_at_most_four_full_size_model_calls(monkeypatch):
     assert res.iterations <= sizes.count(92_001) - 1
 
 
+def test_full_resolution_calls_of_one_fit_share_one_jacobian_buffer(monkeypatch):
+    # one 5 MB Jacobian per 92 001-point fit, not one per model call
+    spec = make_spectrum(n=92_001, seed=19)
+    jacobians = []
+
+    def spy(freq, params, n_peaks, **kwargs):
+        model, jac = _lorentzian_model(freq, params, n_peaks, **kwargs)
+        if freq.size == 92_001:
+            jacobians.append(jac)
+        return model, jac
+
+    monkeypatch.setattr(fitting, "_lorentzian_model", spy)
+    res = fit_lorentzian_multi(spec, 2)
+    assert res.converged and len(jacobians) >= 2
+    assert all(np.shares_memory(jacobians[0], jac) for jac in jacobians[1:])
+    assert jacobians[0].T.flags.c_contiguous
+
+
 def test_fit_below_the_binning_threshold_is_the_single_stage_fit(monkeypatch):
     spec = make_spectrum(n=4601, seed=19)
     ref = single_stage_fit(spec)
@@ -355,7 +373,7 @@ def test_core_reports_non_convergence():
         model, jac = _lorentzian_model(freq, p, 1)
         return model - signal, jac
 
-    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
+    p, jac, jtj, ssr, iterations, converged = _damped_gauss_newton(
         fun,
         np.array([0.0, 70e6, 30e6, 5e-4]),
         np.array([1e-3, 2.3e8, 2.3e8, 1e-3]),
@@ -374,7 +392,7 @@ def test_core_reports_non_convergence():
         return p - np.array([1.0, 2.0]), -np.eye(2)
 
     for fun, project in ((linear, lambda p: np.full_like(p, np.nan)), (flipped, None)):
-        p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
+        p, jac, jtj, ssr, iterations, converged = _damped_gauss_newton(
             fun, np.zeros(2), np.ones(2), project
         )
         assert not converged
@@ -382,26 +400,52 @@ def test_core_reports_non_convergence():
         assert p.tolist() == [0.0, 0.0]
 
 
-def test_core_returns_the_last_accepted_jacobian_buffer():
-    # a fit's Jacobian is as large as its data (5 MB at 92 001 points): the
-    # 1-D core keeps the buffer fun returned for the last accepted point
-    # instead of copying it on every step
+@pytest.mark.parametrize("detours", [1, 100], ids=["then_converges", "to_the_end"])
+def test_core_returns_the_normal_matrix_of_its_point_when_fun_reuses_one_buffer(detours):
+    # a fit writes every Jacobian into one buffer, so a trial that is
+    # evaluated and rejected overwrites the accepted point's J.  project
+    # sends trials after the first accepted one to a far point whose SSR is
+    # higher: once, or until lam passes 1e12 and the run ends there
     freq = np.linspace(50e6, 280e6, 2001)
     signal = two_peak_signal(freq, 0.0, [(98e6, 13e6, 1.8e-3)])
-    calls = []
+    far = np.array([0.0, 200e6, 5e6, 1e-2])
 
-    def fun(p):
-        model, jac = _lorentzian_model(freq, p, 1)
-        calls.append((model - signal, jac))
-        return calls[-1]
+    def run(buffer):
+        trials, ssrs = [], []
 
-    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
-        fun, np.array([0.0, 90e6, 20e6, 1e-3]), np.array([1e-3, 2.3e8, 2.3e8, 1e-3])
-    )
-    assert converged and len(calls) > 2
-    [last] = [k for k, (r_k, _) in enumerate(calls) if np.shares_memory(r, r_k)]
-    assert np.shares_memory(jac, calls[last][1])
-    assert not any(np.shares_memory(jac, j) for _, j in calls[:last] + calls[last + 1:])
+        def fun(p):
+            model, jac = _lorentzian_model(freq, p, 1, out=buffer)
+            r = model - signal
+            ssrs.append(float(r @ r))
+            return r, jac
+
+        def project(p):
+            trials.append(p)
+            return far if 2 <= len(trials) < 2 + detours else p
+
+        out = _damped_gauss_newton(
+            fun, np.array([0.0, 95e6, 15e6, 1.5e-3]), np.array([1e-3, 2.3e8, 2.3e8, 1e-3]),
+            project,
+        )
+        return out, ssrs
+
+    buffer = np.empty((4, freq.size))
+    (p, jac, jtj, ssr, iterations, converged), ssrs = run(buffer)
+    # the first trial was accepted and the detour evaluated and rejected
+    assert ssrs[1] < ssrs[0] < ssrs[2]
+    assert np.shares_memory(jac, buffer)
+    _, fresh = _lorentzian_model(freq, p, 1)
+    assert np.array_equal(jtj, fresh.T @ fresh)
+    assert ssr == min(ssrs)
+    if detours == 1:
+        assert converged
+    else:
+        # the run ended on rejected detours: the buffer holds the far point's J
+        assert not converged and not np.array_equal(jac, fresh)
+    # a fresh Jacobian per call gives the same run, bit for bit
+    (p_f, _, jtj_f, ssr_f, iterations_f, converged_f), _ = run(None)
+    assert np.array_equal(p, p_f) and np.array_equal(jtj, jtj_f)
+    assert (ssr, iterations, converged) == (ssr_f, iterations_f, converged_f)
 
 
 def test_core_rejects_a_singular_system_and_retries_with_more_damping(monkeypatch):
@@ -424,10 +468,11 @@ def test_core_rejects_a_singular_system_and_retries_with_more_damping(monkeypatc
         return a_mat @ p - y, a_mat
 
     monkeypatch.setattr(np.linalg, "solve", singular_once)
-    p, r, jac, ssr, iterations, converged = _damped_gauss_newton(
+    p, jac, jtj, ssr, iterations, converged = _damped_gauss_newton(
         fun, np.zeros(2), np.ones(2)
     )
     assert converged
+    assert np.array_equal(jtj, a_mat.T @ a_mat)
     np.testing.assert_allclose(p, np.linalg.lstsq(a_mat, y, rcond=None)[0], rtol=1e-9)
     jtj_diag = np.diagonal(a_mat.T @ a_mat)
     assert systems[0].shape == systems[1].shape == (2, 2)
@@ -439,11 +484,11 @@ def test_covariance_sigmas_names_the_degenerate_pair():
     jac = np.array([[1.0, 0.0, 2.0], [2.0, 1.0, 4.0], [0.0, 3.0, 0.0], [1.0, -1.0, 2.0]])
     names = ("a", "b", "c")
     with pytest.raises(IllConditionedFitError, match="singular") as err:
-        _covariance_sigmas(jac, 1.0, names)  # columns a and c are proportional
+        _covariance_sigmas(jac.T @ jac, 1.0, names)  # columns a and c are proportional
     assert set(err.value.param_pair) == {"a", "c"}
     jac[:, 1] = 0.0
     with pytest.raises(IllConditionedFitError, match="vanished") as err:
-        _covariance_sigmas(jac, 1.0, names)
+        _covariance_sigmas(jac.T @ jac, 1.0, names)
     assert err.value.param_pair[0] == "b"
 
 

@@ -31,11 +31,14 @@ checked by running this on the parent and on the change:
 - fits_unbinned: values, sigmas, residual, iterations and converged of 4
   two-line ODMR fits of 4 601 points and 8 saturation fits, none of which
   takes the binned first stage of fit_lorentzian_multi;
-- fits_binned: the same of 6 ODMR fits of 92 001 points, which start on
+- fits_binned: the same of 7 ODMR fits of 92 001 points, which start on
   binned data: the 4 two-line fits above, a one-line fit of the merged
-  zero-field line and a two-line fit from an explicit init, so that the
-  seeded and the init= starts are both covered.  A change to the binned
-  stage moves only this digest.
+  zero-field line and two two-line fits from an explicit init, so that the
+  seeded and the init= starts are both covered.  The second init lies far
+  from the lines, and its full-resolution stage rejects an evaluated trial
+  after an accepted point (11 full-size model calls), so a fit whose
+  Jacobian buffer that trial overwrites is covered.  A change to the
+  binned stage moves only this digest.
 
 With --dump PATH it also writes records to PATH as JSON: for the invert
 group, each pair's case group, inputs and every InversionResult field or
@@ -271,8 +274,9 @@ def binned_fit_digest(consts: PhysicalConstants) -> Digest:
     zero_field = _odmr_spectrum(consts, 92_001, FieldVector(0.0, 0.0), 6)
     _fit_record(d, fit_lorentzian_multi(zero_field, 1))
     axial = _odmr_spectrum(consts, 92_001, FieldVector(60 * GAUSS, 0.0), 7)
-    init = [0.0, 95e6, 12e6, 1.5e-3, 240e6, 12e6, 1.5e-3]
-    _fit_record(d, fit_lorentzian_multi(axial, 2, init=init))
+    for init in ([0.0, 95e6, 12e6, 1.5e-3, 240e6, 12e6, 1.5e-3],
+                 [1e-3, 80e6, 40e6, 5e-4, 260e6, 40e6, 5e-4]):
+        _fit_record(d, fit_lorentzian_multi(axial, 2, init=init))
     return d
 
 
