@@ -32,8 +32,16 @@ On a uniform grid a bin spans at most 1/COARSE_POINTS of the sweep,
 wide.  Averaging a Lorentzian of FWHM w over a bin of width h changes it
 by at most (h/w)^2 / 3 of its depth, and the bin's mean frequency cancels
 the linear term, so the binned optimum lies a small fraction of a sigma
-from the full one.  A fit of 92 001 points then takes 3 full-size model
-calls instead of 6, after 4 binned ones.
+from the full one.  A fit of 92 001 points then takes 3 full-resolution
+evaluations instead of 6, after 4 binned ones.
+
+An evaluation hands the core the normal equations of its point, never the
+residuals or the Jacobian.  A Lorentzian fit sums them block by block: one
+(2 + 3 n_peaks, _BLOCK) buffer per fit takes each block's Jacobian rows
+and residual row, and its Gram matrix is added to a running sum whose
+parts are J^T J, J^T r and the SSR.  No full-size Jacobian exists, each
+block stays in cache from the model to the product, and the binned stage
+is one block.  The blocks change only the order of the sums.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import OdmrSpectrum, _lorentzian_model
+from .spectrum import _BLOCK, OdmrSpectrum, _lorentzian_model
 
 MAX_ITERATIONS = 200
 STEP_RTOL = 1e-8      # per-parameter relative step for convergence
@@ -98,7 +106,14 @@ class FitResult:
 
 
 def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS):
-    """Minimize sum(r^2) for r, J = fun(p) starting from p0.
+    """Minimize a sum of squared residuals from p0, given its normal equations.
+
+    fun maps a point to (ssr, JtJ, Jt r, value): the sum of squared
+    residuals, the normal matrix and the gradient term of the residuals r
+    and their Jacobian J at that point, and an opaque value that the core
+    hands back for the accepted point.  The core never sees r or J, so a
+    fun may sum its normal equations block by block, as a Lorentzian fit
+    does, and no full-size Jacobian need exist.
 
     Marquardt damping on the normal equations, (JtJ + lam*diag(JtJ)) d = -Jt r;
     lam shrinks tenfold after an accepted step and grows tenfold on rejection,
@@ -107,29 +122,21 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
     below SSR_RTOL.  scales are fixed, data-derived magnitudes so that the
     iteration is exactly equivariant under axis shifts and rescalings.
 
-    fun maps a point to its residuals r and Jacobian J, and project maps a
-    trial point to the feasible point that replaces it.  A trial that is not
-    finite, because project marked it NaN or because the damped system was
-    singular, is rejected like a rise in SSR: lam grows tenfold and the
-    next round retries.  The run ends converged, after max_iter rounds, or
-    unconverged at its last accepted point once lam passes 1e12.
-
-    The core forms JtJ as soon as it accepts a point, and Jt r too unless
-    the run ends there, so it never reads r or J after the next fun call:
-    fun may write every J into one buffer, as a 92 001-point fit does with
-    its 5 MB Jacobian.  Returns p, J, JtJ, ssr, iterations, converged.  J
-    is the array fun returned for the accepted point p, never a copy; a fun
-    that reuses a buffer must read only JtJ, because a trial evaluated and
-    rejected after p has overwritten J.
+    project maps a trial point to the feasible point that replaces it.  A
+    trial that is not finite, because project marked it NaN or because the
+    damped system was singular, is rejected like a rise in SSR: lam grows
+    tenfold and the next round retries.  The run ends converged, after
+    max_iter rounds, or unconverged at its last accepted point once lam
+    passes 1e12.  Returns p, value, JtJ, ssr, iterations, converged, all of
+    the accepted point p.
     """
     p = np.array(p0, dtype=float)
     step_tol = STEP_RTOL * np.asarray(scales, dtype=float)
-    r, jac = fun(p)
-    ssr = float(r @ r)
+    ssr, jtj, jtr, value = fun(p)
     lam = 1e-3
     converged = False
     iterations = min(max_iter, 1)
-    jtj, jtr, damp = _normal_equations(jac, r)
+    damp = _marquardt_diagonal(jtj)
     diag = np.diag_indices(p.size)
     while iterations and lam <= 1e12:
         a = jtj.copy()
@@ -143,8 +150,8 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
         if not np.isfinite(trial).all():
             lam *= 10.0
             continue
-        r_try, jac_try = fun(trial)
-        ssr_try = float(r_try @ r_try)
+        evaluated = fun(trial)
+        ssr_try = evaluated[0]
         if not ssr_try <= ssr:
             lam *= 10.0
             continue
@@ -152,26 +159,49 @@ def _damped_gauss_newton(fun, p0, scales, project=None, max_iter=MAX_ITERATIONS)
             (np.abs(trial - p) <= step_tol).all()
             or abs(ssr - ssr_try) <= SSR_RTOL * max(ssr, 1e-300)
         )
-        p, r, jac, ssr = trial, r_try, jac_try, ssr_try
+        p, (ssr, jtj, jtr, value) = trial, evaluated
         lam = max(lam / 10.0, 1e-12)
         if converged or iterations >= max_iter:
-            jtj = jac.T @ jac
             break
         iterations += 1
-        jtj, jtr, damp = _normal_equations(jac, r)
-    return p, jac, jtj, ssr, iterations, converged
+        damp = _marquardt_diagonal(jtj)
+    return p, value, jtj, ssr, iterations, converged
 
 
-def _normal_equations(jac: np.ndarray, r: np.ndarray):
-    """JtJ, Jt r and the zero-safe Marquardt diagonal of one problem.
+def _marquardt_diagonal(jtj: np.ndarray) -> np.ndarray:
+    """The zero-safe Marquardt diagonal of JtJ.
 
     A zero diagonal entry of JtJ damps with the largest one (or 1), so that
     a parameter the residuals do not see still takes bounded steps.
     """
-    jtj = jac.T @ jac
     diag = np.diagonal(jtj)
     top = diag.max()
-    return jtj, jac.T @ r, np.where(diag <= 0, top if top > 0 else 1.0, diag)
+    return np.where(diag <= 0, top if top > 0 else 1.0, diag)
+
+
+def _normal_equations(r: np.ndarray, jac: np.ndarray):
+    """ssr, JtJ and Jt r of residuals r with Jacobian jac, as a core fun returns them."""
+    return float(r @ r), jac.T @ jac, jac.T @ r
+
+
+def _lorentzian_normal_equations(freq, signal, p, n_peaks, rows):
+    """ssr, JtJ and Jt r of the residuals model - signal at p, block by block.
+
+    rows is a (2 + 3 n_peaks, m) scratch array with m >= min(_BLOCK,
+    freq.size).  Each block of at most _BLOCK points writes its Jacobian
+    rows and its residual row into rows and adds rows @ rows.T to one Gram
+    matrix, whose blocks are JtJ, Jt r and ssr: the full Jacobian is never
+    formed, and a block's rows stay in cache from the model to the product.
+    The fourth entry, the core's value, is None.
+    """
+    gram = np.zeros((rows.shape[0], rows.shape[0]))
+    for start in range(0, freq.size, _BLOCK):
+        f = freq[start : start + _BLOCK]
+        block = rows[:, : f.size]
+        model = _lorentzian_model(f, p, n_peaks, out=block)[0]
+        np.subtract(model, signal[start : start + _BLOCK], out=model)
+        gram += block @ block.T
+    return float(gram[-1, -1]), gram[:-1, :-1], gram[:-1, -1], None
 
 
 def _covariance_sigmas(jtj: np.ndarray, residual_rms: float, names) -> np.ndarray:
@@ -351,24 +381,23 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
     p0 = _seed_lorentzian(f_seed, s_seed, n_peaks, baseline) if init is None else init
 
     span = float(freq[-1] - freq[0])
-    sig_scale = max(float(np.max(np.abs(signal - baseline))), 1e-12)
+    # max |signal - baseline| bit for bit, since fl(x - baseline) is monotone in x
+    sig_scale = max(float(signal.max() - baseline), float(baseline - signal.min()), 1e-12)
     scales = np.array([sig_scale] + [span, span, sig_scale] * n_peaks)
     width_slots = [2 + 3 * k for k in range(n_peaks)]
 
-    # every full-resolution call writes its Jacobian rows here: the core
-    # reads them only before its next call, so one buffer serves the fit
-    rows = np.empty((1 + 3 * n_peaks, freq.size))
+    # one block buffer serves every evaluation of the fit, binned or not
+    rows = np.empty((2 + 3 * n_peaks, min(_BLOCK, freq.size)))
 
-    def fun(p, f=freq, s=signal, out=rows):
-        model, jac = _lorentzian_model(f, p, n_peaks, out=out)
-        return np.subtract(model, s, out=model), jac
+    def fun(p, f=freq, s=signal):
+        return _lorentzian_normal_equations(f, s, p, n_peaks, rows)
 
     def project(p):
         return np.where(np.all(p[width_slots] > 0), p, np.nan)
 
     if binned:
         p0 = _damped_gauss_newton(
-            lambda p: fun(p, f_seed, s_seed, None), p0, scales, project, COARSE_ROUNDS
+            lambda p: fun(p, f_seed, s_seed), p0, scales, project, COARSE_ROUNDS
         )[0]
     p, _, jtj, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
     residual_rms = math.sqrt(ssr / freq.size)
@@ -409,7 +438,7 @@ def fit_saturation(powers_mw, counts_cps) -> FitResult:
 
     def fun(p):
         model, jac = _saturation_model(powers, p)
-        return model - counts, jac
+        return *_normal_equations(model - counts, jac), None
 
     def project(p):
         return np.where(np.all(p > 0), p, np.nan)

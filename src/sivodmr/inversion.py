@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fitting import _covariance_sigmas, _damped_gauss_newton
+from .fitting import _covariance_sigmas, _damped_gauss_newton, _normal_equations
 # every table call goes through this module's name transition_table,
 # where perfbench counts and times it
 from .spin_model import PhysicalConstants, transition_table
@@ -222,9 +222,9 @@ def _refine(start, target, consts: PhysicalConstants, b_max_t: float):
     Trial points are clipped into [0, b_max_t] x [0, pi/2], and steps are
     judged small against the instrument resolution.  Each round is one
     transition_table call with the analytic Jacobian, which holds at B0 = 0
-    too.  Returns (b0, theta, rms residual, Jacobian).  Every table call
-    returns fresh arrays, so the Jacobian the core hands back is the one at
-    the solution, not a rejected trial's.
+    too.  Returns (b0, theta, rms residual, Jacobian).  The Jacobian is the
+    value that the core hands back for its accepted point, so it is the
+    one at the solution, not a rejected trial's.
     """
     hi = np.array([b_max_t, math.pi / 2])
 
@@ -233,7 +233,7 @@ def _refine(start, target, consts: PhysicalConstants, b_max_t: float):
 
     def fun(p):
         a, b, jac = transition_table(p[:1], p[1:], consts, jacobian=True, labelled=True)
-        return np.concatenate([a, b]) - target, jac[0]
+        return *_normal_equations(np.concatenate([a, b]) - target, jac[0]), jac[0]
 
     p, jac, _, ssr, _, _ = _damped_gauss_newton(
         fun, start, np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]), project

@@ -13,12 +13,17 @@ real instrument (lock-in time constant, detector gain) is not modeled.
 
 The line shape is written once, in _lorentzian_model: synthesis evaluates
 it and fitting.py fits it.  Its Jacobian is built parameter-major, one
-contiguous row per parameter handed to the fit as its (n, n_params)
-transpose view, because writing strided columns of an (n, n_params) array
-cost more than the model's arithmetic; a fit passes one such buffer in
-(out=) for every call at full resolution.  Synthesis asks for the values
-only (jacobian=False), which keep the Jacobian path's operation order, so
-a synthesised spectrum is bit-equal to the fit's model at the true lines.
+contiguous row per parameter handed out as the (n, n_params) transpose
+view, because writing strided columns of an (n, n_params) array cost more
+than the model's arithmetic.  Both callers evaluate it in blocks of at
+most _BLOCK points, each written into a caller's array (out=): synthesis
+into its signal, the fit into one (2 + 3 n_peaks, _BLOCK) buffer whose
+rows it multiplies out block by block, so no full-size Jacobian or
+temporary exists and each block stays in cache from model to product.
+Synthesis asks for the values only (jacobian=False), which keep the
+Jacobian path's operation order; every operation is elementwise, so a
+synthesised spectrum is bit-equal to the fit's model at the true lines,
+whatever the blocks.
 """
 
 from __future__ import annotations
@@ -38,6 +43,10 @@ DEFAULT_P_SAT_DBM = 16.0    # MW saturation power (dBm)
 DEFAULT_LASER_MW = 60.0     # acquisition laser power (mW)
 DEFAULT_MW_DBM = 18.0       # acquisition MW power (dBm)
 DEFAULT_DWELL_S = 10e-3     # dwell per frequency point (s)
+
+# points per line-shape evaluation: a fit's (8, _BLOCK) buffer is 1 MiB, which
+# stays in a core's L2 cache (BENCH_28.json times the sizes around it)
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -146,19 +155,21 @@ def _lorentzian_model(
     jacobian: bool = True,
     out: np.ndarray | None = None,
 ):
-    """Residual-ready model and Jacobian: baseline + sum of Lorentzians.
+    """Model values and Jacobian: baseline + sum of Lorentzians.
 
     Parameter layout: [baseline, center1, fwhm1, amp1, (center2, fwhm2, amp2)].
-    The Jacobian is the transpose view of a C-contiguous (n_params, n)
-    buffer whose rows are written in place: out when given, which every
-    call overwrites whole, so a fit can keep one buffer for all its calls
-    at one size, else a fresh one.  The model is always a fresh array.
-    With jacobian=False the Jacobian is None and the model is bit-equal to
-    the Jacobian path's: both compute u = f - f0, u /= w/2, den = u*u + 1
-    and a/den in that order.
+    Returns (model, J).  The result is written into out when given, which
+    every call overwrites whole, else into a fresh array: with jacobian=True
+    a (2 + 3 n_peaks, n) array of contiguous rows whose leading rows take
+    the Jacobian, parameter by parameter, and whose last row the model,
+    so that J is the transpose view of the leading rows and the model a view
+    of the last; with jacobian=False the n model values, and J is None.
+    The values are bit-equal on both paths: both compute u = f - f0,
+    u /= w/2, den = u*u + 1 and a/den in that order.
     """
-    model = np.full(freq.size, params[0])
     if not jacobian:
+        model = np.empty(freq.size) if out is None else out
+        model.fill(params[0])
         for k in range(n_peaks):
             f0, w, a = params[1 + 3 * k : 4 + 3 * k]
             u = freq - f0
@@ -167,7 +178,9 @@ def _lorentzian_model(
             den += 1.0
             model += np.divide(a, den, out=den)
         return model, None
-    rows = np.empty((1 + 3 * n_peaks, freq.size)) if out is None else out
+    rows = np.empty((2 + 3 * n_peaks, freq.size)) if out is None else out
+    model = rows[-1]
+    model.fill(params[0])
     rows[0] = 1.0
     for k in range(n_peaks):
         f0, w, a = params[1 + 3 * k : 4 + 3 * k]
@@ -188,7 +201,7 @@ def _lorentzian_model(
         np.divide(1.0, den, out=d_amp)
         u *= 4.0 * a
         np.divide(u, wden2, out=d_center)
-    return model, rows.T
+    return model, rows[:-1].T
 
 
 def photon_rate(laser_mw, sat: SaturationParams = SaturationParams()):
@@ -247,8 +260,11 @@ def synthesize_spectrum(
     pair = transition_pair(field, consts)
     contrast, fwhm_hz = mw_response(cfg.mw_dbm, mwparams)
     freq = np.linspace(cfg.f_start_hz, cfg.f_stop_hz, int(cfg.n_points))
-    lines = [0.0, pair.nu1_hz, fwhm_hz, contrast, pair.nu2_hz, fwhm_hz, contrast]
-    signal = _lorentzian_model(freq, np.array(lines), 2, jacobian=False)[0]
+    lines = np.array([0.0, pair.nu1_hz, fwhm_hz, contrast, pair.nu2_hz, fwhm_hz, contrast])
+    signal = np.empty(freq.size)
+    for start in range(0, freq.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        _lorentzian_model(freq[block], lines, 2, jacobian=False, out=signal[block])
     if cfg.seed is not None:
         rate = photon_rate(cfg.laser_mw, sat)
         sigma = shot_noise_sigma(rate, cfg.dwell_s)

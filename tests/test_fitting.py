@@ -8,6 +8,7 @@ outside the fitter (no shared model code beyond the formulas themselves).
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,13 +21,15 @@ from sivodmr.fitting import (
     _covariance_sigmas,
     _damped_gauss_newton,
     _lorentzian_model,
+    _lorentzian_normal_equations,
+    _normal_equations,
     _prominent_maxima,
     _saturation_model,
     fit_lorentzian_multi,
     fit_saturation,
     fit_zfs_series,
 )
-from sivodmr.spectrum import OdmrSpectrum
+from sivodmr.spectrum import _BLOCK, OdmrSpectrum
 
 SIGMA_BENCH = 1.0 / math.sqrt(2.064e6)  # per-point noise at 206.4 Mcps x 10 ms
 
@@ -265,10 +268,10 @@ def single_stage_fit(spec):
     p0 = fitting._seed_lorentzian(freq, signal, 2, baseline)
     span = float(freq[-1] - freq[0])
     sig_scale = max(float(np.max(np.abs(signal - baseline))), 1e-12)
+    rows = np.empty((8, min(_BLOCK, freq.size)))
 
     def fun(p):
-        model, jac = _lorentzian_model(freq, p, 2)
-        return model - signal, jac
+        return _lorentzian_normal_equations(freq, signal, p, 2, rows)
 
     def project(p):
         return np.where(np.all(p[[2, 5]] > 0), p, np.nan)
@@ -282,15 +285,16 @@ def single_stage_fit(spec):
     return FitResult(names, p, sigmas, residual_rms, iterations, converged)
 
 
-def model_sizes(monkeypatch):
-    """Record the length of every _lorentzian_model call the fits make."""
+def evaluation_sizes(monkeypatch):
+    """Record the length of the data at every evaluation of a Lorentzian fit's
+    normal equations, one per point the core visits, however many blocks."""
     sizes = []
 
-    def spy(freq, params, n_peaks, **kwargs):
+    def spy(freq, signal, p, n_peaks, rows):
         sizes.append(freq.size)
-        return _lorentzian_model(freq, params, n_peaks, **kwargs)
+        return _lorentzian_normal_equations(freq, signal, p, n_peaks, rows)
 
-    monkeypatch.setattr(fitting, "_lorentzian_model", spy)
+    monkeypatch.setattr(fitting, "_lorentzian_normal_equations", spy)
     return sizes
 
 
@@ -304,7 +308,7 @@ def model_sizes(monkeypatch):
 def test_binned_stage_agrees_with_the_single_stage_fit(monkeypatch, n, bins):
     spec = make_spectrum(n=n, seed=19)
     ref = single_stage_fit(spec)
-    sizes = model_sizes(monkeypatch)
+    sizes = evaluation_sizes(monkeypatch)
     seed_sizes = []
 
     def seed_spy(freq, signal, n_peaks, baseline):
@@ -324,37 +328,54 @@ def test_binned_stage_agrees_with_the_single_stage_fit(monkeypatch, n, bins):
 
 
 def test_binned_stage_leaves_at_most_four_full_size_model_calls(monkeypatch):
+    # full-resolution evaluations of the normal equations, however many blocks each
     spec = make_spectrum(n=92_001, seed=19)
-    sizes = model_sizes(monkeypatch)
+    sizes = evaluation_sizes(monkeypatch)
     res = fit_lorentzian_multi(spec, 2)
     assert res.converged
     assert sizes.count(92_001) <= 4
+    assert len(sizes) - sizes.count(92_001) <= 1 + fitting.COARSE_ROUNDS
     # iterations counts full-resolution rounds only
     assert res.iterations <= sizes.count(92_001) - 1
 
 
 def test_full_resolution_calls_of_one_fit_share_one_jacobian_buffer(monkeypatch):
-    # one 5 MB Jacobian per 92 001-point fit, not one per model call
-    spec = make_spectrum(n=92_001, seed=19)
-    jacobians = []
+    # one (8, _BLOCK) buffer of Jacobian and residual rows per 92 001-point
+    # fit, reused by every block of every evaluation, binned or not; no
+    # model call is longer than a block, and no full-size Jacobian exists
+    n = 92_001
+    spec = make_spectrum(n=n, seed=19)
+    fit_lorentzian_multi(spec, 2)  # a process's first fit allocates about 1 MB more, once
+    calls = []
 
     def spy(freq, params, n_peaks, **kwargs):
-        model, jac = _lorentzian_model(freq, params, n_peaks, **kwargs)
-        if freq.size == 92_001:
-            jacobians.append(jac)
-        return model, jac
+        calls.append((freq.size, kwargs["out"]))
+        return _lorentzian_model(freq, params, n_peaks, **kwargs)
 
+    sizes = evaluation_sizes(monkeypatch)
     monkeypatch.setattr(fitting, "_lorentzian_model", spy)
-    res = fit_lorentzian_multi(spec, 2)
-    assert res.converged and len(jacobians) >= 2
-    assert all(np.shares_memory(jacobians[0], jac) for jac in jacobians[1:])
-    assert jacobians[0].T.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        res = fit_lorentzian_multi(spec, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and sizes.count(n) >= 2
+    blocks = -(-n // _BLOCK)
+    assert len(calls) == sizes.count(n) * blocks + len(sizes) - sizes.count(n)
+    assert max(size for size, _ in calls) <= _BLOCK
+    buffer = calls[0][1].base
+    assert buffer.shape == (8, _BLOCK) and buffer.flags.c_contiguous
+    assert all(out.base is buffer for _, out in calls)
+    # the buffer and its per-block temporaries take about 1.4 MB; a 7-row
+    # full-size Jacobian alone would take 5.15 MB
+    assert peak < 8 * _BLOCK * 8 + 2 * n * 8
 
 
 def test_fit_below_the_binning_threshold_is_the_single_stage_fit(monkeypatch):
     spec = make_spectrum(n=4601, seed=19)
     ref = single_stage_fit(spec)
-    sizes = model_sizes(monkeypatch)
+    sizes = evaluation_sizes(monkeypatch)
     res = fit_lorentzian_multi(spec, 2)
     assert set(sizes) == {4601}
     assert np.array_equal(res.values, ref.values)
@@ -371,9 +392,9 @@ def test_core_reports_non_convergence():
 
     def fun(p):
         model, jac = _lorentzian_model(freq, p, 1)
-        return model - signal, jac
+        return *_normal_equations(model - signal, jac), None
 
-    p, jac, jtj, ssr, iterations, converged = _damped_gauss_newton(
+    p, value, jtj, ssr, iterations, converged = _damped_gauss_newton(
         fun,
         np.array([0.0, 70e6, 30e6, 5e-4]),
         np.array([1e-3, 2.3e8, 2.3e8, 1e-3]),
@@ -386,13 +407,13 @@ def test_core_reports_non_convergence():
     # whose every step climbs: each run stops where it started, unconverged,
     # once lam passes 1e12
     def linear(p):
-        return p - np.array([1.0, 2.0]), np.eye(2)
+        return *_normal_equations(p - np.array([1.0, 2.0]), np.eye(2)), None
 
     def flipped(p):
-        return p - np.array([1.0, 2.0]), -np.eye(2)
+        return *_normal_equations(p - np.array([1.0, 2.0]), -np.eye(2)), None
 
     for fun, project in ((linear, lambda p: np.full_like(p, np.nan)), (flipped, None)):
-        p, jac, jtj, ssr, iterations, converged = _damped_gauss_newton(
+        p, value, jtj, ssr, iterations, converged = _damped_gauss_newton(
             fun, np.zeros(2), np.ones(2), project
         )
         assert not converged
@@ -402,11 +423,12 @@ def test_core_reports_non_convergence():
 
 @pytest.mark.parametrize("detours", [1, 100], ids=["then_converges", "to_the_end"])
 def test_core_returns_the_normal_matrix_of_its_point_when_fun_reuses_one_buffer(detours):
-    # a fit writes every Jacobian into one buffer, so a trial that is
-    # evaluated and rejected overwrites the accepted point's J.  project
-    # sends trials after the first accepted one to a far point whose SSR is
-    # higher: once, or until lam passes 1e12 and the run ends there
-    freq = np.linspace(50e6, 280e6, 2001)
+    # a fit writes every block into one buffer, so a trial that is evaluated
+    # and rejected overwrites the accepted point's rows.  project sends
+    # trials after the first accepted one to a far point whose SSR is
+    # higher: once, or until lam passes 1e12 and the run ends there.  The
+    # core must return the accepted point's normal equations and value
+    freq = np.linspace(50e6, 280e6, _BLOCK + 2001)
     signal = two_peak_signal(freq, 0.0, [(98e6, 13e6, 1.8e-3)])
     far = np.array([0.0, 200e6, 5e6, 1e-2])
 
@@ -414,10 +436,10 @@ def test_core_returns_the_normal_matrix_of_its_point_when_fun_reuses_one_buffer(
         trials, ssrs = [], []
 
         def fun(p):
-            model, jac = _lorentzian_model(freq, p, 1, out=buffer)
-            r = model - signal
-            ssrs.append(float(r @ r))
-            return r, jac
+            rows = np.empty((5, _BLOCK)) if buffer is None else buffer
+            ssr, jtj, jtr, _ = _lorentzian_normal_equations(freq, signal, p, 1, rows)
+            ssrs.append(ssr)
+            return ssr, jtj, jtr, p.copy()
 
         def project(p):
             trials.append(p)
@@ -429,23 +451,50 @@ def test_core_returns_the_normal_matrix_of_its_point_when_fun_reuses_one_buffer(
         )
         return out, ssrs
 
-    buffer = np.empty((4, freq.size))
-    (p, jac, jtj, ssr, iterations, converged), ssrs = run(buffer)
+    buffer = np.empty((5, _BLOCK))
+    (p, value, jtj, ssr, iterations, converged), ssrs = run(buffer)
     # the first trial was accepted and the detour evaluated and rejected
     assert ssrs[1] < ssrs[0] < ssrs[2]
-    assert np.shares_memory(jac, buffer)
-    _, fresh = _lorentzian_model(freq, p, 1)
-    assert np.array_equal(jtj, fresh.T @ fresh)
-    assert ssr == min(ssrs)
+    assert np.array_equal(value, p)
+    model, jac = _lorentzian_model(freq, p, 1)
+    r = model - signal
+    scale = np.sqrt(np.diagonal(jac.T @ jac))
+    assert np.all(np.abs(jtj - jac.T @ jac) <= 1e-13 * np.outer(scale, scale))
+    assert ssr == min(ssrs) and ssr == pytest.approx(float(r @ r), rel=1e-13)
     if detours == 1:
         assert converged
     else:
-        # the run ended on rejected detours: the buffer holds the far point's J
-        assert not converged and not np.array_equal(jac, fresh)
-    # a fresh Jacobian per call gives the same run, bit for bit
+        # the run ended on rejected detours: the buffer holds the far point's rows
+        assert not converged
+        _, far_jac = _lorentzian_model(freq[-2001:], far, 1)
+        assert np.array_equal(buffer[:4, :2001], far_jac.T)
+    # a fresh buffer per call gives the same run, bit for bit
     (p_f, _, jtj_f, ssr_f, iterations_f, converged_f), _ = run(None)
     assert np.array_equal(p, p_f) and np.array_equal(jtj, jtj_f)
     assert (ssr, iterations, converged) == (ssr_f, iterations_f, converged_f)
+
+
+@pytest.mark.parametrize("n", [7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 92_001])
+def test_blocked_normal_equations_match_the_dense_products(rng, n):
+    # the blocks change only the order of the sums: every entry of the
+    # Gram matrix [[JtJ, Jtr], [Jtr, ssr]] within 1e-13 of the geometric
+    # mean of its two diagonal entries (the Cauchy-Schwarz bound on it)
+    freq = np.linspace(50e6, 280e6, n)
+    signal = two_peak_signal(freq, 0.0, [(98e6, 13e6, 1.8e-3), (238e6, 13e6, 1.8e-3)])
+    signal += rng.normal(0.0, SIGMA_BENCH, n)
+    rows = np.empty((8, min(_BLOCK, n)))
+    for p in ([0.0, 98e6, 13e6, 1.8e-3, 238e6, 13e6, 1.8e-3],
+              [1e-4, 90e6, 10e6, 1e-3, 230e6, 10e6, 1e-3]):
+        p = np.array(p)
+        ssr, jtj, jtr, value = _lorentzian_normal_equations(freq, signal, p, 2, rows)
+        model, jac = _lorentzian_model(freq, p, 2)
+        r = model - signal
+        want_ssr, want_jtj, want_jtr = _normal_equations(r, jac)
+        scale = np.sqrt(np.diagonal(want_jtj))
+        assert value is None
+        assert ssr == pytest.approx(want_ssr, rel=1e-13)
+        assert np.all(np.abs(jtj - want_jtj) <= 1e-13 * np.outer(scale, scale))
+        assert np.all(np.abs(jtr - want_jtr) <= 1e-13 * scale * math.sqrt(want_ssr))
 
 
 def test_core_rejects_a_singular_system_and_retries_with_more_damping(monkeypatch):
@@ -465,10 +514,10 @@ def test_core_rejects_a_singular_system_and_retries_with_more_damping(monkeypatc
         return solve(a, b)
 
     def fun(p):
-        return a_mat @ p - y, a_mat
+        return *_normal_equations(a_mat @ p - y, a_mat), None
 
     monkeypatch.setattr(np.linalg, "solve", singular_once)
-    p, jac, jtj, ssr, iterations, converged = _damped_gauss_newton(
+    p, value, jtj, ssr, iterations, converged = _damped_gauss_newton(
         fun, np.zeros(2), np.ones(2)
     )
     assert converged

@@ -20,6 +20,7 @@ import pytest
 import sivodmr.spectrum
 from sivodmr.fitting import COARSE_POINTS, fit_lorentzian_multi
 from sivodmr.spectrum import (
+    _BLOCK,
     AcquisitionConfig,
     MwResponseParams,
     OdmrSpectrum,
@@ -289,3 +290,23 @@ def test_synthesis_asks_for_no_jacobian(consts, monkeypatch):
     synthesize_spectrum(AcquisitionConfig(50e6, 280e6, 461), field, consts)
     synthesize_spectrum(AcquisitionConfig(50e6, 280e6, 461, seed=1), field, consts)
     assert jacobian_flags == [False, False]
+
+
+def test_blocked_synthesis_is_bit_equal_to_the_fit_model_at_the_true_lines(consts):
+    # synthesis writes blocks of _BLOCK points, the Jacobian path one array;
+    # every operation is elementwise, so they agree bit for bit, and a
+    # noiseless fit started at its own lines has a residual of exactly 0
+    # and stays there
+    cfgs = [AcquisitionConfig(50e6, 280e6, n) for n in (2 * _BLOCK + 7, 4601)]
+    contrast, fwhm = mw_response(cfgs[0].mw_dbm)
+    for k in range(10):
+        field = FieldVector((55 + 2 * k) * GAUSS, 0.15 * k)
+        pair = transition_pair(field, consts)
+        lines = np.array([0.0, pair.nu1_hz, fwhm, contrast, pair.nu2_hz, fwhm, contrast])
+        for cfg in cfgs:
+            spec = synthesize_spectrum(cfg, field, consts)
+            assert not spec.meta.off_grid_warning
+            assert np.array_equal(spec.signal, _lorentzian_model(spec.freq_hz, lines, 2)[0])
+        res = fit_lorentzian_multi(spec, 2, init=lines)
+        assert res.converged and res.residual_rms == 0.0
+        assert np.array_equal(res.values, lines)

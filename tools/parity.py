@@ -42,10 +42,11 @@ checked by running this on the parent and on the change:
 
 With --dump PATH it also writes records to PATH as JSON: for the invert
 group, each pair's case group, inputs and every InversionResult field or
-the raised error; for the two fit groups, the names, values and sigmas of
-every fit.  A change meant to move an invert digest can then be counted,
-group by group, against the parent's dump, and one meant to move a fit
-digest bounded in sigma units:
+the raised error; for the two fit groups, every FitResult field of every
+fit.  A change meant to move an invert digest can then be counted, group
+by group, against the parent's dump, and one meant to move a fit digest
+bounded in sigma units (write both dumps with the same version of this
+tool, run once on each tree):
 
     PYTHONPATH=src python3 tools/parity.py --compare PARENT.json CHANGE.json
 
@@ -55,7 +56,11 @@ records moved in field (beyond the inverter's dedupe tolerance, 2e-8 T or
 error, with each moved record; then, for each InversionResult field and
 for the error, how many records changed at any bit, moved or not, so that
 a change below the move tolerance shows too; and for each fit group the
-largest shift of a fitted value in units of the first dump's sigma.
+largest shift of a fitted value in units of the first dump's sigma, the
+largest relative shift of a sigma and of residual_rms, how many fits
+changed iterations or converged, and how many records changed at any bit,
+the ODMR and the saturation fits counted apart.  A change that only
+reorders a sum, such as a blocked normal matrix, is bounded by these.
 
 Every input is drawn from fixed seeds.  The numeric thread pools are held
 to one thread, as in perfbench, so the BLAS calls do not change with the
@@ -234,7 +239,8 @@ def synth_digest(consts: PhysicalConstants) -> dict:
 
 def _fit_record(d: Digest, res) -> None:
     d.records.append({"names": list(res.names), "values": res.values.tolist(),
-                   "sigmas": res.sigmas.tolist()})
+                      "sigmas": res.sigmas.tolist(), "residual_rms": res.residual_rms,
+                      "iterations": res.iterations, "converged": res.converged})
     d.array(res.values)
     d.array(res.sigmas)
     d.text(f"{res.residual_rms!r} {res.iterations} {res.converged}")
@@ -319,6 +325,13 @@ def _summary(record: dict) -> str:
             f"{r['reason']} n={r['n_compatible']}")
 
 
+def _worst_ratio(delta: np.ndarray, scale: np.ndarray) -> float:
+    """max(delta / scale), where a nonzero delta over a zero scale is inf and 0/0 is 0."""
+    return float(np.max(np.divide(
+        delta, scale, out=np.where(delta > 0, np.inf, 0.0), where=scale > 0
+    )))
+
+
 def compare(parent_path: str, change_path: str) -> None:
     """Print what moved from the parent's --dump to the change's, group by group."""
     with open(parent_path, encoding="utf-8") as fh:
@@ -344,16 +357,29 @@ def compare(parent_path: str, change_path: str) -> None:
             print(f"  {old['nu1_hz']!r} {old['nu2_hz']!r} sigma {old['sigma_hz']:g}: "
                   f"{_summary(old)} -> {_summary(new)} [{', '.join(m)}]")
     for group in ("fits_unbinned", "fits_binned"):
-        shift = 0.0
+        shift = sigma_shift = rms_shift = 0.0
+        steps = 0
+        changed = {"odmr": [0, 0], "saturation": [0, 0]}
         for old, new in zip(parent[group], change[group], strict=True):
             if old["names"] != new["names"]:
                 raise ValueError(f"the two dumps hold different {group} fits")
             values, sigmas = np.array(old["values"]), np.array(old["sigmas"])
             delta = np.abs(np.array(new["values"]) - values)
-            shift = max(shift, float(np.max(np.divide(
-                delta, sigmas, out=np.where(delta > 0, np.inf, 0.0), where=sigmas > 0
-            ))))
-        print(f"{group}: {len(parent[group])} fits, largest value shift {shift:.3g} sigma")
+            shift = max(shift, _worst_ratio(delta, sigmas))
+            sigma_shift = max(sigma_shift, _worst_ratio(
+                np.abs(np.array(new["sigmas"]) - sigmas), sigmas))
+            rms_shift = max(rms_shift, _worst_ratio(
+                np.array([abs(new["residual_rms"] - old["residual_rms"])]),
+                np.array([old["residual_rms"]])))
+            steps += (old["iterations"], old["converged"]) != (new["iterations"], new["converged"])
+            kind = changed["saturation" if old["names"][0] == "i_s_cps" else "odmr"]
+            kind[0] += repr(old) != repr(new)
+            kind[1] += 1
+        bits = ", ".join(f"{kind} {n}/{total}" for kind, (n, total) in changed.items() if total)
+        print(f"{group}: {len(parent[group])} fits, largest value shift {shift:.3g} sigma, "
+              f"largest relative shift {sigma_shift:.3g} in sigma and {rms_shift:.3g} "
+              f"in residual_rms; {steps} changed iterations or converged; "
+              f"changed at any bit: {bits}")
 
 
 def main() -> None:
