@@ -139,9 +139,14 @@ class OdmrSpectrum:
         s = np.asarray(self.signal, dtype=float)
         if f.ndim != 1 or f.shape != s.shape:
             raise ValueError("freq_hz and signal must be matching 1-D arrays")
-        if f.size < 2 or np.any(np.diff(f) <= 0):
+        # one comparison pass over the grid: a NaN fails it too, so only a
+        # grid that fails it is differenced to tell the two faults apart,
+        # and a grid that passes can hold an infinity only at its ends
+        increasing = f.size >= 2 and bool((f[1:] > f[:-1]).all())
+        if not increasing and (f.size < 2 or (np.diff(f) <= 0).any()):
             raise ValueError("frequency grid must be strictly increasing")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(s))):
+        if not (increasing and math.isfinite(f[0]) and math.isfinite(f[-1])
+                and np.isfinite(s).all()):
             raise ValueError("frequencies and signals must be finite")
         object.__setattr__(self, "freq_hz", f)
         object.__setattr__(self, "signal", s)

@@ -29,7 +29,8 @@ from sivodmr.fitting import (
     fit_saturation,
     fit_zfs_series,
 )
-from sivodmr.spectrum import _BLOCK, OdmrSpectrum
+from sivodmr.spectrum import _BLOCK, AcquisitionConfig, OdmrSpectrum, synthesize_spectrum
+from sivodmr.spin_model import FieldVector, PhysicalConstants
 
 SIGMA_BENCH = 1.0 / math.sqrt(2.064e6)  # per-point noise at 206.4 Mcps x 10 ms
 
@@ -318,33 +319,40 @@ def test_binned_stage_agrees_with_the_single_stage_fit(monkeypatch, n, bins):
     seed = fitting._seed_lorentzian
     monkeypatch.setattr(fitting, "_seed_lorentzian", seed_spy)
     res = fit_lorentzian_multi(spec, 2)
-    # the seed and baseline come from the bins, and the binned stage is capped
+    # the seed and baseline come from the bins, the binned stage is capped
+    # at the core's rounds, and the full-resolution stage is one evaluation,
+    # followed by one binned evaluation at the stepped point
     assert seed_sizes == [(bins, bins)]
     assert set(sizes) == {bins, n}
-    assert sizes.count(bins) <= 1 + fitting.COARSE_ROUNDS
+    assert sizes.count(bins) <= 2 + fitting.MAX_ITERATIONS
+    assert sizes.count(n) == 1 and sizes[-2:] == [n, bins]
     assert ref.converged and res.converged
     assert np.all(np.abs(res.values - ref.values) <= 1e-3 * ref.sigmas)
     assert np.all(np.abs(res.sigmas - ref.sigmas) <= 1e-4 * ref.sigmas)
 
 
-def test_binned_stage_leaves_at_most_four_full_size_model_calls(monkeypatch):
-    # full-resolution evaluations of the normal equations, however many blocks each
+def test_binned_stage_leaves_one_full_size_evaluation(monkeypatch):
+    # full-resolution evaluations of the normal equations, however many blocks
+    # each: the binned stage converges, then one evaluation takes one step
+    # and one binned evaluation carries JtJ to the stepped point
     spec = make_spectrum(n=92_001, seed=19)
     sizes = evaluation_sizes(monkeypatch)
     res = fit_lorentzian_multi(spec, 2)
     assert res.converged
-    assert sizes.count(92_001) <= 4
-    assert len(sizes) - sizes.count(92_001) <= 1 + fitting.COARSE_ROUNDS
-    # iterations counts full-resolution rounds only
-    assert res.iterations <= sizes.count(92_001) - 1
+    assert sizes.count(92_001) == 1 and sizes[-2:] == [92_001, 4182]
+    assert len(sizes) - sizes.count(92_001) <= 2 + fitting.MAX_ITERATIONS
+    # iterations counts the one step
+    assert res.iterations == 1
 
 
 def test_full_resolution_calls_of_one_fit_share_one_jacobian_buffer(monkeypatch):
     # one (8, _BLOCK) buffer of Jacobian and residual rows per 92 001-point
     # fit, reused by every block of every evaluation, binned or not; no
-    # model call is longer than a block, and no full-size Jacobian exists
+    # model call is longer than a block, and no full-size Jacobian exists.
+    # A noiseless spectrum has sigmas at rounding level, so the guard refuses
+    # the one step and the damped full-resolution stage evaluates many times
     n = 92_001
-    spec = make_spectrum(n=n, seed=19)
+    spec = make_spectrum(n=n)
     fit_lorentzian_multi(spec, 2)  # a process's first fit allocates about 1 MB more, once
     calls = []
 
@@ -373,19 +381,67 @@ def test_full_resolution_calls_of_one_fit_share_one_jacobian_buffer(monkeypatch)
 
 
 def test_fit_below_the_binning_threshold_is_the_single_stage_fit(monkeypatch):
-    spec = make_spectrum(n=4601, seed=19)
+    sizes = evaluation_sizes(monkeypatch)
+    for n in (4601, 2 * fitting.COARSE_POINTS - 1):
+        spec = make_spectrum(n=n, seed=19)
+        ref = single_stage_fit(spec)
+        sizes.clear()
+        res = fit_lorentzian_multi(spec, 2)
+        assert set(sizes) == {n} and len(sizes) > 1  # no binned stage, no one step
+        assert np.array_equal(res.values, ref.values)
+        assert np.array_equal(res.sigmas, ref.sigmas)
+        assert (res.residual_rms, res.iterations, res.converged) == (
+            ref.residual_rms, ref.iterations, ref.converged
+        )
+
+
+def axial_spectrum_60g():
+    """The parity tool's 60 G axial 92 001-point spectrum, noise seed 7."""
+    cfg = AcquisitionConfig(
+        f_start_hz=50e6, f_stop_hz=280e6, n_points=92_001,
+        dwell_s=10e-3, laser_mw=85.0, mw_dbm=18.0, seed=7,
+    )
+    return synthesize_spectrum(cfg, FieldVector(60e-4, 0.0), PhysicalConstants())
+
+
+def test_far_init_falls_back_and_raises_the_same_error(monkeypatch):
+    # from this init the binned stage wanders off the sweep and does not
+    # converge, so the fit skips the one step and hands the binned point to
+    # the damped full-resolution stage, which ends on singular normal equations
+    sizes = evaluation_sizes(monkeypatch)
+    init = [0.0, 70e6, 30e6, 1e-3, 200e6, 30e6, 1e-3]
+    with pytest.raises(IllConditionedFitError, match="singular normal equations") as err:
+        fit_lorentzian_multi(axial_spectrum_60g(), 2, init=init)
+    assert err.value.param_pair == ("fwhm1_hz", "amp1")
+    assert sizes.count(92_001) > 1
+
+
+def test_unconverged_binned_stage_falls_back_to_the_damped_stage(monkeypatch):
+    # cap the binned stage at one round: it stops unconverged, and the fit
+    # is the damped core run on the full trace from where it stopped
+    spec = make_spectrum(n=92_001, seed=19)
     ref = single_stage_fit(spec)
     sizes = evaluation_sizes(monkeypatch)
+    runs = []
+    core = fitting._damped_gauss_newton
+    limit = fitting.MAX_ITERATIONS
+
+    def capped(*args):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", limit if runs else 1)
+        runs.append(core(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(fitting, "_damped_gauss_newton", capped)
     res = fit_lorentzian_multi(spec, 2)
-    assert set(sizes) == {4601}
-    assert np.array_equal(res.values, ref.values)
-    assert np.array_equal(res.sigmas, ref.sigmas)
-    assert (res.residual_rms, res.iterations, res.converged) == (
-        ref.residual_rms, ref.iterations, ref.converged
-    )
+    assert len(runs) == 2 and not runs[0][5]
+    p, _, _, _, iterations, converged = runs[1]
+    assert np.array_equal(res.values, p)
+    assert converged and (res.iterations, res.converged) == (iterations, converged)
+    assert sizes.count(92_001) == iterations + 1
+    assert np.all(np.abs(res.values - ref.values) <= 1e-3 * ref.sigmas)
 
 
-def test_core_reports_non_convergence():
+def test_core_reports_non_convergence(monkeypatch):
     # one iteration cannot reach the minimum from a bad start
     freq = np.linspace(50e6, 280e6, 201)
     signal = two_peak_signal(freq, 0.0, [(98e6, 13e6, 1.8e-3)])
@@ -394,12 +450,13 @@ def test_core_reports_non_convergence():
         model, jac = _lorentzian_model(freq, p, 1)
         return *_normal_equations(model - signal, jac), None
 
-    p, value, jtj, ssr, iterations, converged = _damped_gauss_newton(
-        fun,
-        np.array([0.0, 70e6, 30e6, 5e-4]),
-        np.array([1e-3, 2.3e8, 2.3e8, 1e-3]),
-        max_iter=1,
-    )
+    with monkeypatch.context() as m:
+        m.setattr(fitting, "MAX_ITERATIONS", 1)
+        p, value, jtj, ssr, iterations, converged = _damped_gauss_newton(
+            fun,
+            np.array([0.0, 70e6, 30e6, 5e-4]),
+            np.array([1e-3, 2.3e8, 2.3e8, 1e-3]),
+        )
     assert not converged
     assert iterations == 1
 

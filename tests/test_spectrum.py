@@ -152,6 +152,52 @@ def test_odmr_spectrum_validation():
         OdmrSpectrum(np.array([1.0, 2.0]), np.array([0.0, math.nan]))
 
 
+def reference_spectrum_error(freq, signal):
+    """The message of the grid and signal checks, written as plain passes."""
+    if freq.size < 2 or np.any(np.diff(freq) <= 0):
+        return "frequency grid must be strictly increasing"
+    if not (np.all(np.isfinite(freq)) and np.all(np.isfinite(signal))):
+        return "frequencies and signals must be finite"
+    return None
+
+
+def test_odmr_spectrum_checks_match_the_plain_passes():
+    nan, inf = math.nan, math.inf
+    cases = [
+        ([1.0, nan, 3.0], [0.0, 0.0, 0.0]),     # NaN in an increasing grid
+        ([1.0, 2.0, 3.0], [0.0, nan, 0.0]),     # NaN in the signal
+        ([1.0, 3.0, 2.0], [0.0, 0.0, 0.0]),     # a non-increasing grid
+        ([1.0, 2.0, 2.0], [0.0, 0.0, 0.0]),     # a repeated frequency
+        ([2.0, 1.0, nan], [0.0, 0.0, 0.0]),     # both: the order is reported
+        ([3.0, nan, 1.0], [0.0, 0.0, 0.0]),     # a NaN hides the fall
+        ([-inf, 1.0, 2.0], [0.0, 0.0, 0.0]),    # infinities at either end
+        ([1.0, 2.0, inf], [0.0, 0.0, 0.0]),
+        ([inf, inf], [0.0, 0.0]),
+        ([1.0, 2.0], [inf, 0.0]),
+        ([1.0], [0.0]),
+        ([], []),
+    ]
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        freq = np.cumsum(rng.uniform(-0.05, 1.0, 12))
+        signal = rng.normal(size=12)
+        for arr in (freq, signal):
+            if rng.uniform() < 0.4:
+                arr[rng.integers(12)] = rng.choice([nan, inf, -inf])
+        cases.append((freq, signal))
+    for freq, signal in cases:
+        freq, signal = np.array(freq, dtype=float), np.array(signal, dtype=float)
+        # both difference inf - inf, as the checks always have
+        with np.errstate(invalid="ignore"):
+            want = reference_spectrum_error(freq, signal)
+            if want is None:
+                OdmrSpectrum(freq, signal)
+                continue
+            with pytest.raises(ValueError) as err:
+                OdmrSpectrum(freq, signal)
+        assert str(err.value) == want, (freq, signal)
+
+
 def test_noiseless_spectrum_is_exact_lorentzian_sum(consts):
     cfg = AcquisitionConfig(50e6, 280e6, 461, mw_dbm=18.0)
     field = FieldVector(60 * GAUSS, 0.0)

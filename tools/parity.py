@@ -35,10 +35,10 @@ checked by running this on the parent and on the change:
   binned data: the 4 two-line fits above, a one-line fit of the merged
   zero-field line and two two-line fits from an explicit init, so that the
   seeded and the init= starts are both covered.  The second init lies far
-  from the lines, and its full-resolution stage rejects an evaluated trial
-  after an accepted point (11 full-size model calls), so a fit whose
-  Jacobian buffer that trial overwrites is covered.  A change to the
-  binned stage moves only this digest.
+  from the lines, and its binned stage rejects an evaluated trial after an
+  accepted point, so a fit whose Jacobian buffer that trial overwrites is
+  covered.  Each of the 7 fits takes the one-step full-resolution stage.
+  A change to the binned stage moves only this digest.
 
 With --dump PATH it also writes records to PATH as JSON: for the invert
 group, each pair's case group, inputs and every InversionResult field or
@@ -58,9 +58,11 @@ for the error, how many records changed at any bit, moved or not, so that
 a change below the move tolerance shows too; and for each fit group the
 largest shift of a fitted value in units of the first dump's sigma, the
 largest relative shift of a sigma and of residual_rms, how many fits
-changed iterations or converged, and how many records changed at any bit,
-the ODMR and the saturation fits counted apart.  A change that only
-reorders a sum, such as a blocked normal matrix, is bounded by these.
+changed iterations and, counted apart, how many changed converged, so that
+an expected change of iteration count cannot hide a flip of converged, and
+how many records changed at any bit, the ODMR and the saturation fits
+counted apart.  A change that only reorders a sum, such as a blocked
+normal matrix, is bounded by these.
 
 Every input is drawn from fixed seeds.  The numeric thread pools are held
 to one thread, as in perfbench, so the BLAS calls do not change with the
@@ -358,7 +360,7 @@ def compare(parent_path: str, change_path: str) -> None:
                   f"{_summary(old)} -> {_summary(new)} [{', '.join(m)}]")
     for group in ("fits_unbinned", "fits_binned"):
         shift = sigma_shift = rms_shift = 0.0
-        steps = 0
+        iterations = converged = 0
         changed = {"odmr": [0, 0], "saturation": [0, 0]}
         for old, new in zip(parent[group], change[group], strict=True):
             if old["names"] != new["names"]:
@@ -371,15 +373,16 @@ def compare(parent_path: str, change_path: str) -> None:
             rms_shift = max(rms_shift, _worst_ratio(
                 np.array([abs(new["residual_rms"] - old["residual_rms"])]),
                 np.array([old["residual_rms"]])))
-            steps += (old["iterations"], old["converged"]) != (new["iterations"], new["converged"])
+            iterations += old["iterations"] != new["iterations"]
+            converged += old["converged"] != new["converged"]
             kind = changed["saturation" if old["names"][0] == "i_s_cps" else "odmr"]
             kind[0] += repr(old) != repr(new)
             kind[1] += 1
         bits = ", ".join(f"{kind} {n}/{total}" for kind, (n, total) in changed.items() if total)
         print(f"{group}: {len(parent[group])} fits, largest value shift {shift:.3g} sigma, "
               f"largest relative shift {sigma_shift:.3g} in sigma and {rms_shift:.3g} "
-              f"in residual_rms; {steps} changed iterations or converged; "
-              f"changed at any bit: {bits}")
+              f"in residual_rms; {iterations} changed iterations, {converged} changed "
+              f"converged; changed at any bit: {bits}")
 
 
 def main() -> None:
