@@ -43,11 +43,12 @@ def two_peak_signal(freq, baseline, peaks):
     return out
 
 
-def make_spectrum(n=4601, baseline=0.0, peaks=((98.148e6, 13e6, 1.8e-3), (238.148e6, 13e6, 1.8e-3)), seed=None, sigma=SIGMA_BENCH):
-    freq = np.linspace(50e6, 280e6, n)
+def make_spectrum(n=4601, baseline=0.0, peaks=((98.148e6, 13e6, 1.8e-3), (238.148e6, 13e6, 1.8e-3)), seed=None, sigma=SIGMA_BENCH, freq=None):
+    """Lines on freq, by default n points over 50-280 MHz."""
+    freq = np.linspace(50e6, 280e6, n) if freq is None else freq
     signal = two_peak_signal(freq, baseline, peaks)
     if seed is not None:
-        signal = signal + np.random.default_rng(seed).normal(0.0, sigma, n)
+        signal = signal + np.random.default_rng(seed).normal(0.0, sigma, freq.size)
     return OdmrSpectrum(freq, signal)
 
 
@@ -291,9 +292,9 @@ def evaluation_sizes(monkeypatch):
     normal equations, one per point the core visits, however many blocks."""
     sizes = []
 
-    def spy(freq, signal, p, n_peaks, rows):
+    def spy(freq, signal, p, n_peaks, rows, root_weight=None):
         sizes.append(freq.size)
-        return _lorentzian_normal_equations(freq, signal, p, n_peaks, rows)
+        return _lorentzian_normal_equations(freq, signal, p, n_peaks, rows, root_weight)
 
     monkeypatch.setattr(fitting, "_lorentzian_normal_equations", spy)
     return sizes
@@ -320,48 +321,57 @@ def test_binned_stage_agrees_with_the_single_stage_fit(monkeypatch, n, bins):
     monkeypatch.setattr(fitting, "_seed_lorentzian", seed_spy)
     res = fit_lorentzian_multi(spec, 2)
     # the seed and baseline come from the bins, the binned stage is capped
-    # at the core's rounds, and the full-resolution stage is one evaluation,
-    # followed by one binned evaluation at the stepped point
+    # at the core's rounds, and the node stage follows on fewer nodes than
+    # there are bins: no evaluation at full resolution
+    nodes = sizes[-1]
     assert seed_sizes == [(bins, bins)]
-    assert set(sizes) == {bins, n}
-    assert sizes.count(bins) <= 2 + fitting.MAX_ITERATIONS
-    assert sizes.count(n) == 1 and sizes[-2:] == [n, bins]
+    assert nodes < bins and n not in sizes
+    assert sizes == [bins] * sizes.count(bins) + [nodes] * sizes.count(nodes)
+    assert sizes.count(bins) <= 1 + fitting.MAX_ITERATIONS
     assert ref.converged and res.converged
     assert np.all(np.abs(res.values - ref.values) <= 1e-3 * ref.sigmas)
     assert np.all(np.abs(res.sigmas - ref.sigmas) <= 1e-4 * ref.sigmas)
 
 
-def test_binned_stage_leaves_one_full_size_evaluation(monkeypatch):
+def test_binned_stage_leaves_no_full_size_evaluation(monkeypatch):
     # full-resolution evaluations of the normal equations, however many blocks
-    # each: the binned stage converges, then one evaluation takes one step
-    # and one binned evaluation carries JtJ to the stepped point
+    # each: the binned stage converges, then the node stage converges in two
+    # rounds from there, three evaluations on the nodes
     spec = make_spectrum(n=92_001, seed=19)
     sizes = evaluation_sizes(monkeypatch)
     res = fit_lorentzian_multi(spec, 2)
     assert res.converged
-    assert sizes.count(92_001) == 1 and sizes[-2:] == [92_001, 4182]
-    assert len(sizes) - sizes.count(92_001) <= 2 + fitting.MAX_ITERATIONS
-    # iterations counts the one step
-    assert res.iterations == 1
+    assert sizes.count(92_001) == 0
+    assert sizes[-3:] == [sizes[-1]] * 3 and sizes.count(sizes[-1]) == 3
+    assert len(sizes) - 3 <= 1 + fitting.MAX_ITERATIONS
+    # iterations counts the node stage's rounds
+    assert res.iterations == 2
 
 
 def test_full_resolution_calls_of_one_fit_share_one_jacobian_buffer(monkeypatch):
     # one (8, _BLOCK) buffer of Jacobian and residual rows per 92 001-point
-    # fit, reused by every block of every evaluation, binned or not; no
+    # fit, reused by every block of every evaluation, binned, on the nodes or
+    # at full resolution, and by the moment pass that builds the nodes; no
     # model call is longer than a block, and no full-size Jacobian exists.
     # A noiseless spectrum has sigmas at rounding level, so the guard refuses
-    # the one step and the damped full-resolution stage evaluates many times
+    # the node stage and the damped full-resolution stage evaluates many times
     n = 92_001
     spec = make_spectrum(n=n)
     fit_lorentzian_multi(spec, 2)  # a process's first fit allocates about 1 MB more, once
-    calls = []
+    calls, moment_rows = [], []
 
     def spy(freq, params, n_peaks, **kwargs):
         calls.append((freq.size, kwargs["out"]))
         return _lorentzian_model(freq, params, n_peaks, **kwargs)
 
+    def nodes_spy(freq, signal, k, rows):
+        moment_rows.append(rows)
+        return nodes(freq, signal, k, rows)
+
     sizes = evaluation_sizes(monkeypatch)
+    nodes = fitting._simpson_nodes
     monkeypatch.setattr(fitting, "_lorentzian_model", spy)
+    monkeypatch.setattr(fitting, "_simpson_nodes", nodes_spy)
     tracemalloc.start()
     try:
         res = fit_lorentzian_multi(spec, 2)
@@ -369,15 +379,181 @@ def test_full_resolution_calls_of_one_fit_share_one_jacobian_buffer(monkeypatch)
     finally:
         tracemalloc.stop()
     assert res.converged and sizes.count(n) >= 2
-    blocks = -(-n // _BLOCK)
-    assert len(calls) == sizes.count(n) * blocks + len(sizes) - sizes.count(n)
+    assert len(set(sizes)) == 3  # bins, nodes and the full trace
+    assert len(calls) == sum(-(-size // _BLOCK) for size in sizes)
     assert max(size for size, _ in calls) <= _BLOCK
     buffer = calls[0][1].base
     assert buffer.shape == (8, _BLOCK) and buffer.flags.c_contiguous
     assert all(out.base is buffer for _, out in calls)
+    assert len(moment_rows) == 1 and moment_rows[0] is buffer
     # the buffer and its per-block temporaries take about 1.4 MB; a 7-row
     # full-size Jacobian alone would take 5.15 MB
     assert peak < 8 * _BLOCK * 8 + 2 * n * 8
+
+
+def test_a_refused_node_stage_evaluates_the_binned_optimum_at_full_resolution_once(monkeypatch):
+    # the noiseless spectrum's guard refuses the node stage; the damped
+    # full-resolution stage then starts at the binned optimum, which is
+    # evaluated there once and nowhere else at full resolution
+    n = 92_001
+    spec = make_spectrum(n=n)
+    points, runs = [], []
+
+    def spy(freq, signal, p, n_peaks, rows, root_weight=None):
+        points.append((freq.size, p.copy()))
+        return _lorentzian_normal_equations(freq, signal, p, n_peaks, rows, root_weight)
+
+    def recorded(*args):
+        runs.append(core(*args))
+        return runs[-1]
+
+    core = fitting._damped_gauss_newton
+    monkeypatch.setattr(fitting, "_lorentzian_normal_equations", spy)
+    monkeypatch.setattr(fitting, "_damped_gauss_newton", recorded)
+    res = fit_lorentzian_multi(spec, 2)
+    assert len(runs) == 3 and runs[0][5] and runs[1][5]  # binned, nodes, full
+    binned = runs[0][0]
+    full = [p for size, p in points if size == n]
+    assert np.array_equal(full[0], binned)
+    assert sum(np.array_equal(p, binned) for p in full) == 1
+    assert np.array_equal(res.values, runs[2][0]) and res.iterations == runs[2][4]
+
+
+def binned_optimum_and_nodes(monkeypatch, spec):
+    """Fit spec and return the binned stage's optimum and the k the fit's
+    moment pass used, with the fit."""
+    runs, ks = [], []
+
+    def recorded(*args):
+        runs.append(core(*args))
+        return runs[-1]
+
+    def nodes_spy(freq, signal, k, rows):
+        ks.append(k)
+        return nodes(freq, signal, k, rows)
+
+    core, nodes = fitting._damped_gauss_newton, fitting._simpson_nodes
+    monkeypatch.setattr(fitting, "_damped_gauss_newton", recorded)
+    monkeypatch.setattr(fitting, "_simpson_nodes", nodes_spy)
+    res = fit_lorentzian_multi(spec, 2)
+    monkeypatch.undo()
+    assert len(ks) == 1
+    return runs[0][0], ks[0], res
+
+
+def test_node_normal_equations_match_the_full_trace_at_the_binned_optimum(monkeypatch):
+    # the parity tool's 60 G chain spectrum; at the binned optimum the nodes'
+    # JtWJ, JtW r and corrected SSR against the exact blocked sums over all
+    # 92 001 points, each entry against its Cauchy-Schwarz bound as in
+    # test_blocked_normal_equations_match_the_dense_products (measured:
+    # 2e-13, 1.5e-8 and 2.9e-9 relative; the Gauss-Newton steps 7.9e-6 sigma)
+    spec = axial_spectrum_60g()
+    freq, signal = spec.freq_hz, spec.signal
+    p, k, _ = binned_optimum_and_nodes(monkeypatch, spec)
+    rows = np.empty((8, _BLOCK))
+    nodes, root_w, pseudo, unseen = fitting._simpson_nodes(freq, signal, k, rows)
+    ssr_n, jtj_n, jtr_n, _ = _lorentzian_normal_equations(nodes, pseudo, p, 2, rows, root_w)
+    ssr_n += unseen
+    ssr, jtj, jtr, _ = _lorentzian_normal_equations(freq, signal, p, 2, rows)
+    scale = np.sqrt(np.diagonal(jtj))
+    assert nodes.size < freq.size // 20
+    assert np.all(np.abs(jtj_n - jtj) <= 1e-10 * np.outer(scale, scale))
+    assert np.all(np.abs(jtr_n - jtr) <= 1e-6 * scale * math.sqrt(ssr))
+    assert ssr_n == pytest.approx(ssr, rel=1e-7)
+    sigmas = _covariance_sigmas(jtj, math.sqrt(ssr / freq.size), list(range(7)))
+    step_n, step = np.linalg.solve(jtj_n, -jtr_n), np.linalg.solve(jtj, -jtr)
+    assert np.all(np.abs(step_n - step) <= 1e-4 * sigmas)
+
+
+def test_narrow_lines_on_a_wide_sweep_stay_on_the_nodes(monkeypatch):
+    # 8 MHz lines on a 30-2000 MHz sweep of 92 001 points: 5 points per node
+    # bin, where a fixed number of bins would be too coarse
+    freq = np.linspace(30e6, 2000e6, 92_001)
+    spec = make_spectrum(freq=freq, peaks=[(500e6, 8e6, 1.8e-3), (1500e6, 8e6, 1.8e-3)], seed=19)
+    ref = single_stage_fit(spec)
+    sizes = evaluation_sizes(monkeypatch)
+    res = fit_lorentzian_multi(spec, 2)
+    assert 92_001 not in sizes
+    assert ref.converged and res.converged
+    assert np.all(np.abs(res.values - ref.values) <= 1e-3 * ref.sigmas)
+
+
+@pytest.mark.parametrize(
+    "freq, last",
+    [
+        (np.geomspace(50e6, 280e6, 92_001), None),
+        (np.linspace(50e6, 280e6, 92_041), 41),
+        (np.linspace(50e6, 280e6, 92_001), 1),  # a bin with eps = 0: one node
+    ],
+    ids=["geometric", "short_last_bin", "one_point_last_bin"],
+)
+def test_node_stage_agrees_with_the_single_stage_fit(monkeypatch, freq, last):
+    spec = make_spectrum(freq=freq, seed=19)
+    ref = single_stage_fit(spec)
+    _, k, res = binned_optimum_and_nodes(monkeypatch, spec)
+    if last is not None:
+        assert freq.size % k == last
+    assert ref.converged and res.converged
+    assert np.all(np.abs(res.values - ref.values) <= 1e-3 * ref.sigmas)
+    assert np.all(np.abs(res.sigmas - ref.sigmas) <= 1e-4 * ref.sigmas)
+
+
+def test_lines_too_narrow_for_node_bins_go_to_full_resolution(monkeypatch):
+    # 5 MHz lines on 8 195 points over 230 MHz: under 4 points per node bin,
+    # which would make no fewer nodes than points, so the damped stage runs
+    # on the full trace from the binned optimum
+    n = 2 * fitting.COARSE_POINTS + 3
+    spec = make_spectrum(n=n, peaks=[(98.148e6, 5e6, 1.8e-3), (238.148e6, 5e6, 1.8e-3)], seed=19)
+    ref = single_stage_fit(spec)
+    sizes = evaluation_sizes(monkeypatch)
+    res = fit_lorentzian_multi(spec, 2)
+    assert set(sizes) == {4098, n}
+    assert ref.converged and res.converged
+    assert np.all(np.abs(res.values - ref.values) <= 1e-3 * ref.sigmas)
+
+
+def test_simpson_nodes_match_every_bin_s_moments(rng):
+    # a non-uniform grid of 7 q + 1 points in bins of 7: every full bin's
+    # three nodes reproduce its moments 0-2 of d = f - fbar and of d weighted
+    # by the signal, and the one-point last bin keeps one node; the SSR part
+    # the nodes miss is sum s^2 - sum v^2 / w
+    k, q = 7, 300
+    freq = np.cumsum(rng.uniform(0.5, 1.5, k * q + 1)) * 1e3 + 50e6
+    signal = rng.normal(1e-3, 1e-3, freq.size)
+    nodes, root_w, pseudo, unseen = fitting._simpson_nodes(freq, signal, k, np.empty((5, 64)))
+    assert nodes.size == 3 * q + 1
+    w, v = root_w**2, root_w**2 * pseudo
+    f_bins = freq[:-1].reshape(q, k)
+    fbar = f_bins.mean(axis=1)
+    d = f_bins - fbar[:, None]
+    s = signal[:-1].reshape(q, k)
+    # nodes - fbar carries the rounding of fbar +- eps, about 2e-12 of eps
+    x = nodes[:-1].reshape(q, 3) - fbar[:, None]
+    for j in range(3):
+        scale = (np.abs(d) ** j).sum(axis=1)
+        assert np.allclose((w[:-1].reshape(q, 3) * x**j).sum(axis=1), (d**j).sum(axis=1),
+                           rtol=0, atol=1e-10 * scale.max())
+        assert np.allclose((v[:-1].reshape(q, 3) * x**j).sum(axis=1), (d**j * s).sum(axis=1),
+                           rtol=0, atol=1e-10 * (scale * np.abs(s).max()).max())
+    assert np.allclose(w[:-1].reshape(q, 3), [k / 6, 2 * k / 3, k / 6], rtol=1e-12)
+    assert (nodes[-1], w[-1], pseudo[-1]) == (freq[-1], 1.0, signal[-1])
+    assert unseen == pytest.approx(float(signal @ signal - v @ pseudo), rel=1e-12)
+
+
+def test_moment_pass_makes_no_full_size_temporary():
+    # the pass writes offsets into the fit's buffer, whole bins at a time;
+    # what it allocates scales with the bins, under one full-size array
+    spec = axial_spectrum_60g()
+    n = spec.freq_hz.size
+    rows = np.empty((8, _BLOCK))
+    fitting._simpson_nodes(spec.freq_hz, spec.signal, 80, rows)
+    tracemalloc.start()
+    try:
+        fitting._simpson_nodes(spec.freq_hz, spec.signal, 80, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8
 
 
 def test_fit_below_the_binning_threshold_is_the_single_stage_fit(monkeypatch):

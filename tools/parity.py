@@ -37,8 +37,9 @@ checked by running this on the parent and on the change:
   seeded and the init= starts are both covered.  The second init lies far
   from the lines, and its binned stage rejects an evaluated trial after an
   accepted point, so a fit whose Jacobian buffer that trial overwrites is
-  covered.  Each of the 7 fits takes the one-step full-resolution stage.
-  A change to the binned stage moves only this digest.
+  covered.  Each of the 7 fits finishes on the per-bin Simpson nodes, in
+  2 rounds, and evaluates no point at full resolution.  A change to the
+  binned or the node stage moves only this digest.
 
 With --dump PATH it also writes records to PATH as JSON: for the invert
 group, each pair's case group, inputs and every InversionResult field or
