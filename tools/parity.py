@@ -19,11 +19,16 @@ checked by running this on the parent and on the change:
   so a change meant to move only Jacobian rows shows whether the lines
   stayed bit-identical;
 - invert: every field of invert_field's InversionResult, or the raised
-  error, on 1 545 pairs: 300 random exact and 200 random 100 kHz-noisy
+  error, on 1 757 pairs: 300 random exact and 200 random 100 kHz-noisy
   pairs over 0.5-150 G, 188 exact pairs at 89.5-89.99 deg, 200 in the
   12.1-12.55 G x 0.5-10 deg level-crossing band, 25 sub-gauss pairs, the
-  500 clause A and 126 clause B pairs of acceptance criterion 11 and 6
-  noisy pairs off the nominal constants;
+  500 clause A and 126 clause B pairs of acceptance criterion 11, 6 noisy
+  pairs off the nominal constants, 100 pairs with 100 kHz of noise at
+  85-90 deg and 100 with 1 MHz of noise over 0-90 deg (0.5-150 G, sigma
+  the noise), and 12 pairs within 5 kHz of the zero-field pair (2D, 2D)
+  with sigma = 0 whose lines sum to less than 4D, which no field reaches
+  (every line pair of the domain sums to 4D or more), so that no root
+  reproduces them;
 - synth: the frequency grid, signal and off-grid flag of
   synthesize_spectrum, noiseless and seeded, at 461, 4 601 and 92 001
   points, at 60 G and 0 rad, 40 G and 0.6 rad, zero field, and 80 G and
@@ -202,6 +207,23 @@ def _inversion_cases(consts: PhysicalConstants):
         nu1, nu2 = _pair(b_g * GAUSS, math.radians(th_d), other)
         n1, n2 = nu1 + rng.normal(0.0, 1e5), nu2 + rng.normal(0.0, 1e5)
         yield ("off_nominal", min(n1, n2), max(n1, n2), other, 1e5)
+    # the paths that neither a root nor the theta = 0 edge covers: noisy
+    # pairs near the theta = pi/2 edge, megahertz noise, and exact-looking
+    # pairs just below the zero-field pair, which no field reaches
+    erng = np.random.default_rng(33_001)
+    for sigma, lo, hi, group in ((1e5, 85.0, 90.0, "noisy_85_90"),
+                                 (1e6, 0.0, 90.0, "noisy_1mhz")):
+        for b_g, th_d in zip(erng.uniform(0.5, 150.0, 100), erng.uniform(lo, hi, 100)):
+            nu1, nu2 = _pair(b_g * GAUSS, math.radians(th_d), consts)
+            n1, n2 = nu1 + erng.normal(0.0, sigma), nu2 + erng.normal(0.0, sigma)
+            yield (group, min(n1, n2), max(n1, n2), consts, sigma)
+    valley = 0
+    while valley < 12:
+        d1, d2 = erng.uniform(-5e3, 5e3, 2)
+        if d1 + d2 < 0.0:
+            n1, n2 = 2.0 * consts.d_hz + d1, 2.0 * consts.d_hz + d2
+            yield ("valley", min(n1, n2), max(n1, n2), consts, 0.0)
+            valley += 1
 
 
 def inversion_digest(consts: PhysicalConstants) -> Digest:
