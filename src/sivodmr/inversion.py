@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fitting import _covariance_sigmas, _damped_gauss_newton, _normal_equations
+from .fitting import _covariance_sigmas
 # every table call goes through this module's name transition_table,
 # where perfbench counts and times it
 from .spin_model import PhysicalConstants, transition_table
@@ -82,6 +82,7 @@ RESOLUTION_THETA_RAD = math.radians(0.5)  # instrument-scale angle resolution
 _COND_CAP = 1e12
 _DEDUPE_B_T = 2e-8              # refinement floor: closer solutions are one basin
 _DEDUPE_THETA_RAD = 2e-5
+_EDGE_FIT_ROUNDS = 60           # Newton or bisection rounds of one theta = pi/2 fit
 
 
 class NoSolutionError(RuntimeError):
@@ -160,9 +161,10 @@ def _quartic_starts(t1: float, t2: float, consts: PhysicalConstants, b_max_t: fl
     a root s > 0 makes t1 line B.  A complex pair of roots contributes its
     real part once: noise or rounding near a double root splits a real pair
     into a complex one, whose real part still seeds the nearest minimum.
-    Returns three lists of k entries: the starts (B0, theta), the targets
-    (A, B) and whether each start is placed, a real root with 0 <= v <= u
-    and B0 <= b_max_t, which the clip leaves where it is.
+    Returns four lists of k entries: the starts (B0, theta), the targets
+    (A, B), whether each start is placed, a real root with 0 <= v <= u
+    and B0 <= b_max_t, which the clip leaves where it is, and whether it
+    is a real root.
     """
     a2, b2 = (t1 / consts.d_hz) ** 2, (t2 / consts.d_hz) ** 2
     lead = 16.0 / 25.0
@@ -183,7 +185,7 @@ def _quartic_starts(t1: float, t2: float, consts: PhysicalConstants, b_max_t: fl
     for root in np.linalg.eigvals(companion).tolist():
         real.setdefault(root.real, root.imag == 0.0)
     b0_scale = consts.d_hz / consts.gyro_hz_per_t
-    b0s, cosines, targets, placed = [], [], [], []
+    b0s, cosines, targets, placed, reals = [], [], [], [], []
     for s in sorted(real):
         u = (4.0 * s * s + (a2 + b2) / 2.0 - 4.0) / 5.0
         v = (u + s * (a2 - b2) / 4.0) / 3.0
@@ -192,8 +194,114 @@ def _quartic_starts(t1: float, t2: float, consts: PhysicalConstants, b_max_t: fl
         cosines.append(math.sqrt(min(max(v / u, 0.0), 1.0)) if u > 0.0 else 1.0)
         targets.append((t1, t2) if s < 0.0 else (t2, t1))
         placed.append(real[s] and 0.0 <= v <= u and b0 <= b_max_t)
+        reals.append(real[s])
     starts = list(zip(b0s, np.arccos(cosines).tolist()))
-    return starts, targets, placed
+    return starts, targets, placed, reals
+
+
+def _half_pi_lines(x: float, d: float, upper: bool):
+    """The labelled lines (A, B) on theta = pi/2 at gamma B0 = x, with two x-derivatives.
+
+    There H/h = D(Sz^2 - 5/4) + x Sx commutes with m -> -m and splits into
+    two 2 x 2 blocks, with levels x/2 +/- R1 and -x/2 +/- R2, where
+    R1,2 = sqrt(D^2 -/+ D x + x^2).  Below x = 2D line A is 2 R2 and line B
+    is 2 R1; above it (upper) A = x + R2 - R1 and B = x - R2 + R1.  Returns
+    (A, B, A', B', A'', B'') as Python floats.
+    """
+    r1 = math.sqrt(d * d - d * x + x * x)
+    r2 = math.sqrt(d * d + d * x + x * x)
+    # 2 R' and 2 R'' of each block: R' = (2x -/+ D) / 2R and R'' = 3D^2 / 4R^3
+    p1, p2 = (2.0 * x - d) / r1, (2.0 * x + d) / r2
+    c1, c2 = 1.5 * d * d / (r1 * r1 * r1), 1.5 * d * d / (r2 * r2 * r2)
+    if not upper:
+        return 2.0 * r2, 2.0 * r1, p2, p1, c2, c1
+    slope, curve = (p2 - p1) / 2.0, (c2 - c1) / 2.0
+    return x + r2 - r1, x - r2 + r1, 1.0 + slope, 1.0 - slope, curve, -curve
+
+
+@lru_cache(maxsize=8)
+def _half_pi_branches(d: float, x_max: float):
+    """Each side of x = 2D on theta = pi/2 as (nodes, their lines, upper), up to the cap x_max.
+
+    The nodes lie D/4 apart below the crossing and 25 % apart above it,
+    where the lines curve less and less.  Built once per constants and cap,
+    at the first fit that needs them.
+    """
+    lower = sorted({min(k * d / 4.0, x_max) for k in range(9)})
+    upper = [2.0 * d]
+    while upper[-1] * 1.25 < x_max:
+        upper.append(upper[-1] * 1.25)
+    upper.append(x_max)
+    return tuple(
+        (nodes, [_half_pi_lines(x, d, is_upper) for x in nodes], is_upper)
+        for nodes, is_upper in ((lower, False), (upper, True))
+        if nodes[0] < nodes[-1]
+    )
+
+
+def _half_pi_minimum(nodes, lines, target, d: float, upper: bool) -> float | None:
+    """The x on one side's nodes' span that minimizes |(A, B)(x) - target|^2.
+
+    The stationary points are the roots of phi = (A - ta) A' + (B - tb) B',
+    half the derivative.  Each sign change of phi from - to + between two
+    nodes brackets a local minimum, which safeguarded Newton polishes: a
+    step that leaves the bracket, or meets no positive curvature, bisects
+    it instead.  An end of the span where phi points out of it is a local
+    minimum too, except x = 0: there A = B = 2D, the two orderings meet,
+    and phi = t2 - t1 for one and t1 - t2 for the other, so that end is a
+    minimum of the pair's misfit only where it is stationary (t1 = t2).
+    The lowest of these wins; None when there is none.
+    """
+    ta, tb = target
+    slopes = [(a - ta) * da + (b - tb) * db for a, b, da, db, _, _ in lines]
+    best = []
+    for k in (0, -1):
+        outward = slopes[k] > 0.0 and nodes[k] > 0.0 if k == 0 else slopes[k] < 0.0
+        if outward or slopes[k] == 0.0:
+            best.append(((lines[k][0] - ta) ** 2 + (lines[k][1] - tb) ** 2, nodes[k]))
+    tol = 1e-9 * d
+    for k in range(len(nodes) - 1):
+        if not slopes[k] < 0.0 <= slopes[k + 1]:
+            continue
+        lo, hi = nodes[k], nodes[k + 1]
+        x = lo - slopes[k] * (hi - lo) / (slopes[k + 1] - slopes[k])
+        for _ in range(_EDGE_FIT_ROUNDS):
+            a, b, da, db, dda, ddb = _half_pi_lines(x, d, upper)
+            slope = (a - ta) * da + (b - tb) * db
+            if slope < 0.0:
+                lo = x
+            elif slope > 0.0:
+                hi = x
+            else:
+                break
+            curvature = da * da + db * db + (a - ta) * dda + (b - tb) * ddb
+            step = x - slope / curvature if curvature > 0.0 else lo
+            if not lo < step < hi:
+                step = (lo + hi) / 2.0
+            if abs(step - x) <= tol:
+                break
+            x = step
+        best.append(((a - ta) ** 2 + (b - tb) ** 2, x))
+    return min(best)[1] if best else None
+
+
+def _half_pi_fits(t1: float, t2: float, consts: PhysicalConstants, b_max_t: float):
+    """Least-squares fits of the pair along theta = pi/2: each ordering on each side of x = 2D.
+
+    Every fit runs in Python floats on the closed-form lines of
+    _half_pi_lines, with no table call, and ends at the cap gamma b_max_t.
+    Returns the starts (B0, pi/2) and their targets (A, B), up to four of
+    each.
+    """
+    d, gamma = consts.d_hz, consts.gyro_hz_per_t
+    starts, targets = [], []
+    for nodes, lines, upper in _half_pi_branches(d, gamma * b_max_t):
+        for target in ((t1, t2), (t2, t1)):
+            x = _half_pi_minimum(nodes, lines, target, d, upper)
+            if x is not None:
+                starts.append((x / gamma, math.pi / 2))
+                targets.append(target)
+    return starts, targets
 
 
 def _scaled_condition(jac: np.ndarray, b_max_t: float) -> tuple[float, float]:
@@ -216,29 +324,75 @@ def _scaled_condition(jac: np.ndarray, b_max_t: float) -> tuple[float, float]:
     return s_max, min(s_max / s_min, _COND_CAP)
 
 
-def _refine(start, target, consts: PhysicalConstants, b_max_t: float):
-    """Damped Gauss-Newton from one start in the domain toward the lines target (A, B).
+def _edge_fits(t1: float, t2: float, consts: PhysicalConstants, b_max_t: float,
+               axial: bool, half_pi: bool):
+    """The starts and targets of the edge fits: on theta = 0 when axial, on pi/2 when half_pi.
 
-    Trial points are clipped into [0, b_max_t] x [0, pi/2], and steps are
-    judged small against the instrument resolution.  Each round is one
-    transition_table call with the analytic Jacobian, which holds at B0 = 0
-    too.  Returns (b0, theta, rms residual, Jacobian).  The Jacobian is the
-    value that the core hands back for its accepted point, so it is the
-    one at the solution, not a rejected trial's.
+    On theta = 0, A = |gamma B0 - 2D| and B = gamma B0 + 2D, so the
+    least-squares fit is closed form on each side of the crossing:
+    gamma B0 = (t1 + t2)/2 above it and (t2 - t1)/2 below it.  The four
+    theta = pi/2 fits come from _half_pi_fits.
     """
-    hi = np.array([b_max_t, math.pi / 2])
+    starts, targets = [], []
+    if axial:
+        for gamma_b0 in ((t1 + t2) / 2.0, (t2 - t1) / 2.0):
+            starts.append((min(gamma_b0 / consts.gyro_hz_per_t, b_max_t), 0.0))
+            targets.append((t1, t2))
+    if half_pi:
+        more_starts, more_targets = _half_pi_fits(t1, t2, consts, b_max_t)
+        starts += more_starts
+        targets += more_targets
+    return starts, targets
 
-    def project(p):
-        return p.clip(0.0, hi)
 
-    def fun(p):
-        a, b, jac = transition_table(p[:1], p[1:], consts, jacobian=True, labelled=True)
-        return *_normal_equations(np.concatenate([a, b]) - target, jac[0]), jac[0]
+def _evaluated(starts, targets, consts: PhysicalConstants):
+    """(B0, theta, rms residual, Jacobian) of every start, from one transition_table call."""
+    b0s, thetas = zip(*starts)
+    a, b, jac = transition_table(b0s, thetas, consts, jacobian=True, labelled=True)
+    out = []
+    for (b0, theta), x, y, (ta, tb), j in zip(starts, a.tolist(), b.tolist(), targets, jac):
+        x, y = x - ta, y - tb
+        out.append((b0, theta, math.sqrt((x * x + y * y) / 2.0), j))
+    return out
 
-    p, jac, _, ssr, _, _ = _damped_gauss_newton(
-        fun, start, np.array([RESOLUTION_B_T, RESOLUTION_THETA_RAD]), project
-    )
-    return p[0], p[1], math.sqrt(ssr / 2.0), jac
+
+def _solutions(t1: float, t2: float, consts: PhysicalConstants, b_max_t: float,
+               sigma_hz: float):
+    """Every candidate that stands as a solution: (B0, theta, rms residual, Jacobian).
+
+    A root that reproduces the pair within NUMERIC_FLOOR_HZ stands, and so
+    does a root that the clip put onto the cap B0 = b_max_t, at the root's
+    angle, since the cap has no fit of its own; every edge fit stands too.
+    The other roots are dropped: a placed root that misses holds the pair
+    in its levels, but the line selection there pumps other lines, and the
+    edge fits replace a root clipped onto an angle edge or a complex pair's
+    real part.  A noisy pair always takes the two theta = 0 fits, and the four
+    theta = pi/2 fits when a root is clipped onto that edge or onto the cap
+    B0 = b_max_t, or is the real part of a complex pair.  An exact pair
+    (sigma_hz = 0) takes all six when no root is placed, two roots are
+    complex or a root lies past the cap, the signs that the roots may not
+    reproduce it; one table call then evaluates every candidate.  An exact
+    pair whose placed roots all miss without such a sign takes them in a
+    second table call.
+    """
+    starts, targets, placed, real = _quartic_starts(t1, t2, consts, b_max_t)
+    n_roots = len(starts)
+    if sigma_hz > 0:
+        # a root clipped onto theta = 0 is covered by the theta = 0 fits
+        half_pi = any(not p and theta != 0.0 for p, (_, theta) in zip(placed, starts))
+        axial = True
+    else:
+        past_cap = any(not p and b0 == b_max_t for p, (b0, _) in zip(placed, starts))
+        axial = half_pi = past_cap or not (any(placed) and all(real))
+    edge_starts, edge_targets = _edge_fits(t1, t2, consts, b_max_t, axial, half_pi)
+    evaluated = _evaluated(starts + edge_starts, targets + edge_targets, consts)
+    solutions = [s for s, p in zip(evaluated, placed)
+                 if s[2] <= NUMERIC_FLOOR_HZ or not p and s[0] == b_max_t]
+    solutions += evaluated[n_roots:]
+    if not (sigma_hz > 0 or half_pi or any(s[2] <= NUMERIC_FLOOR_HZ for s in solutions)):
+        # an exact pair whose roots all miss, though they did not show it
+        solutions += _evaluated(*_edge_fits(t1, t2, consts, b_max_t, True, True), consts)
+    return solutions
 
 
 def invert_field(
@@ -298,37 +452,7 @@ def invert_field(
         big = miss.max(axis=1)
         rms = big * np.sqrt(0.5 + 0.5 * (miss.min(axis=1) / big) ** 2)
         raise NoSolutionError(float(rms.min()))
-    starts, targets, placed = _quartic_starts(t1, t2, consts, b_max_t)
-    n_roots = len(starts)
-    if sigma_hz > 0:
-        # a noisy pair near theta = 0 can have its best fit on that edge,
-        # where no root lies.  There A = |gamma B0 - 2D| and B = gamma B0 + 2D,
-        # so the least-squares fit is closed form on each side of the crossing
-        for gamma_b0 in ((t1 + t2) / 2.0, (t2 - t1) / 2.0):
-            starts.append((min(gamma_b0 / consts.gyro_hz_per_t, b_max_t), 0.0))
-            targets.append((t1, t2))
-    # one table call evaluates every candidate
-    b0s, thetas = zip(*starts)
-    a, b, jac = transition_table(b0s, thetas, consts, jacobian=True, labelled=True)
-    rms = []
-    for x, y, (ta, tb) in zip(a.tolist(), b.tolist(), targets):
-        x, y = x - ta, y - tb
-        rms.append(math.sqrt((x * x + y * y) / 2.0))
-    exact = [e <= NUMERIC_FLOOR_HZ for e in rms]
-    # a candidate that reproduces the pair is a solution as it stands, and
-    # so are the edge fits.  A placed root that misses is dropped: its levels
-    # hold the pair, but the pumped pair there is other lines, which no step
-    # reaches.  An exact pair that some root reproduces has all its
-    # preimages among the roots; one that none reproduces refines them all
-    if sigma_hz == 0:
-        refine = range(0 if any(exact) else n_roots)
-    else:
-        # the edge fits cover a root clipped onto theta = 0
-        refine = [i for i in range(n_roots)
-                  if not (placed[i] or exact[i] or starts[i][1] == 0.0)]
-    solutions = [(*starts[i], rms[i], jac[i]) for i in range(len(starts))
-                 if exact[i] or i >= n_roots]
-    solutions += [_refine(starts[i], targets[i], consts, b_max_t) for i in refine]
+    solutions = _solutions(t1, t2, consts, b_max_t, sigma_hz)
 
     # one reduction: collapse duplicates (same basin reached twice) to the
     # lowest residual, keep what lies inside the floor (the best always

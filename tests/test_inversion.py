@@ -1,5 +1,6 @@
 """Tests for the (B0, theta) inverter and the closed-form axial estimator."""
 
+import functools
 import math
 import warnings
 
@@ -21,9 +22,13 @@ from sivodmr.inversion import (
     _DEDUPE_B_T,
     _DEDUPE_THETA_RAD,
     _forward_grid,
+    _half_pi_branches,
+    _half_pi_fits,
+    _half_pi_lines,
+    _half_pi_minimum,
     _quartic_starts,
-    _refine,
     _scaled_condition,
+    _solutions,
     axial_invert,
     invert_field,
 )
@@ -45,7 +50,7 @@ def _forward(b0_gauss, theta_deg, consts):
 
 
 def _labelled(b0_gauss, theta_deg, consts):
-    """The lines (A, B) at one field, the ordering the inverter refines toward."""
+    """The lines (A, B) at one field, the ordering the inverter fits."""
     a, b = transition_table(
         np.array([b0_gauss * GAUSS]), np.radians([theta_deg]), consts, labelled=True
     )
@@ -103,30 +108,10 @@ def test_sub_gauss_fields_reproduce_the_pair(consts, b0_gauss, theta_deg):
         assert math.degrees(res.theta_rad) == pytest.approx(theta_deg, abs=1e-3)
 
 
-def test_refine_climbs_from_zero_field(consts):
-    # at B0 = 0 the Kramers pairs are degenerate; the table's one-sided
-    # B0 slopes, the doublets' B0 -> 0+ limit, carry a start there to the field
-    target = np.array(_labelled(0.5, 30.0, consts))
-    _, _, rms, _ = _refine(np.array([0.0, 0.5]), target, consts, DEFAULT_B_MAX_T)
-    assert rms < 1.0
-
-
-@pytest.mark.parametrize("theta_rad", [0.0, math.pi / 2])
-def test_refine_zeroes_theta_column_on_the_angle_edges(consts, theta_rad):
-    # the lines are even in theta about both edges, so d(nu)/d(theta) is
-    # exactly zero there rather than Hellmann-Feynman rounding noise
-    target = np.array(_labelled(60.0, math.degrees(theta_rad), consts))
-    _, theta, _, jac = _refine(
-        np.array([60.0 * GAUSS, theta_rad]), target, consts, DEFAULT_B_MAX_T
-    )
-    assert theta == theta_rad
-    assert jac[:, 1].tolist() == [0.0, 0.0]
-
-
 def test_inverter_reaches_eigensolves_through_the_module_name(consts, monkeypatch):
     # the benchmark times and counts the inverter's eigensolves by replacing
-    # sivodmr.inversion.transition_table: the grid and every refinement
-    # round must go through that name
+    # sivodmr.inversion.transition_table: the grid and the one call of
+    # each inversion that evaluates its candidates must go through that name
     calls = []
 
     def recorder(b0_t, theta_rad, *args, **kwargs):
@@ -146,7 +131,7 @@ def test_inverter_reaches_eigensolves_through_the_module_name(consts, monkeypatc
     grid_size = sivodmr.inversion.GRID_N_B * sivodmr.inversion.GRID_N_THETA
     assert [n for n, _ in calls].count(grid_size) == 1
     assert calls[0] == (grid_size, False)
-    assert sum(1 for n, jacobian in calls if jacobian and n < grid_size) >= 2
+    assert sum(1 for n, jacobian in calls if jacobian and n < grid_size) == 2
 
 
 def test_line_path_makes_no_eigenvector_solve(consts, monkeypatch):
@@ -199,19 +184,12 @@ def test_fixed_grid_bands_are_right_or_flagged(consts):
     assert not wrong, f"{len(wrong)}/{len(cases)} unflagged misses: {wrong[:5]}"
 
 
-def _oracle_preimages(pairs, consts):
-    """Every field of the domain that reproduces each exact pair, found without the quartic.
+@functools.lru_cache(maxsize=2)
+def _dense_grid(consts):
+    """B0 and theta nodes of a dense scan of the domain, with the labelled lines at every node.
 
-    A dense scan of the labelled lines, finer where the map curves (below
-    1 G, around the level crossings gamma B0 = D and 2D, and near both
-    angle edges), keeps each node that is a local minimum of the pair's
-    miss, for either ordering as (A, B), and that misses it by no more than
-    twice the node's span, the larger over four axes of the smaller of the
-    forward and backward line changes (so a one-sided jump of the line
-    selection does not widen it).  scipy's least_squares, with finite
-    differences, polishes each such node, moved 0.01 deg off an angle edge;
-    the polished points within the numeric floor, deduplicated as the
-    inverter deduplicates, are the preimages.
+    Finer where the map curves: below 1 G, around the level crossings
+    gamma B0 = D and 2D, and near both angle edges.
     """
     b_nodes = GAUSS * np.unique(np.concatenate([
         np.linspace(0.0, 200.0, 401), np.linspace(0.0, 1.0, 51),
@@ -222,8 +200,24 @@ def _oracle_preimages(pairs, consts):
     ])))
     bb, tt = np.meshgrid(b_nodes, th_nodes, indexing="ij")
     lines = np.stack(transition_table(bb.ravel(), tt.ravel(), consts, labelled=True))
-    lines = lines.reshape(2, *bb.shape)
-    n0, n1 = bb.shape
+    return b_nodes, th_nodes, lines.reshape(2, *bb.shape)
+
+
+def _oracle_preimages(pairs, consts):
+    """Every field of the domain that reproduces each exact pair, found without the quartic.
+
+    A dense scan of the labelled lines (_dense_grid) keeps each node that
+    is a local minimum of the pair's miss, for either ordering as (A, B),
+    and that misses it by no more than twice the node's span, the larger
+    over four axes of the smaller of the forward and backward line changes
+    (so a one-sided jump of the line selection does not widen it).
+    scipy's least_squares, with finite differences, polishes each such
+    node, moved 0.01 deg off an angle edge; the polished points within the
+    numeric floor, deduplicated as the inverter deduplicates, are the
+    preimages.
+    """
+    b_nodes, th_nodes, lines = _dense_grid(consts)
+    n0, n1 = lines.shape[1:]
 
     def neighbours(a, di, dj):
         return a[..., 1 + di:1 + di + n0, 1 + dj:1 + dj + n1]
@@ -306,11 +300,187 @@ def test_every_exact_preimage_matches_an_independent_oracle(consts):
     assert not wrong, f"{len(wrong)}/{len(fields)} disagree with the oracle: {wrong}"
 
 
+def _oracle_best_residual(pair, consts, n_polish=2):
+    """The lowest RMS miss of the pair over the domain, found without the quartic or the edge fits.
+
+    On _dense_grid, the n_polish lowest nodes that are local minima of the
+    miss, for each ordering of the pair as (A, B), are polished by scipy's
+    least_squares as in _oracle_preimages; the lowest miss, polished or at
+    a node, wins.
+    """
+    b_nodes, th_nodes, lines = _dense_grid(consts)
+    n0, n1 = lines.shape[1:]
+    best = math.inf
+    for target in (pair, pair[::-1]):
+        rms = np.sqrt(np.mean(np.square(lines - np.array(target)[:, None, None]), axis=0))
+        padded = np.pad(rms, 1, constant_values=np.inf)
+        lowest = np.min([padded[1 + di:1 + di + n0, 1 + dj:1 + dj + n1]
+                         for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=0)
+        minima = np.argwhere(rms == lowest)
+        minima = minima[np.argsort(rms[tuple(minima.T)])[:n_polish]]
+
+        def miss_mhz(x, target=target):
+            a, b = transition_table(
+                np.array([x[0] * GAUSS]), np.radians([x[1]]), consts, labelled=True
+            )
+            return [(a[0] - target[0]) / 1e6, (b[0] - target[1]) / 1e6]
+
+        for i, j in minima:
+            start = [b_nodes[i] / GAUSS, min(max(math.degrees(th_nodes[j]), 0.01), 89.99)]
+            sol = least_squares(
+                miss_mhz, start, bounds=([0.0, 0.0], [DEFAULT_B_MAX_T / GAUSS, 90.0]),
+                xtol=1e-15, ftol=1e-15, gtol=1e-15, diff_step=1e-9, max_nfev=200,
+            )
+            polished = 1e6 * math.sqrt(np.mean(np.square(miss_mhz(sol.x))))
+            best = min(best, polished, float(rms[i, j]))
+    return best
+
+
+def test_noisy_and_valley_pairs_take_one_table_call_and_reach_the_oracle(consts, monkeypatch):
+    # random pairs with 100 kHz and 1 MHz of noise, half of them at
+    # 85-90 deg, where roots fall onto the theta = pi/2 edge, and pairs
+    # within 5 kHz of the zero-field pair (2D, 2D), exact and noisy: each
+    # takes one table call, and the lowest residual among the inverter's
+    # solutions is within 1 Hz of a dense scan polished by scipy, or better
+    rng = np.random.default_rng(33_004)
+    cases = []
+    for sigma, n_random, n_edge in ((1e5, 8, 8), (1e6, 6, 6)):
+        theta = np.concatenate([rng.uniform(0.0, 90.0, n_random), rng.uniform(85.0, 90.0, n_edge)])
+        for b0_gauss, theta_deg in zip(rng.uniform(0.5, 150.0, theta.size), theta):
+            nu1, nu2 = _forward(b0_gauss, theta_deg, consts) + rng.normal(0.0, sigma, 2)
+            cases.append(((min(nu1, nu2), max(nu1, nu2)), sigma))
+    for sigma in (0.0, 0.0, 0.0, 0.0, 1e3, 1e3, 1e3, 1e3):
+        nu1, nu2 = 2.0 * consts.d_hz + rng.uniform(-5e3, 5e3, 2)
+        cases.append(((min(nu1, nu2), max(nu1, nu2)), sigma))
+    invert_field(70e6, 71e6, consts)  # warm the grid cache
+    calls = count_table_calls(monkeypatch)
+    costly, worse = [], []
+    for pair, sigma in cases:
+        calls.clear()
+        try:
+            invert_field(*pair, consts, sigma_hz=sigma)
+        except NoSolutionError:
+            pass
+        if len(calls) != 1:
+            costly.append((pair, sigma, len(calls)))
+        best = min(s[2] for s in _solutions(*pair, consts, DEFAULT_B_MAX_T, sigma))
+        oracle = _oracle_best_residual(pair, consts)
+        if best > oracle + 1.0:
+            worse.append((pair, sigma, best, oracle))
+    assert not costly
+    assert not worse
+
+
+def test_zero_field_valley_pairs_take_one_table_call(consts, monkeypatch):
+    # exact (sigma = 0) pairs just below the zero-field pair: their lines
+    # sum to less than 4D, which no field reaches, so no root reproduces
+    # them.  Refining every root along the flat valley of minima there
+    # took 67-805 table calls per inversion; the roots' complex pair now
+    # brings in the edge fits, and one call evaluates them.  Every line pair
+    # of the domain sums to 4D or more, so the RMS miss is at least
+    # 2D - (nu1 + nu2)/2, which the theta = 0 fit below the crossing
+    # reaches; the report stays within twice that and flags zero field
+    rng = np.random.default_rng(33_003)
+    pairs = []
+    while len(pairs) < 12:
+        d1, d2 = rng.uniform(-5e3, 5e3, 2)
+        if d1 + d2 < 0.0:
+            pairs.append((2.0 * consts.d_hz + min(d1, d2), 2.0 * consts.d_hz + max(d1, d2)))
+    invert_field(70e6, 71e6, consts)  # warm the grid cache
+    calls = count_table_calls(monkeypatch)
+    for nu1, nu2 in pairs:
+        calls.clear()
+        res = invert_field(nu1, nu2, consts)
+        assert len(calls) == 1
+        assert res.reason == "zero-field"
+        floor = 2.0 * consts.d_hz - (nu1 + nu2) / 2.0
+        best = min(s[2] for s in _solutions(nu1, nu2, consts, DEFAULT_B_MAX_T, 0.0))
+        assert best == pytest.approx(floor, abs=1e-3)
+        assert floor - 1e-3 <= res.residual_hz <= 2.0 * best
+
+
+def test_half_pi_lines_match_the_table_on_both_sides_of_the_crossing(consts):
+    # on theta = pi/2 H/h splits into two 2 x 2 blocks; the closed-form
+    # labelled lines and their B0 slopes are the table's, below and above
+    # gamma B0 = 2D, where the line selection switches, and the second
+    # derivatives are those of the first
+    gamma, d = consts.gyro_hz_per_t, consts.d_hz
+    b0 = np.linspace(0.0, 200 * GAUSS, 20_001)
+    b0 = b0[b0 != 2.0 * d / gamma]  # the selection's weight tie
+    a, b, jac = transition_table(
+        b0, np.full_like(b0, math.pi / 2), consts, jacobian=True, labelled=True
+    )
+    x = gamma * b0
+    upper = x > 2.0 * d
+    assert 1000 < upper.sum() < upper.size - 1000
+    lines = np.array([_half_pi_lines(v, d, u) for v, u in zip(x.tolist(), upper.tolist())])
+    assert np.max(np.abs(lines[:, 0] - a)) <= 1e-5
+    assert np.max(np.abs(lines[:, 1] - b)) <= 1e-5
+    assert np.max(np.abs(gamma * lines[:, 2:4] - jac[:, :, 0])) <= 1e-7 * gamma
+    h = 1e-3 * d
+    for v in (0.3 * d, 0.5 * d, 1.7 * d, 2.3 * d, 5.0 * d, 15.0 * d):
+        lo, hi = _half_pi_lines(v - h, d, v > 2 * d), _half_pi_lines(v + h, d, v > 2 * d)
+        line = _half_pi_lines(v, d, v > 2 * d)
+        for k in (0, 1):
+            assert (hi[k] - lo[k]) / (2 * h) == pytest.approx(line[2 + k], rel=1e-6, abs=1e-9)
+            assert (hi[2 + k] - lo[2 + k]) / (2 * h) * d == pytest.approx(
+                line[4 + k] * d, rel=1e-5, abs=1e-9)
+
+
+def _half_pi_reference(x, d):
+    """The labelled lines on theta = pi/2 from the sorted block levels, as arrays."""
+    r1, r2 = np.sqrt(d * d - d * x + x * x), np.sqrt(d * d + d * x + x * x)
+    e = np.sort(np.stack([x / 2 - r1, x / 2 + r1, -x / 2 - r2, -x / 2 + r2]), axis=0)
+    below = x < 2.0 * d
+    return (np.where(below, e[2] - e[0], e[1] - e[0]),
+            np.where(below, e[3] - e[1], e[3] - e[2]))
+
+
+def test_half_pi_fits_are_no_worse_than_a_dense_scan(consts):
+    # on each side of gamma B0 = 2D and for each ordering, the edge fit
+    # reaches the lowest miss of a dense scan of the block levels, unless
+    # that lies at B0 = 0.  There A = B and the orderings meet, so a fit
+    # may skip that end (and return none if it has no other minimum), but
+    # the better of the two fits still reaches the lowest miss of both scans
+    gamma, d = consts.gyro_hz_per_t, consts.d_hz
+    rng = np.random.default_rng(33_005)
+    pairs = []
+    for sigma in (1e5, 1e6):
+        for b0_gauss, theta_deg in zip(rng.uniform(0.5, 150.0, 10), rng.uniform(80.0, 90.0, 10)):
+            pairs.append(np.add(_forward(b0_gauss, theta_deg, consts), rng.normal(0.0, sigma, 2)))
+    pairs += [rng.uniform(1e6, 600e6, 2) for _ in range(20)]
+    pairs += [2.0 * d + rng.uniform(-5e3, 5e3, 2) for _ in range(5)]
+    branches = _half_pi_branches(d, gamma * DEFAULT_B_MAX_T)
+    assert [upper for *_, upper in branches] == [False, True]
+    for nodes, lines, upper in branches:
+        xs = np.linspace(nodes[0], nodes[-1], 200_001)
+        ref_a, ref_b = _half_pi_reference(xs, d)
+        for t1, t2 in (sorted(p) for p in pairs):
+            fits, scans = [], []
+            for ta, tb in ((t1, t2), (t2, t1)):
+                scan = (ref_a - ta) ** 2 + (ref_b - tb) ** 2
+                scans.append(scan.min())
+                x = _half_pi_minimum(nodes, lines, (ta, tb), d, upper)
+                if x is None:
+                    assert not upper and scan.argmin() == 0
+                    continue
+                assert x > 0.0 or ta == tb
+                a, b, *_ = _half_pi_lines(x, d, upper)
+                fits.append((a - ta) ** 2 + (b - tb) ** 2)
+                if upper or scan.argmin() > 0:
+                    assert fits[-1] <= scans[-1] * (1.0 + 1e-12) + 1e-6
+            assert min(fits) <= min(scans) * (1.0 + 1e-12) + 1e-6
+    # the fits come in that order: each ordering below, then above, 2D
+    starts, targets = _half_pi_fits(*sorted(pairs[0]), consts, DEFAULT_B_MAX_T)
+    assert [theta for _, theta in starts] == [math.pi / 2] * 4
+    assert targets == [tuple(sorted(pairs[0])), tuple(sorted(pairs[0]))[::-1]] * 2
+
+
 def test_quartic_starts_place_only_real_roots_inside_the_domain(consts):
     # a placed start is a real root that the clip leaves where it is; only
-    # the others are ever refined
+    # the others call for edge fits
     pair = _forward(60.0, 30.0, consts)
-    starts, _, placed = _quartic_starts(*pair, consts, DEFAULT_B_MAX_T)
+    starts, _, placed, _ = _quartic_starts(*pair, consts, DEFAULT_B_MAX_T)
     # the truth, the (31.4 G, 26.5 deg) preimage of the other ordering, and
     # two roots with v < 0 clipped onto theta = pi/2
     assert placed == [True, True, False, False]
@@ -318,12 +488,12 @@ def test_quartic_starts_place_only_real_roots_inside_the_domain(consts):
     assert starts[0][1] / math.radians(1.0) == pytest.approx(30.0, abs=1e-9)
     assert [theta for _, theta in starts[2:]] == [math.pi / 2, math.pi / 2]
     # a search cap below 60 G clips the truth onto the cap
-    starts, _, placed = _quartic_starts(*pair, consts, 50.0 * GAUSS)
+    starts, _, placed, _ = _quartic_starts(*pair, consts, 50.0 * GAUSS)
     assert placed == [False, True, False, False]
     assert starts[0][0] == 50.0 * GAUSS
     # 1 MHz of noise on (4.07 G, 5.9 deg) splits a real pair of roots into
     # a complex one, which gives one start, at its real part
-    starts, _, placed = _quartic_starts(
+    starts, _, placed, _ = _quartic_starts(
         57_413_493.74117136, 81_029_365.31477349, consts, DEFAULT_B_MAX_T
     )
     assert placed == [True, False, True]
@@ -347,8 +517,9 @@ def _roots_reference(t1, t2, consts, b_max_t):
     cos2 = np.divide(v, u, out=np.ones_like(u), where=u > 0.0).clip(0.0, 1.0)
     starts = np.column_stack([np.minimum(b0, b_max_t), np.arccos(np.sqrt(cos2))])
     targets = np.where((s < 0.0)[:, None], [t1, t2], [t2, t1])
-    placed = (roots.imag[first] == 0.0) & (0.0 <= v) & (v <= u) & (b0 <= b_max_t)
-    return starts, targets, placed, np.iscomplexobj(roots) and bool(roots.imag.any())
+    real = roots.imag[first] == 0.0
+    placed = real & (0.0 <= v) & (v <= u) & (b0 <= b_max_t)
+    return starts, targets, placed, real, np.iscomplexobj(roots) and bool(roots.imag.any())
 
 
 def test_quartic_starts_match_the_numpy_roots_formulation(consts):
@@ -366,13 +537,14 @@ def test_quartic_starts_match_the_numpy_roots_formulation(consts):
     zero_field = (2.0 * consts.d_hz, 2.0 * consts.d_hz)
     complex_pairs = 0
     for pair in pairs + noisy + arbitrary + [zero_field]:
-        starts, targets, placed = _quartic_starts(*pair, consts, DEFAULT_B_MAX_T)
-        ref_starts, ref_targets, ref_placed, split = _roots_reference(
+        starts, targets, placed, real = _quartic_starts(*pair, consts, DEFAULT_B_MAX_T)
+        ref_starts, ref_targets, ref_placed, ref_real, split = _roots_reference(
             *pair, consts, DEFAULT_B_MAX_T
         )
         np.testing.assert_array_max_ulp(np.array(starts), ref_starts, maxulp=4)
         assert targets == [tuple(t) for t in ref_targets.tolist()]
         assert placed == ref_placed.tolist()
+        assert real == ref_real.tolist()
         complex_pairs += split
     assert complex_pairs >= 1
 
@@ -444,7 +616,7 @@ def test_noisy_axial_pairs_come_back_on_axis_or_flagged(consts, monkeypatch):
     res = invert_field(13_758_131.223649612, 125_747_482.8034788, consts, sigma_hz=1e5)
     assert abs(res.b0_t / GAUSS - 20.0) <= 0.1 and math.degrees(res.theta_rad) <= 0.5
     # below the crossing gamma B0 = 2D the theta = 0 edge fit is
-    # gamma B0 = (nu2 - nu1) / 2, and it stands without refinement
+    # gamma B0 = (nu2 - nu1) / 2, and it stands as it is
     rng = np.random.default_rng(24)
     calls = count_table_calls(monkeypatch)
     wrong, costly = [], []
@@ -573,7 +745,8 @@ def test_unreachable_pair_raises(consts):
 
 def test_pair_beyond_every_line_raises_without_overflow(consts):
     # no line of the domain exceeds 2D + 3 gamma b_max, so this pair is out
-    # of reach before any refinement, and its best residual stays finite
+    # of reach before any candidate is evaluated, and its best residual
+    # stays finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoSolutionError) as err:
@@ -631,6 +804,43 @@ def test_noisy_pair_with_placed_roots_takes_one_table_call(consts, monkeypatch):
     assert res.reason == "ambiguous"
     assert res.n_compatible == 2
     assert res.alt_b0_t == pytest.approx(0.0072204015, abs=1e-9)
+
+
+def test_noisy_pair_keeps_its_rival_on_the_right_angle_edge(consts, monkeypatch):
+    # 100 kHz of noise on a field near 32 deg: two roots fall onto
+    # theta = pi/2, whose fit finds a field there 138 kHz from the pair,
+    # inside the 3 sigma floor, beside the exact preimage at 88.07 deg.
+    # Gauss-Newton from those roots stopped at 15.44 G, 5.4 MHz off, and
+    # missed it; one table call evaluates the fit with the roots
+    pair = (73_353_449.14855823, 140_356_435.04951134)
+    invert_field(*pair, consts)  # warm the grid cache
+    calls = count_table_calls(monkeypatch)
+    res = invert_field(*pair, consts, sigma_hz=1e5)
+    assert len(calls) == 1
+    assert res.b0_t / GAUSS == pytest.approx(31.90939, abs=1e-4)
+    assert res.reason == "ambiguous" and res.n_compatible == 3
+    assert res.alt_theta_rad == math.pi / 2
+    assert res.alt_b0_t / GAUSS == pytest.approx(38.1277, abs=1e-3)
+    edge = [s for s in _solutions(*pair, consts, DEFAULT_B_MAX_T, 1e5) if s[1] == math.pi / 2]
+    assert min(s[2] for s in edge) == pytest.approx(138_170.0, abs=1.0)
+
+
+def test_pair_past_the_cap_stands_on_the_cap(consts, monkeypatch):
+    # the field of the pair lies 0.2 G past a 50 G cap: its root, clipped
+    # onto the cap at the root's angle, is the fit the inverter reports (a
+    # damped Gauss-Newton run along the cap reached 516 723 Hz from it),
+    # and the root past the cap brings in the edge fits of the same call
+    pair = _forward(50.2, 30.0, consts)
+    cap = 50.0 * GAUSS
+    invert_field(*pair, consts, b_max_t=cap)  # warm the grid cache
+    calls = count_table_calls(monkeypatch)
+    for sigma in (0.0, 1e5):
+        calls.clear()
+        res = invert_field(*pair, consts, b_max_t=cap, sigma_hz=sigma)
+        assert len(calls) == 1
+        assert res.b0_t == cap
+        assert math.degrees(res.theta_rad) == pytest.approx(30.0, abs=0.01)
+        assert 516_723.0 <= res.residual_hz <= 517_000.0
 
 
 def test_invert_input_validation(consts):

@@ -465,6 +465,22 @@ def test_theta_column_vanishes_at_the_right_angle(consts):
     assert np.all(np.abs(jac[:, :, 1]) <= bound * gamma * b0[:, None])
 
 
+@pytest.mark.parametrize("theta_rad", [0.0, math.pi / 2])
+def test_theta_column_is_exactly_zero_on_the_angle_edges(consts, theta_rad):
+    # the lines are even in theta about both edges, so d(nu)/d(theta) there
+    # is exactly zero rather than Hellmann-Feynman rounding noise: at zero
+    # field, below and above both crossings gamma B0 = D and 2D, and at 60 G
+    gamma, d = consts.gyro_hz_per_t, consts.d_hz
+    b0 = np.array([0.0, 1e-9, 0.5 * d / gamma, 1.5 * d / gamma, 3.0 * d / gamma,
+                   60 * GAUSS, 200 * GAUSS])
+    for labelled in (False, True):
+        *_, jac = transition_table(
+            b0, np.full_like(b0, theta_rad), consts, jacobian=True, labelled=labelled
+        )
+        assert jac[:, :, 1].tolist() == [[0.0, 0.0]] * b0.size
+        assert np.all(np.abs(jac[1:, :, 0]) > 0.0)
+
+
 def test_transition_table_input_validation(consts):
     with pytest.raises(ValueError):
         transition_table(np.array([1e-3, 2e-3]), np.array([0.0]), consts)
