@@ -1,9 +1,8 @@
 """Nonlinear least-squares fitting of ODMR spectra and saturation curves.
 
 One damped Gauss-Newton core drives both model families (multi-Lorentzian
-spectra and photon-rate saturation) and the field refinement of
-inversion.py, with analytic Jacobians, Marquardt diagonal damping and
-monotone step acceptance.  It solves one problem at a time; callers
+spectra and photon-rate saturation), with analytic Jacobians, Marquardt
+diagonal damping and monotone step acceptance.  It solves one problem at a time; callers
 constrain it through a projection of each trial point, and every trial
 that is not finite is rejected by one rule.  Parameter uncertainties come
 from the linearized covariance sigma^2 * inv(J^T J) with

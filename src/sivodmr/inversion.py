@@ -18,32 +18,54 @@ a degenerate flag with the reason that raised it.
 The candidates are the roots of one quartic (_quartic_starts): H/h's
 characteristic polynomial depends on the field only through (gamma B0)^2
 and (gamma B0 cos(theta))^2, so every field whose levels hold the pair
-comes from a real root, and the root's sign names the ordering.  A noisy
-pair adds the two closed-form least-squares fits on the theta = 0 edge,
-one on each side of the level crossing.  One transition_table call
-(eigenvalues and tridiagonal cofactors, no eigenvectors) evaluates every
-candidate with its analytic Jacobian, at B0 = 0 as elsewhere.  A
-candidate within NUMERIC_FLOOR_HZ of the pair is a solution as it
-stands, and so is an edge fit.  A placed root (real, and inside the
-domain without clipping) that misses is dropped: its levels hold the
-pair, but the line selection there pumps other lines.  Only the other
-roots, the real part of a complex pair or a root clipped into the domain,
-are refined, one at a time, by the shared Gauss-Newton core; for a noisy
-pair a root clipped onto theta = 0 is not, because the edge fits cover
-that edge.  An exact pair that some root reproduces has all its preimages
-among the roots and refines nothing; one that no root reproduces refines
-every root.
+comes from a real root, and the root's sign names the ordering.  Edge fits
+join them where the roots leave an angle edge uncovered: least-squares
+fits of the pair along theta = 0 or theta = pi/2, in Python floats, with
+no table call.  On theta = 0, A = |gamma B0 - 2D| and B = gamma B0 + 2D,
+so the fit is closed form on each side of the level crossing.  On
+theta = pi/2, H/h splits into two 2 x 2 blocks: with x = gamma B0 and
+R1,2 = sqrt(D^2 -/+ D x + x^2), A = 2 R2 and B = 2 R1 below x = 2D, and
+A = x + R2 - R1 and B = x - R2 + R1 above it (_half_pi_lines); a
+safeguarded 1-D Newton fit of each ordering on each side, bracketed on
+fixed nodes, finds the lowest misfit there (_half_pi_fits).  A noisy pair
+takes the two theta = 0 fits, and the four theta = pi/2 fits when a root
+is clipped onto that edge or onto the cap B0 = b_max, or is the real part
+of a complex pair.  An exact pair (sigma = 0) takes all six when its roots
+show that they may not reproduce it: no root is placed (real, and inside
+the domain without clipping), two are complex, or one lies past the cap.
+One transition_table call (eigenvalues and tridiagonal cofactors, no
+eigenvectors) evaluates every candidate with its analytic Jacobian, at
+B0 = 0 as elsewhere.  A root within NUMERIC_FLOOR_HZ of the pair is a
+solution as it stands, and so is every edge fit.  A placed root that
+misses is dropped: its levels hold the pair, but the line selection there
+pumps other lines.  So is a root clipped onto an angle edge or a complex
+pair's real part: the edge fits replace them.  Damped Gauss-Newton from
+such a root cannot leave the angle edge it starts on, where the lines are
+even in theta and the Jacobian's theta column is exactly zero, and a
+non-exact minimum inside the domain would need a singular Jacobian, so
+the 1-D fit along the edge finds what it would, or better.  The B0 = b_max
+edge has no fit of its own: a root clipped onto it stands as a candidate
+at the root's angle, and the edge fits' ends on the cap cover its two
+corners.  An exact pair whose placed roots all miss, with none of those
+signs, takes the six edge fits in a second table call.
+
+A rival need not reproduce the pair exactly: any solution within the
+floor, max(3 sigma, NUMERIC_FLOOR_HZ, twice the best residual), counts,
+an edge fit as much as a root.  The pair cannot exclude a field that
+fits it within its noise, so such a field is counted in n_compatible and
+flags the result, rather than being dropped for not being exact.
 
 The quartic's roots are the eigenvalues of its 4 x 4 companion matrix,
 the matrix numpy.roots builds, from one numpy.linalg.eigvals call; the
-at most four roots and the at most six candidates are then handled as
+at most four roots and the at most ten candidates are then handled as
 Python floats.  The local condition estimate is the ratio of the
 closed-form singular values of the 2 x 2 Jacobian with its columns scaled
-to the domain (_scaled_condition).  One inversion works on about four
-table rows, so its cost is fixed per-call overhead, not arithmetic.
-Traced over perfbench's invert_survey mix (seed 2601, a 2-vCPU host), an
-inversion made 1.0 table call on 4.3 rows and took a median 0.34 ms:
-0.19 ms in the table call and 0.13 ms in the inverter's own code.
+to the domain (_scaled_condition).  One inversion works on a few table
+rows, so its cost is fixed per-call overhead, not arithmetic.
+Traced over perfbench's spectrum_roundtrip chain (seed 3311, a 2-vCPU
+host), an inversion made 1.00 table call on 6.96 rows, 0.25 ms per
+operation in the table, and the median inversion took 0.41 ms, 0.16 ms of
+it in the inverter's own code.
 
 The coarse grid of labelled lines is still built, once per constants, at
 the first inversion; it gives the finite best residual of a pair beyond
@@ -80,7 +102,7 @@ AXIAL_TOL_HZ = 2e6              # axial_invert's limit on |nu2 - nu1 - 4D|
 RESOLUTION_B_T = 1e-5           # 0.1 G: instrument-scale field resolution
 RESOLUTION_THETA_RAD = math.radians(0.5)  # instrument-scale angle resolution
 _COND_CAP = 1e12
-_DEDUPE_B_T = 2e-8              # refinement floor: closer solutions are one basin
+_DEDUPE_B_T = 2e-8              # dedupe floor: closer solutions are one basin
 _DEDUPE_THETA_RAD = 2e-5
 _EDGE_FIT_ROUNDS = 60           # Newton or bisection rounds of one theta = pi/2 fit
 
@@ -233,7 +255,7 @@ def _half_pi_branches(d: float, x_max: float):
         upper.append(upper[-1] * 1.25)
     upper.append(x_max)
     return tuple(
-        (nodes, [_half_pi_lines(x, d, is_upper) for x in nodes], is_upper)
+        (tuple(nodes), tuple(_half_pi_lines(x, d, is_upper) for x in nodes), is_upper)
         for nodes, is_upper in ((lower, False), (upper, True))
         if nodes[0] < nodes[-1]
     )
@@ -406,22 +428,27 @@ def invert_field(
 
     Minimizes (nu1 - model1)^2 + (nu2 - model2)^2 over B0 in [0, b_max_t]
     and theta in [0, pi/2], with either ordering of the pair taken as the
-    labelled lines (A, B).  The candidates are the quartic's roots and, for
-    a noisy pair, the two theta = 0 edge fits: there A = |gamma B0 - 2D| and
-    B = gamma B0 + 2D, so gamma B0 = (nu1 + nu2)/2 above the crossing and
-    (nu2 - nu1)/2 below it.  One table call evaluates them all.  A candidate
-    that reproduces the pair within NUMERIC_FLOOR_HZ, and every edge fit,
-    is a solution as it stands; a placed root that misses is dropped; only
-    the unplaced roots (a complex pair's real part, or a root clipped into
-    the domain, except onto theta = 0 for a noisy pair) are refined by
-    damped Gauss-Newton, one at a time.  An exact pair that no root
-    reproduces refines every root.  Among the solutions that reproduce the
-    pair the smallest B0, then the smallest theta, is reported and the rest
-    are its rivals.  sigma_hz is the 1-sigma frequency uncertainty of the
-    inputs (e.g. the fitted line-center sigma) and drives the degeneracy
-    diagnostics; rival parameter points that reproduce the pair within
-    max(3 sigma, the numeric floor), capped at NO_SOLUTION_RMS_HZ, are
-    counted in n_compatible and flag the result as ambiguous.
+    labelled lines (A, B).  The candidates are the quartic's roots and the
+    least-squares fits along the angle edges: on theta = 0, where
+    A = |gamma B0 - 2D| and B = gamma B0 + 2D, gamma B0 = (nu1 + nu2)/2
+    above the crossing and (nu2 - nu1)/2 below it; on theta = pi/2, a 1-D
+    Newton fit of each ordering on each side of gamma B0 = 2D on the
+    closed-form lines there.  A noisy pair always takes the theta = 0
+    fits, and the theta = pi/2 fits when a root is clipped onto that edge
+    or onto the cap, or is a complex pair's real part; an exact pair takes
+    both when its roots show they may not reproduce it.  One table call
+    evaluates them all.  A root that reproduces the pair within
+    NUMERIC_FLOOR_HZ, a root clipped onto the cap B0 = b_max_t and every
+    edge fit is a solution as it stands; the other roots are dropped.  An
+    exact pair whose placed roots all miss without showing it takes the
+    edge fits in a second table call.  Among the solutions that reproduce
+    the pair the smallest B0, then the smallest theta, is reported and the
+    rest are its rivals.  sigma_hz is the 1-sigma frequency uncertainty of
+    the inputs (e.g. the fitted line-center sigma) and drives the
+    degeneracy diagnostics; rival parameter points that reproduce the pair
+    within max(3 sigma, the numeric floor), capped at NO_SOLUTION_RMS_HZ,
+    are counted in n_compatible and flag the result as ambiguous, whether
+    they reproduce it exactly or, like an edge fit, only within that floor.
 
     Raises NoSolutionError when the best solution misses the requested pair
     by more than NO_SOLUTION_RMS_HZ (before any candidate is evaluated when
