@@ -108,6 +108,19 @@ def test_sub_gauss_fields_reproduce_the_pair(consts, b0_gauss, theta_deg):
         assert math.degrees(res.theta_rad) == pytest.approx(theta_deg, abs=1e-3)
 
 
+def test_refine_climbs_from_zero_field(consts):
+    # at B0 = 0 the Kramers pairs are degenerate and both orderings meet;
+    # the theta = pi/2 edge fit does not stop on that end but climbs from
+    # it to a sub-gauss field below the first node, D/4 = 3.1 G
+    a, b = _labelled(0.5, 90.0, consts)
+    starts, targets = _half_pi_fits(min(a, b), max(a, b), consts, DEFAULT_B_MAX_T)
+    evaluated = sivodmr.inversion._evaluated(starts, targets, consts)
+    b0, theta, rms, _ = min(evaluated, key=lambda s: s[2])
+    assert rms < 1.0
+    assert theta == math.pi / 2
+    assert b0 / GAUSS == pytest.approx(0.5, abs=1e-6)
+
+
 def test_inverter_reaches_eigensolves_through_the_module_name(consts, monkeypatch):
     # the benchmark times and counts the inverter's eigensolves by replacing
     # sivodmr.inversion.transition_table: the grid and the one call of
