@@ -58,7 +58,7 @@ skipped.
 
 A guard takes the node result only when the binned stage converged, the
 node stage converged and every value moved from the binned optimum by at
-most ONE_STEP_SIGMAS of its sigma.  Otherwise, as on a noiseless trace,
+most NODE_SHIFT_SIGMAS of its sigma.  Otherwise, as on a noiseless trace,
 whose sigmas are at rounding level, from an init far from the lines, or
 with bins too narrow for nodes, the damped core runs on the full trace
 from the binned optimum with its own convergence test; it evaluates that
@@ -92,7 +92,7 @@ COND_LIMIT = 1e12     # correlation-matrix condition beyond which a fit is degen
 SEED_FWHM_HZ = 10e6   # initial linewidth guess when no init is given
 COARSE_POINTS = 4096  # fits of at least twice this many points start on binned data
 NODE_BINS_PER_FWHM = 64  # a node bin spans about 1/64 of the narrowest fitted FWHM
-ONE_STEP_SIGMAS = 0.1  # largest |node - binned optimum| / sigma the node stage may take
+NODE_SHIFT_SIGMAS = 0.1  # largest |node - binned optimum| / sigma the node stage may take
 
 
 class IllConditionedFitError(RuntimeError):
@@ -144,15 +144,14 @@ class FitResult:
         return float(self.sigmas[self.names.index(name)])
 
 
-def _damped_gauss_newton(fun, p0, scales, project=None):
+def _damped_gauss_newton(fun, p0, scales, project):
     """Minimize a sum of squared residuals from p0, given its normal equations.
 
-    fun maps a point to (ssr, JtJ, Jt r, value): the sum of squared
-    residuals, the normal matrix and the gradient term of the residuals r
-    and their Jacobian J at that point, and an opaque value that the core
-    hands back for the accepted point.  The core never sees r or J, so a
-    fun may sum its normal equations block by block, as a Lorentzian fit
-    does, and no full-size Jacobian need exist.
+    fun maps a point to (ssr, JtJ, Jt r): the sum of squared residuals, the
+    normal matrix and the gradient term of the residuals r and their
+    Jacobian J at that point.  The core never sees r or J, so a fun may sum
+    its normal equations block by block, as a Lorentzian fit does, and no
+    full-size Jacobian need exist.
 
     Marquardt damping on the normal equations, (JtJ + lam*diag(JtJ)) d = -Jt r;
     lam shrinks tenfold after an accepted step and grows tenfold on rejection,
@@ -166,12 +165,12 @@ def _damped_gauss_newton(fun, p0, scales, project=None):
     damped system was singular, is rejected like a rise in SSR: lam grows
     tenfold and the next round retries.  The run ends converged, after
     MAX_ITERATIONS rounds, or unconverged at its last accepted point once lam
-    passes 1e12.  Returns p, value, JtJ, ssr, iterations, converged, all of
-    the accepted point p.
+    passes 1e12.  Returns p, JtJ, ssr, iterations, converged, all of the
+    accepted point p.
     """
     p = np.array(p0, dtype=float)
     step_tol = STEP_RTOL * np.asarray(scales, dtype=float)
-    ssr, jtj, jtr, value = fun(p)
+    ssr, jtj, jtr = fun(p)
     lam = 1e-3
     converged = False
     iterations = 1
@@ -184,8 +183,7 @@ def _damped_gauss_newton(fun, p0, scales, project=None):
             trial = p + np.linalg.solve(a, -jtr)
         except np.linalg.LinAlgError:
             trial = np.full_like(p, np.nan)
-        if project is not None:
-            trial = project(trial)
+        trial = project(trial)
         if not np.isfinite(trial).all():
             lam *= 10.0
             continue
@@ -198,13 +196,13 @@ def _damped_gauss_newton(fun, p0, scales, project=None):
             (np.abs(trial - p) <= step_tol).all()
             or abs(ssr - ssr_try) <= SSR_RTOL * max(ssr, 1e-300)
         )
-        p, (ssr, jtj, jtr, value) = trial, evaluated
+        p, (ssr, jtj, jtr) = trial, evaluated
         lam = max(lam / 10.0, 1e-12)
         if converged or iterations >= MAX_ITERATIONS:
             break
         iterations += 1
         damp = _marquardt_diagonal(jtj)
-    return p, value, jtj, ssr, iterations, converged
+    return p, jtj, ssr, iterations, converged
 
 
 def _marquardt_diagonal(jtj: np.ndarray) -> np.ndarray:
@@ -232,8 +230,7 @@ def _lorentzian_normal_equations(freq, signal, p, n_peaks, rows, root_weight=Non
     matrix, whose blocks are JtJ, Jt r and ssr: the full Jacobian is never
     formed, and a block's rows stay in cache from the model to the product.
     With root_weight, the square roots of per-point weights W, every row is
-    scaled by it first, which gives JtWJ, JtW r and r.W r.  The fourth
-    entry, the core's value, is None.
+    scaled by it first, which gives JtWJ, JtW r and r.W r.
     """
     gram = np.zeros((rows.shape[0], rows.shape[0]))
     for start in range(0, freq.size, _BLOCK):
@@ -244,7 +241,7 @@ def _lorentzian_normal_equations(freq, signal, p, n_peaks, rows, root_weight=Non
         if root_weight is not None:
             block *= root_weight[start : start + _BLOCK]
         gram += block @ block.T
-    return float(gram[-1, -1]), gram[:-1, :-1], gram[:-1, -1], None
+    return float(gram[-1, -1]), gram[:-1, :-1], gram[:-1, -1]
 
 
 def _simpson_nodes(freq, signal, k, rows):
@@ -502,7 +499,7 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
         def coarse(p):
             return fun(p, f_seed, s_seed)
 
-        p0, _, _, _, _, settled = _damped_gauss_newton(coarse, p0, scales, project)
+        p0, _, _, _, settled = _damped_gauss_newton(coarse, p0, scales, project)
         # points per node bin, which spans about 1 / NODE_BINS_PER_FWHM of the
         # narrowest line; a bin of under 4 points has no fewer nodes than points
         k = p0[width_slots].min() / (NODE_BINS_PER_FWHM * span / (freq.size - 1))
@@ -511,10 +508,10 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
             nodes, root_w, pseudo, unseen = _simpson_nodes(freq, signal, int(k), rows)
 
             def nodal(p):
-                ssr, jtj, jtr, _ = fun(p, nodes, pseudo, root_w)
-                return max(ssr + unseen, 0.0), jtj, jtr, None
+                ssr, jtj, jtr = fun(p, nodes, pseudo, root_w)
+                return max(ssr + unseen, 0.0), jtj, jtr
 
-            p, _, jtj, ssr, iterations, converged = _damped_gauss_newton(
+            p, jtj, ssr, iterations, converged = _damped_gauss_newton(
                 nodal, p0, scales, project
             )
             residual_rms = math.sqrt(ssr / freq.size)
@@ -522,9 +519,9 @@ def fit_lorentzian_multi(spec: OdmrSpectrum, n_peaks: int, init=None) -> FitResu
                 sigmas = _covariance_sigmas(jtj, residual_rms, names)
             except IllConditionedFitError:  # NaN sigmas fail the guard
                 sigmas = np.full_like(p, np.nan)
-            if converged and np.all(np.abs(p - p0) <= ONE_STEP_SIGMAS * sigmas):
+            if converged and np.all(np.abs(p - p0) <= NODE_SHIFT_SIGMAS * sigmas):
                 return FitResult(tuple(names), p, sigmas, residual_rms, iterations, True)
-    p, _, jtj, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
+    p, jtj, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
     residual_rms = math.sqrt(ssr / freq.size)
     sigmas = _covariance_sigmas(jtj, residual_rms, names)
     return FitResult(tuple(names), p, sigmas, residual_rms, iterations, converged)
@@ -563,12 +560,12 @@ def fit_saturation(powers_mw, counts_cps) -> FitResult:
 
     def fun(p):
         model, jac = _saturation_model(powers, p)
-        return *_normal_equations(model - counts, jac), None
+        return _normal_equations(model - counts, jac)
 
     def project(p):
         return np.where(np.all(p > 0), p, np.nan)
 
-    p, _, jtj, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
+    p, jtj, ssr, iterations, converged = _damped_gauss_newton(fun, p0, scales, project)
     if p[1] < 1e-6 * float(np.min(powers)):
         raise IllConditionedFitError(*names, "saturation power collapsed to zero")
     residual_rms = math.sqrt(ssr / powers.size)

@@ -39,15 +39,13 @@ B0 = 0 as elsewhere.  A root within NUMERIC_FLOOR_HZ of the pair is a
 solution as it stands, and so is every edge fit.  A placed root that
 misses is dropped: its levels hold the pair, but the line selection there
 pumps other lines.  So is a root clipped onto an angle edge or a complex
-pair's real part: the edge fits replace them.  Damped Gauss-Newton from
-such a root cannot leave the angle edge it starts on, where the lines are
-even in theta and the Jacobian's theta column is exactly zero, and a
-non-exact minimum inside the domain would need a singular Jacobian, so
-the 1-D fit along the edge finds what it would, or better.  The B0 = b_max
-edge has no fit of its own: a root clipped onto it stands as a candidate
-at the root's angle, and the edge fits' ends on the cap cover its two
-corners.  An exact pair whose placed roots all miss, with none of those
-signs, takes the six edge fits in a second table call.
+pair's real part: the edge fits replace them, since the lines are even in
+theta on the angle edges and a non-exact minimum inside the domain would
+need a singular Jacobian.  The B0 = b_max edge has no fit of its own: a
+root clipped onto it stands as a candidate at the root's angle, and the
+edge fits' ends on the cap cover its two corners.  An exact pair whose
+placed roots all miss, with none of those signs, takes the six edge fits
+in a second table call.
 
 A rival need not reproduce the pair exactly: any solution within the
 floor, max(3 sigma, NUMERIC_FLOOR_HZ, twice the best residual), counts,

@@ -369,17 +369,16 @@ def transition_table(
     behind the Jacobian come from one eigvalsh call and the cofactors of
     the tridiagonal H (_state_terms); no eigenvector is formed.
 
-    With jacobian=True a third array of shape (n, 2, 2) holds
-    d(nu1, nu2)/d(B0, theta) in Hz/T and Hz/rad, by Hellmann-Feynman:
+    With jacobian=True, which needs labelled=True because the sorted pair
+    has no derivative where it folds, a third array of shape (n, 2, 2) holds
+    d(A, B)/d(B0, theta) in Hz/T and Hz/rad, by Hellmann-Feynman:
     dE_k/dp = <k|dH/dp|k>, with dH/dB0 = gamma (cos(theta) Sz + sin(theta) Sx)
     and dH/dtheta = gamma B0 (cos(theta) Sx - sin(theta) Sz).  At B0 = 0 the
     Kramers pairs are degenerate and the lines have only one-sided
     derivatives; below about a picotesla the expectations are the B0 -> 0+
     limit (_state_terms), so the B0 column is that one-sided slope,
     dA/dB0 = -dB/dB0 = gamma (r/2 - 3/2 |cos(theta)|), and the theta
-    column is zero at B0 = 0.  Where the sorted lines tie (B0 = 0), nu1
-    takes the smaller B0 slope, so the sorted Jacobian is the one-sided
-    derivative of the sorted pair.  Near theta = pi/2 the +/-3/2 pair
+    column is zero at B0 = 0.  Near theta = pi/2 the +/-3/2 pair
     splits only by 3 gamma B0 cos(theta) and a term of third order in B0;
     below about 1e-7 T, where both fall to about 1e-5 Hz, the pair can be
     degenerate to rounding, and the slopes of its lines are then rounding
@@ -387,6 +386,8 @@ def transition_table(
     (|<Sz>|, |<Sx>| <= 3/2).  The lines are even in theta about 0 and
     pi/2, so the theta column is exactly zero where theta is 0 or pi/2.
     """
+    if jacobian and not labelled:
+        raise ValueError("the Jacobian is of the labelled lines: pass labelled=True")
     b0 = np.asarray(b0_t, dtype=float).ravel()
     th = np.asarray(theta_rad, dtype=float).ravel()
     if b0.shape != th.shape:
@@ -411,12 +412,6 @@ def transition_table(
     jt[1] *= consts.gyro_hz_per_t * b0
     # the lines are even in theta about 0 and pi/2
     jt[1][:, (th == 0.0) | (th == math.pi / 2)] = 0.0
-    if not labelled:
-        # at a tie (B0 = 0) nu1 takes the smaller B0 slope, so that the
-        # Jacobian is the one-sided derivative of the sorted pair
-        swap = (nu[0] > nu[1]) | ((nu[0] == nu[1]) & (jt[0][0] > jt[0][1]))
-        nu = np.where(swap, nu[::-1], nu)
-        jac = np.where(swap[:, None, None], jac[:, ::-1], jac)
     return nu[0], nu[1], jac
 
 

@@ -278,7 +278,7 @@ def single_stage_fit(spec):
     def project(p):
         return np.where(np.all(p[[2, 5]] > 0), p, np.nan)
 
-    p, _, jtj, ssr, iterations, converged = _damped_gauss_newton(
+    p, jtj, ssr, iterations, converged = _damped_gauss_newton(
         fun, p0, np.array([sig_scale] + [span, span, sig_scale] * 2), project
     )
     names = ("baseline", "center1_hz", "fwhm1_hz", "amp1", "center2_hz", "fwhm2_hz", "amp2")
@@ -411,12 +411,12 @@ def test_a_refused_node_stage_evaluates_the_binned_optimum_at_full_resolution_on
     monkeypatch.setattr(fitting, "_lorentzian_normal_equations", spy)
     monkeypatch.setattr(fitting, "_damped_gauss_newton", recorded)
     res = fit_lorentzian_multi(spec, 2)
-    assert len(runs) == 3 and runs[0][5] and runs[1][5]  # binned, nodes, full
+    assert len(runs) == 3 and runs[0][4] and runs[1][4]  # binned, nodes, full
     binned = runs[0][0]
     full = [p for size, p in points if size == n]
     assert np.array_equal(full[0], binned)
     assert sum(np.array_equal(p, binned) for p in full) == 1
-    assert np.array_equal(res.values, runs[2][0]) and res.iterations == runs[2][4]
+    assert np.array_equal(res.values, runs[2][0]) and res.iterations == runs[2][3]
 
 
 def binned_optimum_and_nodes(monkeypatch, spec):
@@ -452,9 +452,9 @@ def test_node_normal_equations_match_the_full_trace_at_the_binned_optimum(monkey
     p, k, _ = binned_optimum_and_nodes(monkeypatch, spec)
     rows = np.empty((8, _BLOCK))
     nodes, root_w, pseudo, unseen = fitting._simpson_nodes(freq, signal, k, rows)
-    ssr_n, jtj_n, jtr_n, _ = _lorentzian_normal_equations(nodes, pseudo, p, 2, rows, root_w)
+    ssr_n, jtj_n, jtr_n = _lorentzian_normal_equations(nodes, pseudo, p, 2, rows, root_w)
     ssr_n += unseen
-    ssr, jtj, jtr, _ = _lorentzian_normal_equations(freq, signal, p, 2, rows)
+    ssr, jtj, jtr = _lorentzian_normal_equations(freq, signal, p, 2, rows)
     scale = np.sqrt(np.diagonal(jtj))
     assert nodes.size < freq.size // 20
     assert np.all(np.abs(jtj_n - jtj) <= 1e-10 * np.outer(scale, scale))
@@ -563,7 +563,7 @@ def test_fit_below_the_binning_threshold_is_the_single_stage_fit(monkeypatch):
         ref = single_stage_fit(spec)
         sizes.clear()
         res = fit_lorentzian_multi(spec, 2)
-        assert set(sizes) == {n} and len(sizes) > 1  # no binned stage, no one step
+        assert set(sizes) == {n} and len(sizes) > 1  # no binned stage, no node stage
         assert np.array_equal(res.values, ref.values)
         assert np.array_equal(res.sigmas, ref.sigmas)
         assert (res.residual_rms, res.iterations, res.converged) == (
@@ -582,7 +582,7 @@ def axial_spectrum_60g():
 
 def test_far_init_falls_back_and_raises_the_same_error(monkeypatch):
     # from this init the binned stage wanders off the sweep and does not
-    # converge, so the fit skips the one step and hands the binned point to
+    # converge, so the fit skips the node stage and hands the binned point to
     # the damped full-resolution stage, which ends on singular normal equations
     sizes = evaluation_sizes(monkeypatch)
     init = [0.0, 70e6, 30e6, 1e-3, 200e6, 30e6, 1e-3]
@@ -609,8 +609,8 @@ def test_unconverged_binned_stage_falls_back_to_the_damped_stage(monkeypatch):
 
     monkeypatch.setattr(fitting, "_damped_gauss_newton", capped)
     res = fit_lorentzian_multi(spec, 2)
-    assert len(runs) == 2 and not runs[0][5]
-    p, _, _, _, iterations, converged = runs[1]
+    assert len(runs) == 2 and not runs[0][4]
+    p, _, _, iterations, converged = runs[1]
     assert np.array_equal(res.values, p)
     assert converged and (res.iterations, res.converged) == (iterations, converged)
     assert sizes.count(92_001) == iterations + 1
@@ -624,14 +624,15 @@ def test_core_reports_non_convergence(monkeypatch):
 
     def fun(p):
         model, jac = _lorentzian_model(freq, p, 1)
-        return *_normal_equations(model - signal, jac), None
+        return _normal_equations(model - signal, jac)
 
     with monkeypatch.context() as m:
         m.setattr(fitting, "MAX_ITERATIONS", 1)
-        p, value, jtj, ssr, iterations, converged = _damped_gauss_newton(
+        p, jtj, ssr, iterations, converged = _damped_gauss_newton(
             fun,
             np.array([0.0, 70e6, 30e6, 5e-4]),
             np.array([1e-3, 2.3e8, 2.3e8, 1e-3]),
+            lambda p: p,
         )
     assert not converged
     assert iterations == 1
@@ -640,13 +641,13 @@ def test_core_reports_non_convergence(monkeypatch):
     # whose every step climbs: each run stops where it started, unconverged,
     # once lam passes 1e12
     def linear(p):
-        return *_normal_equations(p - np.array([1.0, 2.0]), np.eye(2)), None
+        return _normal_equations(p - np.array([1.0, 2.0]), np.eye(2))
 
     def flipped(p):
-        return *_normal_equations(p - np.array([1.0, 2.0]), -np.eye(2)), None
+        return _normal_equations(p - np.array([1.0, 2.0]), -np.eye(2))
 
-    for fun, project in ((linear, lambda p: np.full_like(p, np.nan)), (flipped, None)):
-        p, value, jtj, ssr, iterations, converged = _damped_gauss_newton(
+    for fun, project in ((linear, lambda p: np.full_like(p, np.nan)), (flipped, lambda p: p)):
+        p, jtj, ssr, iterations, converged = _damped_gauss_newton(
             fun, np.zeros(2), np.ones(2), project
         )
         assert not converged
@@ -660,7 +661,7 @@ def test_core_returns_the_normal_matrix_of_its_point_when_fun_reuses_one_buffer(
     # and rejected overwrites the accepted point's rows.  project sends
     # trials after the first accepted one to a far point whose SSR is
     # higher: once, or until lam passes 1e12 and the run ends there.  The
-    # core must return the accepted point's normal equations and value
+    # core must return the accepted point's normal equations
     freq = np.linspace(50e6, 280e6, _BLOCK + 2001)
     signal = two_peak_signal(freq, 0.0, [(98e6, 13e6, 1.8e-3)])
     far = np.array([0.0, 200e6, 5e6, 1e-2])
@@ -670,9 +671,9 @@ def test_core_returns_the_normal_matrix_of_its_point_when_fun_reuses_one_buffer(
 
         def fun(p):
             rows = np.empty((5, _BLOCK)) if buffer is None else buffer
-            ssr, jtj, jtr, _ = _lorentzian_normal_equations(freq, signal, p, 1, rows)
+            ssr, jtj, jtr = _lorentzian_normal_equations(freq, signal, p, 1, rows)
             ssrs.append(ssr)
-            return ssr, jtj, jtr, p.copy()
+            return ssr, jtj, jtr
 
         def project(p):
             trials.append(p)
@@ -685,10 +686,9 @@ def test_core_returns_the_normal_matrix_of_its_point_when_fun_reuses_one_buffer(
         return out, ssrs
 
     buffer = np.empty((5, _BLOCK))
-    (p, value, jtj, ssr, iterations, converged), ssrs = run(buffer)
+    (p, jtj, ssr, iterations, converged), ssrs = run(buffer)
     # the first trial was accepted and the detour evaluated and rejected
     assert ssrs[1] < ssrs[0] < ssrs[2]
-    assert np.array_equal(value, p)
     model, jac = _lorentzian_model(freq, p, 1)
     r = model - signal
     scale = np.sqrt(np.diagonal(jac.T @ jac))
@@ -702,7 +702,7 @@ def test_core_returns_the_normal_matrix_of_its_point_when_fun_reuses_one_buffer(
         _, far_jac = _lorentzian_model(freq[-2001:], far, 1)
         assert np.array_equal(buffer[:4, :2001], far_jac.T)
     # a fresh buffer per call gives the same run, bit for bit
-    (p_f, _, jtj_f, ssr_f, iterations_f, converged_f), _ = run(None)
+    (p_f, jtj_f, ssr_f, iterations_f, converged_f), _ = run(None)
     assert np.array_equal(p, p_f) and np.array_equal(jtj, jtj_f)
     assert (ssr, iterations, converged) == (ssr_f, iterations_f, converged_f)
 
@@ -719,12 +719,11 @@ def test_blocked_normal_equations_match_the_dense_products(rng, n):
     for p in ([0.0, 98e6, 13e6, 1.8e-3, 238e6, 13e6, 1.8e-3],
               [1e-4, 90e6, 10e6, 1e-3, 230e6, 10e6, 1e-3]):
         p = np.array(p)
-        ssr, jtj, jtr, value = _lorentzian_normal_equations(freq, signal, p, 2, rows)
+        ssr, jtj, jtr = _lorentzian_normal_equations(freq, signal, p, 2, rows)
         model, jac = _lorentzian_model(freq, p, 2)
         r = model - signal
         want_ssr, want_jtj, want_jtr = _normal_equations(r, jac)
         scale = np.sqrt(np.diagonal(want_jtj))
-        assert value is None
         assert ssr == pytest.approx(want_ssr, rel=1e-13)
         assert np.all(np.abs(jtj - want_jtj) <= 1e-13 * np.outer(scale, scale))
         assert np.all(np.abs(jtr - want_jtr) <= 1e-13 * scale * math.sqrt(want_ssr))
@@ -747,11 +746,11 @@ def test_core_rejects_a_singular_system_and_retries_with_more_damping(monkeypatc
         return solve(a, b)
 
     def fun(p):
-        return *_normal_equations(a_mat @ p - y, a_mat), None
+        return _normal_equations(a_mat @ p - y, a_mat)
 
     monkeypatch.setattr(np.linalg, "solve", singular_once)
-    p, value, jtj, ssr, iterations, converged = _damped_gauss_newton(
-        fun, np.zeros(2), np.ones(2)
+    p, jtj, ssr, iterations, converged = _damped_gauss_newton(
+        fun, np.zeros(2), np.ones(2), lambda p: p
     )
     assert converged
     assert np.array_equal(jtj, a_mat.T @ a_mat)

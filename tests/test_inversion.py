@@ -161,7 +161,7 @@ def test_line_path_makes_no_eigenvector_solve(consts, monkeypatch):
     try:
         transition_table(b0, theta, consts)
         transition_table(b0, theta, consts, labelled=True)
-        transition_table(b0, theta, consts, jacobian=True)
+        transition_table(b0, theta, consts, jacobian=True, labelled=True)
         nu1, nu2 = _forward(60.0, 30.0, consts)
         res = invert_field(nu1, nu2, consts)
         assert abs(res.b0_t / GAUSS - 60.0) <= 0.1
@@ -750,10 +750,21 @@ def test_condition_quiet_away_from_fold_spikes_at_fold(consts):
     assert fold.degenerate
 
 
-def test_unreachable_pair_raises(consts):
+def test_unreachable_pair_raises(consts, monkeypatch):
     with pytest.raises(NoSolutionError) as err:
         invert_field(500e6, 900e6, consts)
     assert err.value.best_residual_hz > 1e6
+    # an exact pair (row 3 of default_rng(3).uniform(1e6, 600e6, (300, 2)),
+    # sorted) whose placed roots all miss without a sign of it: its six edge
+    # fits come in a second table call, and the best of them, 25.6 MHz
+    # off, is the error's residual, within 1 Hz of the oracle's or better
+    pair = (96_683_609.86761007, 287_951_727.58635956)
+    invert_field(70e6, 71e6, consts)  # warm the grid cache
+    calls = count_table_calls(monkeypatch)
+    with pytest.raises(NoSolutionError) as err:
+        invert_field(*pair, consts)
+    assert len(calls) == 2
+    assert err.value.best_residual_hz <= _oracle_best_residual(pair, consts) + 1.0
 
 
 def test_pair_beyond_every_line_raises_without_overflow(consts):

@@ -356,17 +356,15 @@ def test_sorted_table_is_the_row_sort_of_the_labelled_one(consts, rng):
     assert 0 < swap.sum() < swap.size
     assert np.array_equal(nu1, np.where(swap, line_b, line_a))
     assert np.array_equal(nu2, np.where(swap, line_a, line_b))
-    # the Jacobian rows swap with the lines, and where the lines tie (the
-    # B0 = 0 rows) nu1 carries the smaller B0 slope: the one-sided
-    # derivative of the sorted pair
-    *_, jac = transition_table(b0, theta, consts, jacobian=True)
-    *_, jac_labelled = transition_table(b0, theta, consts, jacobian=True, labelled=True)
+    # the Jacobian comes with the labelled lines, bit for bit, and where the
+    # lines tie (the B0 = 0 rows) each keeps its own one-sided B0 slope,
+    # falling on one line and rising on the other
+    jac_a, jac_b, jac = transition_table(b0, theta, consts, jacobian=True, labelled=True)
+    assert np.array_equal(jac_a, line_a) and np.array_equal(jac_b, line_b)
     zero = b0 == 0
     assert np.all(line_a[zero] == line_b[zero])
-    swap[zero] = jac_labelled[zero, 0, 0] > jac_labelled[zero, 1, 0]
-    assert swap[zero].any()
-    assert np.all(jac[zero, 0, 0] < jac[zero, 1, 0])
-    assert np.array_equal(jac, np.where(swap[:, None, None], jac_labelled[:, ::-1], jac_labelled))
+    assert np.all(jac[zero, 0, 0] == -jac[zero, 1, 0]) and np.all(jac[zero, :, 0] != 0)
+    assert (jac[zero, 0, 0] < 0).any() and (jac[zero, 0, 0] > 0).any()
 
 
 def test_transition_table_matches_single_point_path(consts, rng):
@@ -427,8 +425,11 @@ def test_diagonal_rows_take_the_basis_states(consts):
     for b in (0.0, 1e-300):
         nu1, nu2 = transition_table(np.full_like(theta, b), theta, consts)
         assert np.all(nu1 == 2 * d) and np.all(nu2 == 2 * d)
+    # on the axis line A is the lower line at each of these fields
     b0 = np.array([1e-300, 1e-9, d / gamma, 2 * d / gamma, 60 * GAUSS, 100 * GAUSS])
-    nu1, nu2, jac = transition_table(b0, np.zeros_like(b0), consts, jacobian=True)
+    nu1, nu2, jac = transition_table(
+        b0, np.zeros_like(b0), consts, jacobian=True, labelled=True
+    )
     for k, b in enumerate(b0):
         ref = closed_form_axial(b, consts)
         assert nu1[k] == pytest.approx(ref.nu1_hz, abs=1e-6)
@@ -447,11 +448,10 @@ def test_theta_column_vanishes_at_the_right_angle(consts):
     # each along theta is exactly zero, down to B0 = 0
     gamma = consts.gyro_hz_per_t
     b0 = np.array([0.0, 1e-300, 1e-16, 1e-9, 1e-8, 1e-7, 1e-6])
-    for labelled in (False, True):
-        *_, jac = transition_table(
-            b0, np.full_like(b0, math.pi / 2), consts, jacobian=True, labelled=labelled
-        )
-        assert np.all(jac[:, :, 1] == 0.0)
+    *_, jac = transition_table(
+        b0, np.full_like(b0, math.pi / 2), consts, jacobian=True, labelled=True
+    )
+    assert np.all(jac[:, :, 1] == 0.0)
     # just off pi/2 the pair stays degenerate to rounding at these fields:
     # the slopes are noise, but no larger than unit vectors' can be, where
     # each <Sz> and <Sx> lies in [-3/2, 3/2]
@@ -459,7 +459,7 @@ def test_theta_column_vanishes_at_the_right_angle(consts):
                    2.961998247604565e-11, 6.072455417884667e-09])
     theta = np.array([1.5707696268051288, 1.5707956732578083,
                       1.5707963235431524, 1.5707963267628666])
-    *_, jac = transition_table(b0, theta, consts, jacobian=True)
+    *_, jac = transition_table(b0, theta, consts, jacobian=True, labelled=True)
     bound = 3.0 * math.sqrt(2.0)
     assert np.all(np.abs(jac[:, :, 0]) <= bound * gamma)
     assert np.all(np.abs(jac[:, :, 1]) <= bound * gamma * b0[:, None])
@@ -473,12 +473,11 @@ def test_theta_column_is_exactly_zero_on_the_angle_edges(consts, theta_rad):
     gamma, d = consts.gyro_hz_per_t, consts.d_hz
     b0 = np.array([0.0, 1e-9, 0.5 * d / gamma, 1.5 * d / gamma, 3.0 * d / gamma,
                    60 * GAUSS, 200 * GAUSS])
-    for labelled in (False, True):
-        *_, jac = transition_table(
-            b0, np.full_like(b0, theta_rad), consts, jacobian=True, labelled=labelled
-        )
-        assert jac[:, :, 1].tolist() == [[0.0, 0.0]] * b0.size
-        assert np.all(np.abs(jac[1:, :, 0]) > 0.0)
+    *_, jac = transition_table(
+        b0, np.full_like(b0, theta_rad), consts, jacobian=True, labelled=True
+    )
+    assert jac[:, :, 1].tolist() == [[0.0, 0.0]] * b0.size
+    assert np.all(np.abs(jac[1:, :, 0]) > 0.0)
 
 
 def test_transition_table_input_validation(consts):
@@ -490,6 +489,9 @@ def test_transition_table_input_validation(consts):
     assert empty[0].size == 0 and empty[1].size == 0
     with pytest.raises(TypeError):  # jacobian is keyword-only
         transition_table(np.array([1e-3]), np.array([0.0]), consts, True)
+    # the sorted pair has no derivative where it folds
+    with pytest.raises(ValueError, match="pass labelled=True"):
+        transition_table(np.array([1e-3]), np.array([0.0]), consts, jacobian=True)
 
 
 def test_overflowing_field_raises_value_error_without_warnings(consts):
@@ -550,14 +552,14 @@ def test_transition_table_jacobian_matches_central_differences(consts):
     b0 = np.concatenate(([60 * GAUSS, 60 * GAUSS, 1.02 * crossing],
                          rng.uniform(1 * GAUSS, 200 * GAUSS, 20)))
     theta = np.concatenate(([0.0, math.pi / 2, 0.3], rng.uniform(0.0, math.pi / 2, 20)))
-    nu1, nu2, jac = transition_table(b0, theta, consts, jacobian=True)
-    plain1, plain2 = transition_table(b0, theta, consts)
+    nu1, nu2, jac = transition_table(b0, theta, consts, jacobian=True, labelled=True)
+    plain1, plain2 = transition_table(b0, theta, consts, labelled=True)
     assert np.array_equal(nu1, plain1) and np.array_equal(nu2, plain2)
     db, dth = 1e-9, 1e-6
-    fd_b = (np.array(transition_table(b0 + db, theta, consts))
-            - np.array(transition_table(b0 - db, theta, consts))) / (2 * db)
-    fd_t = (np.array(transition_table(b0, theta + dth, consts))
-            - np.array(transition_table(b0, theta - dth, consts))) / (2 * dth)
+    fd_b = (np.array(transition_table(b0 + db, theta, consts, labelled=True))
+            - np.array(transition_table(b0 - db, theta, consts, labelled=True))) / (2 * db)
+    fd_t = (np.array(transition_table(b0, theta + dth, consts, labelled=True))
+            - np.array(transition_table(b0, theta - dth, consts, labelled=True))) / (2 * dth)
     # errors relative to the natural scales gamma (Hz/T) and gamma*B0 (Hz/rad)
     gamma = consts.gyro_hz_per_t
     assert np.all(np.abs(jac[:, :, 0] - fd_b.T) <= 1e-7 * gamma)
@@ -599,12 +601,12 @@ def test_transition_table_jacobian_near_zero_field(consts):
     # at B0 = 0 they are the one-sided derivatives of the doublet limit
     theta = np.array([0.0, 0.5, 1.0, 1.5])
     b0 = np.full_like(theta, 2e-9)
-    _, _, jac = transition_table(b0, theta, consts, jacobian=True)
+    _, _, jac = transition_table(b0, theta, consts, jacobian=True, labelled=True)
     db, dth = 1e-9, 1e-3
-    fd_b = (np.array(transition_table(b0 + db, theta, consts))
-            - np.array(transition_table(b0 - db, theta, consts))) / (2 * db)
-    fd_t = (np.array(transition_table(b0, theta + dth, consts))
-            - np.array(transition_table(b0, theta - dth, consts))) / (2 * dth)
+    fd_b = (np.array(transition_table(b0 + db, theta, consts, labelled=True))
+            - np.array(transition_table(b0 - db, theta, consts, labelled=True))) / (2 * db)
+    fd_t = (np.array(transition_table(b0, theta + dth, consts, labelled=True))
+            - np.array(transition_table(b0, theta - dth, consts, labelled=True))) / (2 * dth)
     gamma = consts.gyro_hz_per_t
     assert np.all(np.abs(jac[:, :, 0] - fd_b.T) <= 1e-6 * gamma)
     assert np.all(np.abs(jac[:, :, 1] - fd_t.T) <= 1e-3 * gamma * b0[:, None])
