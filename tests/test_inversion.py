@@ -780,11 +780,9 @@ def test_pair_beyond_every_line_raises_without_overflow(consts):
 
 
 def test_pair_on_a_line_selection_jump_takes_one_table_call(consts, monkeypatch):
-    # at (70 G, 40 deg) refinement rows used to land on jumps of the
-    # pumped-pair selection that no damped step can cross (36 table calls
-    # under a damping cap, 93 without); the quartic's roots hold both exact
-    # preimages, so one table call verifies them and no root is refined, and
-    # the reduction keeps the same answer
+    # (70 G, 40 deg) lies next to jumps of the pumped-pair selection; the
+    # quartic's roots hold both exact preimages, so one table call verifies
+    # them and the reduction keeps the same answer
     nu1, nu2 = _forward(70.0, 40.0, consts)
     invert_field(nu1, nu2, consts)  # warm the grid cache
     calls = count_table_calls(monkeypatch)

@@ -15,9 +15,9 @@ checked by running this on the parent and on the change:
   (0-200 G, 0-90 deg) plus 40 edge rows (B0 = 0, 1e-300 T, 1 nT-1 uT,
   gamma B0 = D and 2D, 60 G and 200 G at theta = 0, pi/2, 0.3 and 1 rad;
   the Jacobian of the B0 = 0 rows in a call of their own, whose error
-  text is recorded on a tree that refuses it).  lines hashes every line the calls return, jacobian every Jacobian,
-  so a change meant to move only Jacobian rows shows whether the lines
-  stayed bit-identical;
+  text is recorded on a tree that refuses it).  lines hashes every line
+  the calls return, jacobian every Jacobian, so a change meant to move
+  only Jacobian rows shows whether the lines stayed bit-identical;
 - invert: every field of invert_field's InversionResult, or the raised
   error, on 1 757 pairs: 300 random exact and 200 random 100 kHz-noisy
   pairs over 0.5-150 G, 188 exact pairs at 89.5-89.99 deg, 200 in the
