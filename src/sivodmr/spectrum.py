@@ -24,6 +24,12 @@ Synthesis asks for the values only (jacobian=False), which keep the
 Jacobian path's operation order; every operation is elementwise, so a
 synthesised spectrum is bit-equal to the fit's model at the true lines,
 whatever the blocks.
+
+Synthesis allocates the grid and the signal as the two rows of one
+(2, n) array, and that array is its only full-size allocation: each
+block's grid points are np.linspace's, bit for bit, and its noise is
+drawn into one block buffer by standard_normal and scaled by sigma,
+which is bit-equal to one rng.normal(0, sigma, n) draw.
 """
 
 from __future__ import annotations
@@ -264,17 +270,30 @@ def synthesize_spectrum(
     """
     pair = transition_pair(field, consts)
     contrast, fwhm_hz = mw_response(cfg.mw_dbm, mwparams)
-    freq = np.linspace(cfg.f_start_hz, cfg.f_stop_hz, int(cfg.n_points))
     lines = np.array([0.0, pair.nu1_hz, fwhm_hz, contrast, pair.nu2_hz, fwhm_hz, contrast])
-    signal = np.empty(freq.size)
-    for start in range(0, freq.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        _lorentzian_model(freq[block], lines, 2, jacobian=False, out=signal[block])
+    n = int(cfg.n_points)
+    freq, signal = np.empty((2, n))
+    # np.linspace's points, f_start + k * step with the last one f_stop itself
+    # (a step that underflows to 0, where np.linspace divides before it
+    # multiplies, has repeated points, which OdmrSpectrum refuses either way)
+    step = (cfg.f_stop_hz - cfg.f_start_hz) / (n - 1)
     if cfg.seed is not None:
-        rate = photon_rate(cfg.laser_mw, sat)
-        sigma = shot_noise_sigma(rate, cfg.dwell_s)
+        sigma = shot_noise_sigma(photon_rate(cfg.laser_mw, sat), cfg.dwell_s)
         rng = np.random.default_rng(cfg.seed)
-        signal += rng.normal(0.0, sigma, freq.size)
+        noise = np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        grid = freq[block]
+        np.multiply(np.arange(start, start + grid.size), step, out=grid)
+        grid += cfg.f_start_hz
+        if start + grid.size == n:
+            grid[-1] = cfg.f_stop_hz
+        _lorentzian_model(grid, lines, 2, jacobian=False, out=signal[block])
+        if cfg.seed is not None:
+            # the standard normals of rng.normal(0, sigma, n), in its order
+            draw = rng.standard_normal(out=noise[: grid.size])
+            draw *= sigma
+            signal[block] += draw
     covered = (
         cfg.f_start_hz <= pair.nu1_hz <= cfg.f_stop_hz
         and cfg.f_start_hz <= pair.nu2_hz <= cfg.f_stop_hz

@@ -7,7 +7,10 @@ Hamiltonian is written once, as a real symmetric tridiagonal float64
 batch.  Every line comes from one real path (transition_table, and
 transition_pair as its one-row case): LAPACK eigvalsh gives the energies,
 and the cofactors of the tridiagonal H give each state's m = +/-1/2 weight
-and its <Sz> and <Sx> without forming an eigenvector.  Below about a
+and its <Sz> and <Sx> without forming an eigenvector.  A large batch runs
+in blocks of _TABLE_BLOCK rows, one eigvalsh call each, so its working
+memory does not grow with the batch and each row is bit-equal to a
+one-row call.  Below about a
 picotesla, B0 = 0 included, <Sz> and <Sx> take the Kramers doublets'
 B0 -> 0+ limit, so the line Jacobian is analytic at every field.  Only
 diagonalize, the complex path for any Hermitian input, calls eigh and
@@ -169,6 +172,26 @@ class TransitionPair:
             )
 
 
+def _check_zeeman(b0_t: np.ndarray, theta_rad: np.ndarray, consts: PhysicalConstants) -> None:
+    """Raise ValueError naming the largest b0_t if any entry of H/h overflows.
+
+    Every caller passes finite fields, so the only way to a non-finite
+    entry is an overflow of gamma*B0 or of its product with an entry of
+    cos(theta) Sz + sin(theta) Sx, at most 3/2.  A bound on gamma*max(B0)
+    clears almost every batch, and a batch it does not clear is tested
+    exactly, row by row, with no floating-point warning on the way.
+    """
+    b0_max = float(b0_t.max(initial=0.0))
+    if consts.gyro_hz_per_t * b0_max * 1.5 == math.inf:
+        # scaled by 2**-64, which is exact for any B0 near overflow and cannot
+        # overflow, a product overflows exactly when it reaches 2**960
+        zeeman = consts.gyro_hz_per_t * (b0_t * 2.0**-64)
+        top = zeeman * np.maximum(np.abs(np.cos(theta_rad) * _SZ_REAL[0, 0]),
+                                  np.abs(np.sin(theta_rad)))
+        if (zeeman >= 2.0**960).any() or (top >= 2.0**960).any():
+            raise ValueError(f"b0_t too large: gyro_hz_per_t * b0_t overflows at {b0_max:g} T")
+
+
 def _hamiltonian_batch(
     b0_t: np.ndarray, theta_rad: np.ndarray, consts: PhysicalConstants
 ) -> np.ndarray:
@@ -177,24 +200,13 @@ def _hamiltonian_batch(
 
     The stack is the transpose view of a (16, n) array whose row k holds
     entry k of every H, built by one operation per step for all 16 rows
-    (see _H_FACTOR).  Every caller passes finite fields, so the only way
-    to a non-finite entry is an overflow of gamma*B0 or of its product
-    with an entry of cos(theta) Sz + sin(theta) Sx, at most 3/2; that
-    raises ValueError naming b0_t.  A bound on gamma*max(B0) clears
-    almost every batch, and a batch it does not clear is tested exactly,
-    row by row, with no floating-point warning on the way.
+    (see _H_FACTOR).  An entry that would overflow raises ValueError
+    naming b0_t first (_check_zeeman).
     """
-    b0_max = float(b0_t.max(initial=0.0))
+    _check_zeeman(b0_t, theta_rad, consts)
     trig = np.zeros((3, b0_t.size))
     np.cos(theta_rad, out=trig[0])
     np.sin(theta_rad, out=trig[1])
-    if consts.gyro_hz_per_t * b0_max * 1.5 == math.inf:
-        # scaled by 2**-64, which is exact for any B0 near overflow and cannot
-        # overflow, a product overflows exactly when it reaches 2**960
-        zeeman = consts.gyro_hz_per_t * (b0_t * 2.0**-64)
-        top = zeeman * np.maximum(np.abs(trig[0] * _SZ_REAL[0, 0]), np.abs(trig[1]))
-        if (zeeman >= 2.0**960).any() or (top >= 2.0**960).any():
-            raise ValueError(f"b0_t too large: gyro_hz_per_t * b0_t overflows at {b0_max:g} T")
     h = trig.take(_H_TRIG_ROW, axis=0)
     h *= _H_FACTOR
     h *= consts.gyro_hz_per_t * b0_t
@@ -351,6 +363,12 @@ def _line_gaps(levels: np.ndarray, edge: np.ndarray) -> np.ndarray:
     return lines
 
 
+# rows per block of transition_table: each block's Hamiltonians, eigvalsh call,
+# cofactors and Jacobian take about 1 MiB of temporaries at any batch size,
+# and 2 048 rows ran fastest of 1 024-8 192 (BENCH_35.json)
+_TABLE_BLOCK = 2048
+
+
 def transition_table(
     b0_t: np.ndarray,
     theta_rad: np.ndarray,
@@ -367,7 +385,12 @@ def transition_table(
     crossing where the sorted pair folds along nu1 = nu2.  The energies,
     the m = +/-1/2 weights that select the lines and the expectation values
     behind the Jacobian come from one eigvalsh call and the cofactors of
-    the tridiagonal H (_state_terms); no eigenvector is formed.
+    the tridiagonal H (_state_terms); no eigenvector is formed.  A batch of
+    more than _TABLE_BLOCK rows is evaluated block by block into the
+    returned arrays, so its temporaries do not grow with the batch; every
+    step is per row, so each row is bit-equal to a one-row call.  A b0_t
+    that overflows H raises ValueError, naming the batch's largest b0_t,
+    before any block is evaluated.
 
     With jacobian=True, which needs labelled=True because the sorted pair
     has no derivative where it folds, a third array of shape (n, 2, 2) holds
@@ -395,6 +418,25 @@ def transition_table(
     if not (b0.min(initial=math.inf) >= 0 and b0.max(initial=0.0) < math.inf
             and np.isfinite(th).all()):
         raise ValueError("fields must be non-negative and angles finite")
+    if b0.size <= _TABLE_BLOCK:
+        return _table_rows(b0, th, consts, jacobian, labelled)
+    # an overflow in any block raises before the first block is evaluated
+    _check_zeeman(b0, th, consts)
+    nu = np.empty((2, b0.size))
+    jac = np.empty((b0.size, 2, 2)) if jacobian else None
+    for start in range(0, b0.size, _TABLE_BLOCK):
+        rows = slice(start, start + _TABLE_BLOCK)
+        block = _table_rows(b0[rows], th[rows], consts, jacobian, labelled)
+        nu[0, rows], nu[1, rows] = block[:2]
+        if jacobian:
+            jac[rows] = block[2]
+    return (nu[0], nu[1], jac) if jacobian else (nu[0], nu[1])
+
+
+def _table_rows(
+    b0: np.ndarray, th: np.ndarray, consts: PhysicalConstants, jacobian: bool, labelled: bool
+):
+    """transition_table of one block of validated rows."""
     levels, weights = _state_terms(b0, th, consts, expectations=jacobian)
     # (line, row), or with the Jacobian (line, energy/Sz/Sx, row)
     lines = _line_gaps(levels, _select_transitions_batch(weights))

@@ -412,6 +412,26 @@ def test_zero_field_valley_pairs_take_one_table_call(consts, monkeypatch):
         assert floor - 1e-3 <= res.residual_hz <= 2.0 * best
 
 
+@pytest.mark.parametrize(
+    "pair, sigma_hz, reason",
+    [
+        ((69_996_737.717, 69_999_594.541), 0.0, "zero-field"),
+        ((69_996_737.717, 69_999_594.541), 1e3, "zero-field"),
+        ((61_903_379.418, 80_202_840.213), 1e6, "unresolved"),
+    ],
+)
+def test_pairs_whose_noise_drops_the_half_pi_rival_stay_flagged(consts, pair, sigma_hz, reason):
+    # _solutions picks its candidates by sigma, and a noisy pair whose roots
+    # are not clipped onto theta = pi/2 gets no pi/2 edge fit: the valley
+    # pair keeps its (0.00051 G, 90 deg) rival at sigma = 0 and loses it at
+    # 1 kHz, and at 1 MHz the second pair's pi/2 fit (3.24 G, 778 kHz RMS,
+    # inside 3 sigma) is never evaluated.  Each answer stays flagged, so a
+    # lost rival is never a silently wrong field
+    res = invert_field(*pair, consts, sigma_hz=sigma_hz)
+    assert res.degenerate
+    assert res.reason == reason
+
+
 def test_half_pi_lines_match_the_table_on_both_sides_of_the_crossing(consts):
     # on theta = pi/2 H/h splits into two 2 x 2 blocks; the closed-form
     # labelled lines and their B0 slopes are the table's, below and above

@@ -13,6 +13,7 @@ Anchors (computed independently from the stated formulas):
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,3 +357,40 @@ def test_blocked_synthesis_is_bit_equal_to_the_fit_model_at_the_true_lines(const
         res = fit_lorentzian_multi(spec, 2, init=lines)
         assert res.converged and res.residual_rms == 0.0
         assert np.array_equal(res.values, lines)
+
+
+@pytest.mark.parametrize("n_points", [2, 401, _BLOCK, _BLOCK + 1, 92001])
+@pytest.mark.parametrize("seed", [None, 3502])
+def test_blocked_synthesis_is_bit_equal_to_linspace_and_one_normal_draw(consts, n_points, seed):
+    # the grid is filled and the noise drawn block by block; both must be
+    # what np.linspace and one rng.normal(0, sigma, n) draw give, bit for bit
+    cfg = AcquisitionConfig(50e6, 280e6, n_points, laser_mw=85.0, seed=seed)
+    field = FieldVector(60 * GAUSS, 0.3)
+    spec = synthesize_spectrum(cfg, field, consts)
+    freq = np.linspace(cfg.f_start_hz, cfg.f_stop_hz, n_points)
+    pair = transition_pair(field, consts)
+    contrast, fwhm = mw_response(cfg.mw_dbm)
+    lines = np.array([0.0, pair.nu1_hz, fwhm, contrast, pair.nu2_hz, fwhm, contrast])
+    signal = _lorentzian_model(freq, lines, 2, jacobian=False)[0]
+    if seed is not None:
+        sigma = shot_noise_sigma(photon_rate(cfg.laser_mw), cfg.dwell_s)
+        signal = signal + np.random.default_rng(seed).normal(0.0, sigma, n_points)
+    assert np.array_equal(spec.freq_hz, freq)
+    assert np.array_equal(spec.signal, signal)
+
+
+def test_synthesis_allocates_little_beyond_its_spectrum(consts):
+    # the grid and signal are the only full-size arrays: at 92 001 points
+    # they take 1.40 MiB, and the blocks' temporaries about 0.4 MiB more
+    # (a full-size grid, signal and noise draw took 2.11 MiB)
+    cfg = AcquisitionConfig(50e6, 280e6, 92001, laser_mw=85.0, seed=3503)
+    field = FieldVector(60 * GAUSS, 0.3)
+    synthesize_spectrum(cfg, field, consts)
+    tracemalloc.start()
+    try:
+        spec = synthesize_spectrum(cfg, field, consts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.freq_hz.size == 92001
+    assert peak <= 2.0 * 2**20

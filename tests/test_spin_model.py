@@ -11,6 +11,7 @@ gamma = 2.0023 * 1.39962449e10 Hz/T = 2.802468116327e10 Hz/T.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sivodmr.spin_model
 from sivodmr.spin_model import (
     MU_B_OVER_H,
     EigenSystem,
@@ -26,6 +28,7 @@ from sivodmr.spin_model import (
     PhysicalConstants,
     SpinMatrix,
     TransitionPair,
+    _TABLE_BLOCK,
     _hamiltonian_batch,
     _select_transitions_batch,
     _state_terms,
@@ -619,3 +622,98 @@ def test_transition_table_jacobian_near_zero_field(consts):
     db = 1e-10
     fd_b = (np.array(transition_table(zero + db, theta, consts, labelled=True)) - lines0) / db
     assert np.all(np.abs(jac[:, :, 0] - fd_b.T) <= 1e-6 * gamma)
+
+
+_TABLE_PATHS = ({}, {"labelled": True}, {"labelled": True, "jacobian": True})
+
+
+def _block_edge_rows(consts):
+    """Fields for the first and last rows of blocks: (B0 in T, theta in rad)."""
+    gamma, d = consts.gyro_hz_per_t, consts.d_hz
+    return [
+        (60 * GAUSS, 0.0),
+        (60 * GAUSS, math.pi / 2),
+        (0.0, 0.7),
+        (3e-13, 1.1),  # sub-picotesla: the doublet limit of <Sz> and <Sx>
+        (d / gamma, 0.0),  # gamma B0 = D and 2D: the axial level crossings
+        (2 * d / gamma, 0.0),
+        (d / gamma, 0.4),
+        (2 * d / gamma, 1.2),
+    ]
+
+
+def test_blocked_table_rows_are_bit_equal_to_one_row_calls(consts):
+    # a batch of more than _TABLE_BLOCK rows is evaluated block by block;
+    # every row, also on a block's first and last row, must be the one-row
+    # call's bit for bit, on every path, at sizes around one and two blocks
+    block = _TABLE_BLOCK
+    n = 2 * block + 1
+    edges = [0, block - 2, block - 1, block, 2 * block - 1, 2 * block]
+    rng = np.random.default_rng(3501)
+    b0 = rng.uniform(0.0, 200 * GAUSS, n)
+    theta = rng.uniform(0.0, math.pi / 2, n)
+
+    def one_row(kw, b, t):
+        return [np.asarray(out)[0] for out in transition_table(np.array([b]), np.array([t]),
+                                                               consts, **kw)]
+
+    reference = {i: [one_row(kw, b0[k], theta[k]) for k in range(n)]
+                 for i, kw in enumerate(_TABLE_PATHS)}
+    for field in _block_edge_rows(consts):
+        b0[edges], theta[edges] = field
+        for i, kw in enumerate(_TABLE_PATHS):
+            special = one_row(kw, *field)
+            for k in edges:
+                reference[i][k] = special
+            for size in (block - 1, block, block + 1, n):
+                got = transition_table(b0[:size], theta[:size], consts, **kw)
+                assert len(got) == len(special)
+                for j, out in enumerate(got):
+                    want = np.array([reference[i][k][j] for k in range(size)])
+                    assert out.shape == want.shape
+                    assert np.array_equal(out, want), (field, kw, size, j)
+
+
+def test_overflow_in_a_later_block_raises_before_any_block(consts, monkeypatch):
+    # the overflow check covers the whole batch first: the error names the
+    # batch's largest B0, wherever it lies, and no block's eigensolve runs
+    evaluated = []
+
+    def spy(*args, **kwargs):
+        evaluated.append(args[0].size)
+        return _state_terms(*args, **kwargs)
+
+    monkeypatch.setattr(sivodmr.spin_model, "_state_terms", spy)
+    n = 2 * _TABLE_BLOCK + 1
+    b0 = np.full(n, 60 * GAUSS)
+    theta = np.full(n, 0.3)
+    b0[_TABLE_BLOCK + 5] = 1e301
+    b0[n - 1] = 1e300
+    for kw in _TABLE_PATHS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"b0_t too large.* at 1e\+301 T"):
+                transition_table(b0, theta, consts, **kw)
+    assert evaluated == []
+    # without the overflow the same batch is evaluated in three blocks
+    b0[[_TABLE_BLOCK + 5, n - 1]] = 60 * GAUSS
+    transition_table(b0, theta, consts)
+    assert evaluated == [_TABLE_BLOCK, _TABLE_BLOCK, 1]
+
+
+@pytest.mark.parametrize("jacobian, bound_mib", [(False, 1.5), (True, 2.5)])
+def test_grid_size_table_call_has_bounded_temporaries(consts, jacobian, bound_mib):
+    # an 18 291-row call (the inversion grid's size) evaluated whole took
+    # 7.0 MiB of traced memory, 9.2 MiB with the Jacobian; in blocks it takes
+    # its outputs plus one block's temporaries, about 1.2 and 2.0 MiB
+    b0, theta = _random_grid_batch()
+    kw = {"jacobian": jacobian, "labelled": jacobian}
+    transition_table(b0, theta, consts, **kw)
+    tracemalloc.start()
+    try:
+        out = transition_table(b0, theta, consts, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[0].size == b0.size
+    assert peak <= bound_mib * 2**20
