@@ -364,8 +364,9 @@ def _line_gaps(levels: np.ndarray, edge: np.ndarray) -> np.ndarray:
 
 
 # rows per block of transition_table: each block's Hamiltonians, eigvalsh call,
-# cofactors and Jacobian take about 1 MiB of temporaries at any batch size,
-# and 2 048 rows ran fastest of 1 024-8 192 (BENCH_35.json)
+# cofactors and Jacobian take about 1 MiB of temporaries at any batch size;
+# of 1 024-8 192 rows, 2 048 ran fastest with the Jacobian and within noise of
+# the fastest without it (BENCH_35.json)
 _TABLE_BLOCK = 2048
 
 
@@ -384,13 +385,13 @@ def transition_table(
     cross near the magic angle, and the labels follow each line through the
     crossing where the sorted pair folds along nu1 = nu2.  The energies,
     the m = +/-1/2 weights that select the lines and the expectation values
-    behind the Jacobian come from one eigvalsh call and the cofactors of
-    the tridiagonal H (_state_terms); no eigenvector is formed.  A batch of
-    more than _TABLE_BLOCK rows is evaluated block by block into the
-    returned arrays, so its temporaries do not grow with the batch; every
-    step is per row, so each row is bit-equal to a one-row call.  A b0_t
-    that overflows H raises ValueError, naming the batch's largest b0_t,
-    before any block is evaluated.
+    behind the Jacobian come from eigvalsh and the cofactors of the
+    tridiagonal H (_state_terms); no eigenvector is formed.  A batch of
+    more than _TABLE_BLOCK rows is evaluated block by block, one eigvalsh
+    call each, into the returned arrays, so its temporaries do not grow
+    with the batch; every step is per row, so each row is bit-equal to a
+    one-row call.  A b0_t that overflows H raises ValueError, naming the
+    batch's largest b0_t, before any block is evaluated.
 
     With jacobian=True, which needs labelled=True because the sorted pair
     has no derivative where it folds, a third array of shape (n, 2, 2) holds

@@ -361,10 +361,15 @@ def test_blocked_synthesis_is_bit_equal_to_the_fit_model_at_the_true_lines(const
 
 @pytest.mark.parametrize("n_points", [2, 401, _BLOCK, _BLOCK + 1, 92001])
 @pytest.mark.parametrize("seed", [None, 3502])
-def test_blocked_synthesis_is_bit_equal_to_linspace_and_one_normal_draw(consts, n_points, seed):
+@pytest.mark.parametrize("band_hz", [(50e6, 280e6), (82_855_707.6, 526_760_638.3)])
+def test_blocked_synthesis_is_bit_equal_to_linspace_and_one_normal_draw(
+    consts, n_points, seed, band_hz
+):
     # the grid is filled and the noise drawn block by block; both must be
-    # what np.linspace and one rng.normal(0, sigma, n) draw give, bit for bit
-    cfg = AcquisitionConfig(50e6, 280e6, n_points, laser_mw=85.0, seed=seed)
+    # what np.linspace and one rng.normal(0, sigma, n) draw give, bit for bit.
+    # On the second band f_start + (n - 1) * step misses f_stop at each n,
+    # so the last point must be f_stop itself, as np.linspace sets it
+    cfg = AcquisitionConfig(*band_hz, n_points, laser_mw=85.0, seed=seed)
     field = FieldVector(60 * GAUSS, 0.3)
     spec = synthesize_spectrum(cfg, field, consts)
     freq = np.linspace(cfg.f_start_hz, cfg.f_stop_hz, n_points)

@@ -627,10 +627,12 @@ def test_transition_table_jacobian_near_zero_field(consts):
 _TABLE_PATHS = ({}, {"labelled": True}, {"labelled": True, "jacobian": True})
 
 
-def _block_edge_rows(consts):
-    """Fields for the first and last rows of blocks: (B0 in T, theta in rad)."""
+def test_blocked_table_rows_are_bit_equal_to_one_row_calls(consts):
+    # a batch of more than _TABLE_BLOCK rows is evaluated block by block;
+    # every row, also on a block's first and last row, must be the one-row
+    # call's bit for bit, on every path, at sizes around one and two blocks
     gamma, d = consts.gyro_hz_per_t, consts.d_hz
-    return [
+    edge_fields = [  # (B0 in T, theta in rad)
         (60 * GAUSS, 0.0),
         (60 * GAUSS, math.pi / 2),
         (0.0, 0.7),
@@ -640,12 +642,6 @@ def _block_edge_rows(consts):
         (d / gamma, 0.4),
         (2 * d / gamma, 1.2),
     ]
-
-
-def test_blocked_table_rows_are_bit_equal_to_one_row_calls(consts):
-    # a batch of more than _TABLE_BLOCK rows is evaluated block by block;
-    # every row, also on a block's first and last row, must be the one-row
-    # call's bit for bit, on every path, at sizes around one and two blocks
     block = _TABLE_BLOCK
     n = 2 * block + 1
     edges = [0, block - 2, block - 1, block, 2 * block - 1, 2 * block]
@@ -654,12 +650,11 @@ def test_blocked_table_rows_are_bit_equal_to_one_row_calls(consts):
     theta = rng.uniform(0.0, math.pi / 2, n)
 
     def one_row(kw, b, t):
-        return [np.asarray(out)[0] for out in transition_table(np.array([b]), np.array([t]),
-                                                               consts, **kw)]
+        return [out[0] for out in transition_table(np.array([b]), np.array([t]), consts, **kw)]
 
     reference = {i: [one_row(kw, b0[k], theta[k]) for k in range(n)]
                  for i, kw in enumerate(_TABLE_PATHS)}
-    for field in _block_edge_rows(consts):
+    for field in edge_fields:
         b0[edges], theta[edges] = field
         for i, kw in enumerate(_TABLE_PATHS):
             special = one_row(kw, *field)
